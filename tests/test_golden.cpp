@@ -1,0 +1,99 @@
+// Golden pins for single-path sessions: the FNV-1a digest of the canonical
+// report JSON of four unobserved flights, and of the events.jsonl stream of
+// one observed flight. Together they cover every single-path feature the
+// session wiring touches (GCC, SCReAM, probe-only, C2, faults, resilience,
+// FEC, observability), so any refactor of the session layer that changes a
+// single byte of a single-path artifact fails here. See docs/TESTING.md
+// ("Refreshing golden pins") before touching a constant.
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "experiment/scenario.hpp"
+#include "obs/recorder.hpp"
+#include "pipeline/report_json.hpp"
+
+namespace rpv {
+namespace {
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+experiment::Scenario flight(experiment::Environment env,
+                            experiment::Mobility mobility, pipeline::CcKind cc,
+                            std::uint64_t seed) {
+  experiment::Scenario s;
+  s.env = env;
+  s.mobility = mobility;
+  s.cc = cc;
+  s.seed = seed;
+  return s;
+}
+
+pipeline::SessionReport expect_report_pin(const experiment::Scenario& s,
+                                          std::uint64_t pin) {
+  auto r = experiment::run_scenario(s);
+  const auto digest = fnv1a(pipeline::report_to_json(r).dump());
+  EXPECT_EQ(digest, pin) << "actual " << hex(digest);
+  return r;
+}
+
+TEST(GoldenPins, UrbanAirGccReport) {
+  expect_report_pin(flight(experiment::Environment::kUrban,
+                           experiment::Mobility::kAir, pipeline::CcKind::kGcc,
+                           2101),
+                    0x974970f797ae8ca3ull);
+}
+
+TEST(GoldenPins, RuralP1AirScreamReport) {
+  expect_report_pin(flight(experiment::Environment::kRuralP1,
+                           experiment::Mobility::kAir,
+                           pipeline::CcKind::kScream, 2102),
+                    0xea8b92a7de065ea1ull);
+}
+
+TEST(GoldenPins, RuralP2GroundProbeOnlyReport) {
+  auto s = flight(experiment::Environment::kRuralP2,
+                  experiment::Mobility::kGround, pipeline::CcKind::kNone, 2103);
+  s.probe_interval = sim::Duration::millis(200);
+  const auto r = expect_report_pin(s, 0x21c3281a52c9252aull);
+  EXPECT_FALSE(r.rtt_by_altitude.empty());
+}
+
+TEST(GoldenPins, UrbanAirStaticC2RlfStormResilienceFecReport) {
+  auto s = flight(experiment::Environment::kUrban, experiment::Mobility::kAir,
+                  pipeline::CcKind::kStatic, 2104);
+  s.c2 = true;
+  s.fault_preset = experiment::FaultPreset::kRlfStorm;
+  s.resilience = true;
+  s.fec_group_size = 10;
+  expect_report_pin(s, 0x5bc2b45deef197d2ull);
+}
+
+TEST(GoldenPins, ObservedUrbanAirGccEventStream) {
+  auto s = flight(experiment::Environment::kUrban, experiment::Mobility::kAir,
+                  pipeline::CcKind::kGcc, 2101);
+  s.observe = true;
+  const auto r = experiment::run_scenario(s);
+  ASSERT_FALSE(r.events.empty());
+  const auto digest = fnv1a(obs::to_jsonl(r.events));
+  EXPECT_EQ(digest, 0x4532c203a428dcb6ull) << "actual " << hex(digest);
+}
+
+}  // namespace
+}  // namespace rpv
