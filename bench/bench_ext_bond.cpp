@@ -1,12 +1,12 @@
-// Extension (rpv::bond): named bonding policies vs the legacy multipath
-// modes under injected fault schedules. The question the table answers is
+// Extension (rpv::bond): named bonding policies vs the failover and
+// duplicate reference arms under injected fault schedules. The question the table answers is
 // the robustness tradeoff — how much stall time each policy buys back and
 // what it pays in airtime (duplicate ships every packet twice; the bonded
 // policies duplicate selectively and lean on adaptive FEC instead).
 //
 // Exit status encodes the acceptance verdict: 0 when kHighReliability both
-// stalls less than legacy failover and spends less airtime than legacy
-// duplicate on every fault schedule, 1 otherwise.
+// stalls less than failover and spends less airtime than duplicate on every
+// fault schedule, 1 otherwise.
 #include "bench_common.hpp"
 
 #include "experiment/scenario.hpp"
@@ -24,7 +24,7 @@ struct Arm {
 int main(int argc, char** argv) {
   using namespace rpv;
   bench::parse_args(argc, argv);
-  bench::print_header("Extension — bonded reliability policies vs legacy modes",
+  bench::print_header("Extension — bonded reliability policies vs reference arms",
                       "rpv::bond; IMC'22 Fig. 10 operator pair under faults");
 
   metrics::TextTable table{{"fault", "policy", "stall ms/run", "stalls/min",
@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
                             "path sw", "dup supp"}};
 
   const std::vector<std::pair<experiment::Multipath, std::string>> arms = {
-      {experiment::Multipath::kFailover, "failover (legacy)"},
-      {experiment::Multipath::kDuplicate, "duplicate (legacy)"},
+      {experiment::Multipath::kFailover, "failover (reference)"},
+      {experiment::Multipath::kDuplicate, "duplicate (reference)"},
       {experiment::Multipath::kBondLowLatency, "bond low-latency"},
       {experiment::Multipath::kBondBalanced, "bond balanced"},
       {experiment::Multipath::kBondHighReliability, "bond high-reliability"},
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n" << table.render();
-  std::cout << "\nExpected shape: legacy duplicate buys its robustness with "
+  std::cout << "\nExpected shape: duplicate buys its robustness with "
                "~2x airtime; the bonded high-reliability policy duplicates "
                "only C2 and keyframes and carries the rest on adaptive FEC, "
                "stalling less than failover at a fraction of duplicate's "

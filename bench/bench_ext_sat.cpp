@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                             "sat outages", "events/s"}};
 
   const std::vector<std::pair<experiment::Multipath, std::string>> policies = {
-      {experiment::Multipath::kFailover, "failover (legacy)"},
+      {experiment::Multipath::kFailover, "failover (reference)"},
       {experiment::Multipath::kBondBalanced, "bond balanced"},
       {experiment::Multipath::kBondHighReliability, "bond high-reliability"},
   };

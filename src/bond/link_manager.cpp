@@ -139,100 +139,62 @@ int LinkManager::spray_pick(const std::vector<int>& candidates) {
   return best;
 }
 
-RouteDecision LinkManager::route_legacy(const net::Packet& p) {
-  (void)p;
-  // Byte-for-byte replication of the MultipathMode branches so existing
-  // campaigns and stored artifacts stay comparable. Legacy policies predate
-  // bonding and only ever see the first two paths.
-  const auto now = sim_.now();
+void LinkManager::anchor_video(int to) {
+  if (to != anchor_) {
+    const auto& cur = paths_[static_cast<std::size_t>(anchor_)];
+    const auto& dst = paths_[static_cast<std::size_t>(to)];
+    const std::uint8_t reason = cur.down              ? kReasonPathDown
+                                : cur.ho_flagged      ? kReasonPredictedHo
+                                : dst.just_readmitted ? kReasonProbationEnd
+                                                      : kReasonFasterPath;
+    ++path_switches_;
+    if (bus_ != nullptr && bus_->wants(obs::EventKind::kPathSwitch)) {
+      bus_->publish(obs::Component::kBond, obs::EventKind::kPathSwitch,
+                    sim_.now(),
+                    obs::PathSwitchPayload{
+                        static_cast<std::uint8_t>(anchor_),
+                        static_cast<std::uint8_t>(to), reason,
+                        static_cast<std::uint8_t>(TrafficClass::kVideo)});
+    }
+    anchor_ = to;
+  }
+  for (auto& st : paths_) st.just_readmitted = false;
+}
+
+RouteDecision LinkManager::route_video(const std::vector<int>& candidates,
+                                       const net::Packet& p) {
   switch (cfg_.policy) {
-    case Policy::kFailover: {
-      const bool reactive_b = paths_[0].path->link_down();
-      bool use_b = reactive_b;
-      if (!use_b && paths_[0].adapter != nullptr &&
-          paths_[0].adapter->proactive() && paths_[0].adapter->ho_imminent(now) &&
-          !paths_[1].path->link_down()) {
-        use_b = true;
-      }
-      if (use_b != failover_on_b_) {
-        failover_on_b_ = use_b;
-        ++failover_events_;
-        ++path_switches_;
-        if (use_b && !reactive_b && paths_[0].adapter != nullptr) {
-          paths_[0].adapter->note_predictive_switch();
-        }
-        if (bus_ != nullptr && bus_->wants(obs::EventKind::kPathSwitch)) {
-          bus_->publish(
-              obs::Component::kBond, obs::EventKind::kPathSwitch, now,
-              obs::PathSwitchPayload{
-                  static_cast<std::uint8_t>(use_b ? 0 : 1),
-                  static_cast<std::uint8_t>(use_b ? 1 : 0),
-                  use_b ? (reactive_b ? kReasonPathDown : kReasonPredictedHo)
-                        : kReasonProbationEnd,
-                  static_cast<std::uint8_t>(TrafficClass::kVideo)});
-        }
-      }
-      anchor_ = use_b ? 1 : 0;
+    case Policy::kFailover:
+    case Policy::kDuplicate: {
+      // Video rides the lowest-index candidate; kDuplicate copies it onto
+      // the next one.
+      anchor_video(candidates.front());
+      const bool copy =
+          cfg_.policy == Policy::kDuplicate && candidates.size() > 1;
+      return {anchor_, copy ? candidates[1] : -1};
+    }
+    case Policy::kLowLatency: {
+      // Anchor everything on the fastest eligible path; re-anchor only when
+      // the anchor left the candidate set or another path is decisively
+      // faster.
+      const bool anchor_ok =
+          std::find(candidates.begin(), candidates.end(), anchor_) !=
+          candidates.end();
+      const int best = least_queued(candidates);
+      const double gain =
+          effective_latency_ms(paths_[static_cast<std::size_t>(anchor_)]) -
+          effective_latency_ms(paths_[static_cast<std::size_t>(best)]);
+      anchor_video(!anchor_ok || gain > cfg_.switch_hysteresis.ms() ? best
+                                                                    : anchor_);
       return {anchor_, -1};
     }
-    case Policy::kScheduled: {
-      const bool use_b = paths_[1].path->queuing_delay_ms() <
-                         paths_[0].path->queuing_delay_ms();
-      return {use_b ? 1 : 0, -1};
-    }
-    case Policy::kDuplicate:
-    default:
-      return {0, 1};
-  }
-}
-
-void LinkManager::switch_anchor(int to, std::uint8_t reason, TrafficClass cls) {
-  if (to == anchor_) return;
-  ++path_switches_;
-  ++failover_events_;
-  if (bus_ != nullptr && bus_->wants(obs::EventKind::kPathSwitch)) {
-    bus_->publish(obs::Component::kBond, obs::EventKind::kPathSwitch, sim_.now(),
-                  obs::PathSwitchPayload{static_cast<std::uint8_t>(anchor_),
-                                         static_cast<std::uint8_t>(to), reason,
-                                         static_cast<std::uint8_t>(cls)});
-  }
-  anchor_ = to;
-}
-
-RouteDecision LinkManager::route_bonded_video(const std::vector<int>& candidates,
-                                              const net::Packet& p) {
-  if (cfg_.policy == Policy::kLowLatency) {
-    // Anchor everything on the fastest eligible path; re-anchor only when the
-    // anchor left the candidate set or another path is decisively faster.
-    const auto& cur = paths_[static_cast<std::size_t>(anchor_)];
-    const bool anchor_ok =
-        std::find(candidates.begin(), candidates.end(), anchor_) !=
-        candidates.end();
-    const int best = least_queued(candidates);
-    if (!anchor_ok) {
-      const std::uint8_t reason = cur.down       ? kReasonPathDown
-                                  : cur.ho_flagged ? kReasonPredictedHo
-                                                   : kReasonFasterPath;
-      switch_anchor(best, reason, TrafficClass::kVideo);
-    } else if (best != anchor_) {
-      const double gain =
-          effective_latency_ms(cur) -
-          effective_latency_ms(paths_[static_cast<std::size_t>(best)]);
-      if (gain > cfg_.switch_hysteresis.ms()) {
-        const auto& dst = paths_[static_cast<std::size_t>(best)];
-        switch_anchor(best,
-                      dst.just_readmitted ? kReasonProbationEnd
-                                          : kReasonFasterPath,
-                      TrafficClass::kVideo);
-      }
-    }
-    for (auto& st : paths_) st.just_readmitted = false;
-    return {anchor_, -1};
+    case Policy::kBalanced:
+    case Policy::kHighReliability:
+      break;
   }
 
-  // kBalanced / kHighReliability: capacity-weighted spray. The anchor tracks
-  // the highest-capacity candidate (the reference point for preemption and
-  // the forecast input), with switches published as the set shifts.
+  // Capacity-weighted spray. The anchor tracks the highest-capacity candidate
+  // (the reference point for preemption and the forecast input).
   int heavy = candidates.front();
   double heavy_cap = -1.0;
   for (const int i : candidates) {
@@ -243,16 +205,7 @@ RouteDecision LinkManager::route_bonded_video(const std::vector<int>& candidates
       heavy = i;
     }
   }
-  if (heavy != anchor_) {
-    const auto& cur = paths_[static_cast<std::size_t>(anchor_)];
-    const auto& dst = paths_[static_cast<std::size_t>(heavy)];
-    const std::uint8_t reason = cur.down        ? kReasonPathDown
-                                : cur.ho_flagged  ? kReasonPredictedHo
-                                : dst.just_readmitted ? kReasonProbationEnd
-                                                      : kReasonFasterPath;
-    switch_anchor(heavy, reason, TrafficClass::kVideo);
-  }
-  for (auto& st : paths_) st.just_readmitted = false;
+  anchor_video(heavy);
 
   const int primary = spray_pick(candidates);
   int dup = -1;
@@ -265,7 +218,6 @@ RouteDecision LinkManager::route_bonded_video(const std::vector<int>& candidates
       if (i != primary) others.push_back(i);
     }
     dup = least_queued(others);
-    ++duplicates_routed_;
   }
   return {primary, dup};
 }
@@ -299,42 +251,28 @@ RouteDecision LinkManager::route_priority(TrafficClass cls,
         others.push_back(i);
       }
     }
-    if (!others.empty()) {
-      dup = least_queued(others);
-      ++duplicates_routed_;
-    }
+    if (!others.empty()) dup = least_queued(others);
   }
   return {primary, dup};
 }
 
-RouteDecision LinkManager::route(TrafficClass cls, const net::Packet& p) {
+RouteDecision LinkManager::route_among(TrafficClass cls, const net::Packet& p) {
   rpv::validate(!paths_.empty(), "LinkManager: no paths registered");
-  if (paths_.size() == 1) return {0, -1};
-  if (!is_bonded(cfg_.policy)) return route_legacy(p);
 
   std::vector<int> candidates;
   refresh(candidates);
-  if (cls == TrafficClass::kVideo) return route_bonded_video(candidates, p);
+  if (cls == TrafficClass::kVideo) return route_video(candidates, p);
+  if (cfg_.policy == Policy::kDuplicate) {
+    // Every class rides the two lowest-index candidates.
+    return {candidates.front(), candidates.size() > 1 ? candidates[1] : -1};
+  }
   return route_priority(cls, candidates);
-}
-
-void LinkManager::note_sent(int path, std::size_t bytes) {
-  auto& p = paths_[static_cast<std::size_t>(path)];
-  ++p.sent_packets;
-  p.airtime_bytes += bytes;
-  airtime_bytes_ += bytes;
 }
 
 void LinkManager::note_lost(int path) {
   auto& p = paths_[static_cast<std::size_t>(path)];
   ++p.lost_packets;
   p.loss_ewma += cfg_.loss_alpha * (1.0 - p.loss_ewma);
-}
-
-void LinkManager::note_delivered(int path) {
-  auto& p = paths_[static_cast<std::size_t>(path)];
-  ++p.delivered_packets;
-  p.loss_ewma += cfg_.loss_alpha * (0.0 - p.loss_ewma);
 }
 
 PathCounters LinkManager::path_counters(int i) const {

@@ -1,22 +1,23 @@
-// LinkManager — owns the set of bonded paths of a session and decides, per
-// packet, which path(s) carry it.
+// LinkManager — owns the set of paths of a session and decides, per packet,
+// which path(s) carry it.
 //
-// Replaces the three hard-coded MultipathMode branches with named policies
-// (see policy.hpp). The manager tracks per-path health (radio down/up, loss
-// EWMA, queue depth, capacity), degrades gracefully as links fail — a dead
-// path simply leaves the candidate set — and re-admits a recovered path only
-// after a probation window so a flapping radio cannot drag traffic back and
-// forth. Traffic is scheduled in three DSCP-style classes (C2 > telemetry >
-// video): priority classes are diverted around a video-congested path, with
-// kClassPreempt published on each diversion transition.
+// Every session routes through one: a single-path session registers one
+// path and route() always answers path 0. With more paths the named policies
+// (see policy.hpp) pick from a health-gated candidate set. The manager tracks
+// per-path health (radio down/up, loss EWMA, queue depth, capacity), degrades
+// gracefully as links fail — a dead path simply leaves the candidate set —
+// and re-admits a recovered path only after a probation window so a flapping
+// radio cannot drag traffic back and forth. Traffic is scheduled in three
+// DSCP-style classes (C2 > telemetry > video): priority classes are diverted
+// around a video-congested path, with kClassPreempt published on each
+// diversion transition.
 //
 // Paths are heterogeneous (bond::BondablePath): cellular operator links,
 // LEO satellite, aerial mesh. Latency ranking adds each path's fixed
 // propagation floor to its standing queue delay, so C2 stays on the lowest-
 // latency healthy path (cellular, until its queue exceeds the satellite
 // floor) while capacity-weighted video spraying happily includes a
-// high-capacity satellite path. Cellular floors are zero, so every
-// cellular-only decision is bit-identical to the historical 2-path manager.
+// high-capacity satellite path. Cellular floors are zero.
 //
 // Everything is deterministic: capacity-weighted spraying uses integer-free
 // credit accounting, not randomness, so byte-identical reruns hold.
@@ -81,27 +82,34 @@ class LinkManager {
   // Publish kPathSwitch / kClassPreempt onto the session's event stream.
   void attach_observer(obs::EventBus* bus) { bus_ = bus; }
 
-  // Decide the path(s) for one outgoing packet. Legacy policies replicate
-  // the MultipathMode semantics verbatim (over the first two paths); bonded
-  // policies use the health-gated candidate machinery over any path count.
-  RouteDecision route(TrafficClass cls, const net::Packet& p);
+  // Decide the path(s) for one outgoing packet. One registered path always
+  // answers {0, -1}; more paths go through the health-gated candidate set.
+  // Inline with the accounting below: it runs once per packet, and a
+  // single-path session must not pay for the bonded machinery.
+  RouteDecision route(TrafficClass cls, const net::Packet& p) {
+    if (paths_.size() == 1) return {0, -1};
+    return route_among(cls, p);
+  }
 
   // --- Outcome accounting (drives loss EWMAs and airtime) ---
-  void note_sent(int path, std::size_t bytes);
-  void note_lost(int path);       // copy died on the radio
-  void note_delivered(int path);  // copy survived the radio
+  void note_sent(int path, std::size_t bytes) {
+    auto& p = paths_[static_cast<std::size_t>(path)];
+    ++p.sent_packets;
+    p.airtime_bytes += bytes;
+    airtime_bytes_ += bytes;
+  }
+  void note_lost(int path);  // copy died on the radio
+  void note_delivered(int path) {  // copy survived the radio
+    auto& p = paths_[static_cast<std::size_t>(path)];
+    ++p.delivered_packets;
+    p.loss_ewma += cfg_.loss_alpha * (0.0 - p.loss_ewma);
+  }
 
   [[nodiscard]] std::size_t path_count() const { return paths_.size(); }
   [[nodiscard]] BondablePath& path(int i) {
     return *paths_[static_cast<std::size_t>(i)].path;
   }
-  [[nodiscard]] PathKind path_kind(int i) const {
-    return paths_[static_cast<std::size_t>(i)].path->kind();
-  }
   [[nodiscard]] PathCounters path_counters(int i) const;
-  [[nodiscard]] double loss_ewma(int path) const {
-    return paths_[static_cast<std::size_t>(path)].loss_ewma;
-  }
   // Worst per-path loss EWMA among paths currently carrying traffic.
   [[nodiscard]] double max_loss_ewma() const;
   // Capacity of the best currently-usable path (FEC controller input).
@@ -111,21 +119,12 @@ class LinkManager {
   // Capacity forecast of the current video anchor path; < 0 if not ready.
   [[nodiscard]] double anchor_forecast_mbps() const;
 
+  // Video-anchor switches (kPathSwitch events), in either direction.
   [[nodiscard]] std::uint64_t path_switches() const { return path_switches_; }
   [[nodiscard]] std::uint64_t class_preemptions() const {
     return class_preemptions_;
   }
-  [[nodiscard]] std::uint64_t duplicates_routed() const {
-    return duplicates_routed_;
-  }
   [[nodiscard]] std::uint64_t airtime_bytes() const { return airtime_bytes_; }
-  // Legacy kFailover switch counter (either direction), kept name-compatible
-  // with MultipathSession::failover_events(). For bonded policies this counts
-  // video-anchor switches.
-  [[nodiscard]] std::uint64_t failover_events() const {
-    return failover_events_;
-  }
-  [[nodiscard]] int active_path() const { return anchor_; }
 
  private:
   struct PathState {
@@ -155,12 +154,13 @@ class LinkManager {
   void refresh(std::vector<int>& candidates);
   [[nodiscard]] int least_queued(const std::vector<int>& candidates) const;
   [[nodiscard]] int spray_pick(const std::vector<int>& candidates);
-  RouteDecision route_legacy(const net::Packet& p);
-  RouteDecision route_bonded_video(const std::vector<int>& candidates,
-                                   const net::Packet& p);
+  RouteDecision route_among(TrafficClass cls, const net::Packet& p);
+  RouteDecision route_video(const std::vector<int>& candidates,
+                            const net::Packet& p);
   RouteDecision route_priority(TrafficClass cls,
                                const std::vector<int>& candidates);
-  void switch_anchor(int to, std::uint8_t reason, TrafficClass cls);
+  // Put video on `to`, publishing kPathSwitch (with its reason) on a change.
+  void anchor_video(int to);
   void publish_preempt(TrafficClass cls, int from, int to, double queue_ms);
 
   sim::Simulator& sim_;
@@ -170,15 +170,12 @@ class LinkManager {
   // Adapters created by the cellular add_path overload.
   std::vector<std::unique_ptr<CellularPathAdapter>> owned_adapters_;
 
-  int anchor_ = 0;  // current video path (kLowLatency / legacy kFailover)
-  bool failover_on_b_ = false;  // legacy kFailover state
+  int anchor_ = 0;  // current video path
   // Per-class diversion state (kClassPreempt publishes on transitions only).
   bool diverted_[2] = {false, false};  // indexed by TrafficClass kC2/kTelemetry
 
   std::uint64_t path_switches_ = 0;
-  std::uint64_t failover_events_ = 0;
   std::uint64_t class_preemptions_ = 0;
-  std::uint64_t duplicates_routed_ = 0;
   std::uint64_t airtime_bytes_ = 0;
 };
 

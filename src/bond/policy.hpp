@@ -1,14 +1,17 @@
-// rpv::bond — bonded multi-operator link management (ROADMAP item 3).
+// rpv::bond — bonded multi-path link management.
 //
 // The paper's multi-MNO measurements show no single operator sustains
 // RPV-grade latency through handovers and coverage holes; its Section 5 (and
 // AQUILA / vd-link in the related work) argue for per-packet bonding over all
 // modems with policy-driven redundancy. A Policy names how the LinkManager
-// spreads traffic across the registered operator links:
+// spreads traffic across the candidate paths (healthy, out of probation, not
+// under a predicted handover):
 //
-//  * kDuplicate / kScheduled / kFailover — the legacy MultipathModes, kept
-//    semantically identical (duplicate everything / shortest-queue spray /
-//    primary-with-failover) so existing campaigns stay comparable;
+//  * kFailover — video on the lowest-index candidate: the primary operator
+//    until it fails, then the next one (the reference arm without
+//    redundancy);
+//  * kDuplicate — every class on the two lowest-index candidates (the
+//    reference arm that pays 2x airtime for redundancy);
 //  * kLowLatency — every packet on the currently fastest eligible path,
 //    media FEC-protected so isolated losses do not cost a retransmission;
 //  * kBalanced — capacity-weighted spray across eligible paths, with
@@ -24,9 +27,8 @@
 namespace rpv::bond {
 
 enum class Policy : std::uint8_t {
-  kDuplicate,        // legacy MultipathMode::kDuplicate
-  kScheduled,        // legacy MultipathMode::kScheduled
-  kFailover,         // legacy MultipathMode::kFailover
+  kDuplicate,        // two lowest-index candidates, every class
+  kFailover,         // lowest-index candidate for video
   kLowLatency,       // fastest path + FEC
   kBalanced,         // weighted spray + selective duplication
   kHighReliability,  // duplicate C2 + FEC-bonded video
@@ -35,13 +37,6 @@ enum class Policy : std::uint8_t {
 // DSCP-style traffic classes, highest priority first (C2 > telemetry >
 // video): the scheduler never lets a C2 packet queue behind a video burst.
 enum class TrafficClass : std::uint8_t { kC2 = 0, kTelemetry = 1, kVideo = 2 };
-
-// The bonded policies (new scheduler paths); the first three replicate the
-// hard-coded legacy modes.
-[[nodiscard]] constexpr bool is_bonded(Policy p) {
-  return p == Policy::kLowLatency || p == Policy::kBalanced ||
-         p == Policy::kHighReliability;
-}
 
 // FEC-protected policies: the session enables sender-side FEC with the
 // adaptive rate controller attached.
@@ -52,7 +47,6 @@ enum class TrafficClass : std::uint8_t { kC2 = 0, kTelemetry = 1, kVideo = 2 };
 [[nodiscard]] inline std::string policy_name(Policy p) {
   switch (p) {
     case Policy::kDuplicate: return "duplicate";
-    case Policy::kScheduled: return "scheduled";
     case Policy::kFailover: return "failover";
     case Policy::kLowLatency: return "low-latency";
     case Policy::kBalanced: return "balanced";
@@ -61,12 +55,11 @@ enum class TrafficClass : std::uint8_t { kC2 = 0, kTelemetry = 1, kVideo = 2 };
   return "?";
 }
 
-// Report suffix appended to cc_name ("gcc+bond-hr"); the legacy spellings
-// ("+mpdup", ...) are preserved verbatim for stored-artifact compatibility.
+// Report suffix appended to cc_name ("gcc+bond-hr"); the reference arms keep
+// their historical spellings ("+mpdup", "+mpfail").
 [[nodiscard]] inline std::string policy_suffix(Policy p) {
   switch (p) {
     case Policy::kDuplicate: return "+mpdup";
-    case Policy::kScheduled: return "+mpsched";
     case Policy::kFailover: return "+mpfail";
     case Policy::kLowLatency: return "+bond-ll";
     case Policy::kBalanced: return "+bond-bal";

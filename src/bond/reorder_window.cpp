@@ -28,9 +28,9 @@ ReorderWindow::ReorderWindow(sim::Simulator& simulator, ReorderWindowConfig cfg,
 
 std::uint64_t ReorderWindow::dedup_key(const net::Packet& p) {
   // Parity packets live in their own key space (their frame_id is unset);
-  // media keys match the legacy MultipathSession dedup scheme. origin_id
-  // ties bonded duplicate copies back to one logical packet, but the
-  // (frame, transport_seq) pair is already copy-invariant and cheaper.
+  // media packets key on (frame, transport_seq). origin_id ties duplicate
+  // copies back to one logical packet, but that pair is already
+  // copy-invariant and cheaper.
   if (p.kind == net::PacketKind::kFecParity) {
     return (1ULL << 48) |
            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.fec_group))

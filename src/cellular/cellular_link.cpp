@@ -111,23 +111,23 @@ void CellularLink::measurement_tick() {
     const auto& ev = ho_->log().events().back();
     rrc_.record(now, RrcMessageType::kMeasurementReport, ev.target_cell);
     rrc_.record(now, RrcMessageType::kConnectionReconfiguration, ev.source_cell);
-    sim_.schedule_in(*het, [this, target = ev.target_cell] {
+    // The RRC-complete event also closes the handover on the event stream,
+    // so observing a run schedules no extra engine events.
+    sim_.schedule_in(*het, [this, source = ev.source_cell,
+                            target = ev.target_cell, het_us = ho_het.us()] {
       rrc_.record(sim_.now(), RrcMessageType::kConnectionReconfigurationComplete,
                   target);
+      if (bus_ && bus_->wants(obs::EventKind::kHandoverEnd)) {
+        bus_->publish(obs::Component::kCellular, obs::EventKind::kHandoverEnd,
+                      sim_.now(),
+                      obs::HandoverPayload{source, target, het_us});
+      }
     });
     if (bus_ && bus_->wants(obs::EventKind::kHandoverStart)) {
       bus_->publish(obs::Component::kCellular, obs::EventKind::kHandoverStart,
                     now,
                     obs::HandoverPayload{ev.source_cell, ev.target_cell,
                                          ho_het.us()});
-    }
-    if (bus_ && bus_->wants(obs::EventKind::kHandoverEnd)) {
-      sim_.schedule_in(*het, [this, source = ev.source_cell,
-                              target = ev.target_cell, het_us = ho_het.us()] {
-        bus_->publish(obs::Component::kCellular, obs::EventKind::kHandoverEnd,
-                      sim_.now(),
-                      obs::HandoverPayload{source, target, het_us});
-      });
     }
     // Handover triggered. With break-before-make the bearer is interrupted
     // for the execution time; DAPS keeps transmitting on the source stack.

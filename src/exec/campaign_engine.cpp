@@ -26,7 +26,6 @@ std::string multipath_suffix(experiment::Multipath m) {
   switch (m) {
     case experiment::Multipath::kNone: return "";
     case experiment::Multipath::kDuplicate: return "-mpdup";
-    case experiment::Multipath::kScheduled: return "-mpsched";
     case experiment::Multipath::kFailover: return "-mpfail";
     case experiment::Multipath::kBondLowLatency: return "-bond-ll";
     case experiment::Multipath::kBondBalanced: return "-bond-bal";

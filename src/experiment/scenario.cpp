@@ -1,7 +1,5 @@
 #include "experiment/scenario.hpp"
 
-#include "pipeline/multipath_session.hpp"
-
 namespace rpv::experiment {
 
 std::string environment_name(Environment env) {
@@ -35,7 +33,6 @@ std::string multipath_name(Multipath m) {
   switch (m) {
     case Multipath::kNone: return "none";
     case Multipath::kDuplicate: return "duplicate";
-    case Multipath::kScheduled: return "scheduled";
     case Multipath::kFailover: return "failover";
     case Multipath::kBondLowLatency: return "bond-low-latency";
     case Multipath::kBondBalanced: return "bond-balanced";
@@ -66,7 +63,6 @@ std::string path_set_name(PathSet p) {
 
 bond::Policy bond_policy_of(Multipath m) {
   switch (m) {
-    case Multipath::kScheduled: return bond::Policy::kScheduled;
     case Multipath::kFailover: return bond::Policy::kFailover;
     case Multipath::kBondLowLatency: return bond::Policy::kLowLatency;
     case Multipath::kBondBalanced: return bond::Policy::kBalanced;
@@ -277,7 +273,9 @@ void publish_replan(obs::EventBus& bus, const geo::Trajectory& trajectory,
 pipeline::SessionReport run_scenario(const Scenario& s,
                                      obs::EventSink* extra_sink) {
   sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-  auto layout = make_layout(s, rng);
+  std::vector<cellular::CellLayout> layouts;
+  layouts.push_back(make_layout(s, rng));
+  std::string env_label = environment_name(s.env);
   if (s.multipath != Multipath::kNone) {
     // Bonded runs pair the scenario's operator with the environment's
     // competitor: rural P1 <-> P2 (the paper's Fig. 10 operator pair), urban
@@ -288,33 +286,18 @@ pipeline::SessionReport run_scenario(const Scenario& s,
       case Environment::kRuralP2: other.env = Environment::kRuralP1; break;
       case Environment::kUrban: break;  // second urban layout, fresh draw
     }
-    auto layout_b = make_layout(other, rng);
-    auto trajectory = make_trajectory(s, rng);
-    const auto plan = replan_if_planned(s, trajectory);
-    auto cfg = make_session_config(s);
-    std::string env_label =
-        environment_name(s.env) + "+" + environment_name(other.env);
+    layouts.push_back(make_layout(other, rng));
+    env_label += "+" + environment_name(other.env);
     if (s.path_set == PathSet::kThreeWay) env_label += "+sat";
     if (s.path_set == PathSet::kThreeWayMesh) env_label += "+sat+mesh";
-    pipeline::MultipathSession session{
-        cfg,
-        std::move(layout),
-        std::move(layout_b),
-        &trajectory,
-        env_label + "/" + mobility_name(s.mobility),
-        bond_policy_of(s.multipath)};
-    if (extra_sink != nullptr) session.subscribe(extra_sink);
-    publish_replan(session.observer(), trajectory, plan);
-    auto r = session.run();
-    annotate_planning(r, s, plan);
-    return r;
   }
   auto trajectory = make_trajectory(s, rng);
   const auto plan = replan_if_planned(s, trajectory);
-  auto cfg = make_session_config(s);
-  pipeline::Session session{cfg, std::move(layout), &trajectory,
-                            environment_name(s.env) + "/" + mobility_name(s.mobility)};
-  if (extra_sink != nullptr) session.observer().subscribe(extra_sink);
+  pipeline::Session session{make_session_config(s), std::move(layouts),
+                            &trajectory,
+                            env_label + "/" + mobility_name(s.mobility),
+                            bond_policy_of(s.multipath)};
+  if (extra_sink != nullptr) session.subscribe(extra_sink);
   publish_replan(session.observer(), trajectory, plan);
   auto r = session.run();
   annotate_planning(r, s, plan);

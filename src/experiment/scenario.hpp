@@ -39,13 +39,12 @@ enum class AccessTech { kLte, k5gSa };
 // ROADMAP item 5. kPlanned without a radio_map behaves like kProactive.
 enum class Policy { kReactive, kProactive, kPlanned };
 
-// Multi-operator bonding (rpv::bond). kNone runs the single-path Session;
-// everything else runs a MultipathSession over the environment's operator
-// pair under the named bond::Policy.
+// Multi-operator bonding (rpv::bond). kNone runs one operator; everything
+// else runs the Session over the environment's operator pair under the named
+// bond::Policy.
 enum class Multipath {
   kNone,
   kDuplicate,
-  kScheduled,
   kFailover,
   kBondLowLatency,
   kBondBalanced,

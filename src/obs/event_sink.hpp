@@ -49,11 +49,19 @@ class FunctionSink final : public EventSink {
   std::function<void(const Event&)> fn_;
 };
 
-// One bus per session. Single-threaded (the simulation is a DES); sequence
+// One bus per stream. Single-threaded (the simulation is a DES); sequence
 // numbers are assigned in publish order, which the deterministic event loop
 // makes reproducible for any --jobs value.
 class EventBus {
  public:
+  EventBus() = default;
+  EventBus(const EventBus&) = delete;
+  EventBus& operator=(const EventBus&) = delete;
+
+  // Stamp sequence numbers from `primary`'s counter: every bus of one
+  // session then shares a single publish-ordered sequence.
+  void share_sequence(EventBus& primary) { seq_ = primary.seq_; }
+
   // Sinks are borrowed, not owned; they must outlive the bus's publishers.
   // The sink's interest mask is sampled here, once: wants() already assumes
   // masks are fixed after subscription, and caching it makes the per-event
@@ -73,19 +81,20 @@ class EventBus {
   void publish(Component c, EventKind k, sim::TimePoint t, Payload payload = {}) {
     const std::uint64_t bit = kind_bit(k);
     if ((mask_ & bit) == 0) return;
-    Event e{t, next_seq_++, c, k, std::move(payload)};
+    Event e{t, (*seq_)++, c, k, std::move(payload)};
     for (std::size_t i = 0; i < sinks_.size(); ++i) {
       if (sink_masks_[i] & bit) sinks_[i]->on_event(e);
     }
   }
 
-  [[nodiscard]] std::uint64_t published() const { return next_seq_; }
+  [[nodiscard]] std::uint64_t published() const { return *seq_; }
 
  private:
   std::vector<EventSink*> sinks_;
   std::vector<std::uint64_t> sink_masks_;
   std::uint64_t mask_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t* seq_ = &next_seq_;
 };
 
 }  // namespace rpv::obs

@@ -1,5 +1,14 @@
 // Aggregated outcome of one measurement run (one flight / one ground run):
 // every quantity the paper's figures and tables are computed from.
+//
+// Every session fills it through one collect(), whatever its path count.
+// With more than one path, the loss and drop counts (radio_losses,
+// buffer_drops, media_losses, wan_drops, fault_drops, loss_times) are summed
+// over paths and count copies: a duplicated packet can be lost on one path
+// and still be received. per therefore rates lost copies, and
+// packets_in_flight is not conserved (sent counts logical packets). The
+// handover log, capacity trace and prediction block follow the primary
+// operator; packets_sent/received count logical packets.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +78,7 @@ struct SessionReport {
   std::uint64_t pli_sent = 0;         // receiver keyframe requests
   std::uint32_t keyframes_forced = 0; // PLIs the sender honored
   int max_ladder_level = 0;           // deepest degradation level reached
-  std::uint64_t failover_events = 0;  // multipath active-link switches
+  std::uint64_t failover_events = 0;  // video-anchor switches (bonded only)
   std::vector<fault::FaultOutcome> fault_outcomes;
 
   // --- Prediction & proactive adaptation (rpv::predict) ---
@@ -87,7 +96,7 @@ struct SessionReport {
   double plan_deviation_m = 0;                // mean displacement vs mission
 
   // --- Bonded link management (rpv::bond) ---
-  // Empty/zero for single-path sessions; multipath sessions fill the policy
+  // Empty/zero for single-path sessions; bonded sessions fill the policy
   // name ("duplicate", ..., "high-reliability") and the scheduler counters.
   std::string bond_policy;
   std::uint64_t bond_path_switches = 0;       // kPathSwitch events

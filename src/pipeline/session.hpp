@@ -1,16 +1,32 @@
-// One measurement run: UAV (or ground vehicle) trajectory + cellular link +
-// WAN + video sender/receiver, wired into a single discrete-event simulation.
+// One measurement run: UAV (or ground vehicle) trajectory + one or more
+// paths (cellular operator links, optionally a LEO satellite and an aerial
+// mesh relay) + WAN + video sender/receiver, wired into a single
+// discrete-event simulation.
 //
 // This mirrors the paper's setup (Fig. 2): the sender re-encodes the source
 // video at the CC's target bitrate and streams RTP/UDP over LTE to the
 // remote server; feedback (RTCP) flows back over the same bearer. Probe mode
 // replaces the video workload with ICMP-style pings for the latency-vs-
 // altitude analyses.
+//
+// Every packet is routed through a bond::LinkManager. A single-path session
+// registers one path and the manager's route() always answers path 0: no
+// reorder window, no FEC controller, no extra engine events. With several
+// paths (the paper's Section 5 multi-operator outlook, its reference [9])
+// the manager schedules C2 > telemetry > video across them under a
+// bond::Policy, the receive side reassembles through a bond::ReorderWindow,
+// and FEC-backed policies retune parity through a
+// bond::AdaptiveFecController.
 #pragma once
 
+#include <deque>
 #include <memory>
-#include <optional>
+#include <vector>
 
+#include "bond/fec_controller.hpp"
+#include "bond/link_manager.hpp"
+#include "bond/policy.hpp"
+#include "bond/reorder_window.hpp"
 #include "cc/gcc/gcc_controller.hpp"
 #include "cc/scream/scream_controller.hpp"
 #include "cellular/cellular_link.hpp"
@@ -80,18 +96,19 @@ struct SessionConfig {
   // policy (acts only when predict.proactive is set).
   predict::ProactiveConfig predict;
 
-  // Scripted fault injection; an empty schedule injects nothing.
+  // Scripted fault injection; an empty schedule injects nothing. It targets
+  // the first operator link and the WAN.
   fault::FaultSchedule faults;
-  // Replay the same schedule on operator B too (MultipathSession only; a
-  // single-path Session has no link B). Off by default — the historical
-  // behaviour faults link A only, and existing runs stay byte-identical.
-  // WAN events are not doubled: the WAN is shared and injector A owns it.
+  // Replay the same schedule on every further operator link too (sessions
+  // built from more than one layout). Off by default: faults hit the first
+  // operator only. WAN events are not doubled: the WAN is shared and the
+  // first operator's injector owns it.
   bool faults_on_link_b = false;
 
-  // 3-way multi-connectivity (rpv::sat): attach a LEO satellite path — and
-  // optionally an aerial-mesh relay chain — as extra bonded paths behind the
-  // two cellular operators. Consumed by MultipathSession only; a single-path
-  // Session ignores it.
+  // Multi-connectivity (rpv::sat): attach a LEO satellite path — and
+  // optionally an aerial-mesh relay chain — as extra paths after the
+  // operator links. Any session honors it; a session with more than one
+  // path in total is bonded.
   struct SatConfig {
     bool enabled = false;
     sat::SatelliteLinkConfig link;
@@ -113,21 +130,27 @@ struct SessionConfig {
 
 class Session {
  public:
-  // `layout` is copied; `trajectory` must outlive the session.
+  // Single-path session over one operator layout. `layout` is copied;
+  // `trajectory` must outlive the session.
   Session(SessionConfig cfg, cellular::CellLayout layout,
           const geo::Trajectory* trajectory, std::string environment_name);
+  // One path per operator layout, in order, then the cfg.sat paths. With
+  // more than one path in total, `policy` schedules traffic across them.
+  Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
+          const geo::Trajectory* trajectory, std::string environment_name,
+          bond::Policy policy);
 
   // Run the full trajectory plus drain time and return the report.
   // Equivalent to begin(); simulator().run_until(drain_end()); collect().
   SessionReport run();
 
-  // Schedule the session's workload (link measurement loop, sender,
-  // receiver, probes, C2, faults) without running the simulator. An external
-  // driver — rpv::fleet's epoch loop — then advances simulator() in steps;
-  // stepping to drain_end() in any increments executes the identical event
-  // sequence run() would.
+  // Schedule the session's workload (link measurement loops, sender,
+  // receiver, probes, C2, faults, FEC retuning) without running the
+  // simulator. An external loop — rpv::fleet's epoch loop — then advances
+  // simulator() in steps; stepping to drain_end() in any increments executes
+  // the identical event sequence run() would.
   void begin();
-  // Finish the receiver/adapter and build the report. Call exactly once,
+  // Finish the receiver/adapters and build the report. Call exactly once,
   // after the simulator has reached drain_end().
   SessionReport collect();
   // End of the trajectory plus the in-flight drain allowance.
@@ -136,59 +159,84 @@ class Session {
   }
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] cellular::CellularLink& link() { return *link_; }
-  [[nodiscard]] VideoSender* sender() { return sender_.get(); }
-  [[nodiscard]] VideoReceiver* receiver() { return receiver_.get(); }
-  [[nodiscard]] predict::ProactiveAdapter& adapter() { return *adapter_; }
+  // The primary operator's link (the first layout).
+  [[nodiscard]] cellular::CellularLink& link() { return *ops_.front().link; }
+  [[nodiscard]] bond::LinkManager& link_manager() { return *lm_; }
 
-  // The session's event bus; subscribe extra sinks before run().
-  [[nodiscard]] obs::EventBus& observer() { return bus_; }
-  [[nodiscard]] const obs::RingBufferRecorder* recorder() const {
-    return recorder_.get();
-  }
-  [[nodiscard]] const obs::MetricsRegistry* metrics() const {
-    return metrics_.get();
-  }
+  // The session-level stream: the primary operator plus the bond, WAN,
+  // sender, receiver and satellite events. Session-scoped events such as
+  // kReplan are published here.
+  [[nodiscard]] obs::EventBus& observer() { return buses_.front(); }
+  // Subscribe a sink to every stream of the session before run(). Each event
+  // is published on exactly one stream, so the sink sees each once; all
+  // streams share one publish-ordered seq.
+  void subscribe(obs::EventSink* sink);
   // Per-packet ledger (cfg.obs.capture_packets); null when not attached.
   [[nodiscard]] const obs::PacketLog* capture() const {
     return packet_log_.get();
   }
 
  private:
+  // One cellular operator: its link, its predictor (fed from the operator's
+  // own stream, buses_[i], so it never sees another modem's measurements)
+  // and, with faults, its injector.
+  struct Operator {
+    std::unique_ptr<cellular::CellularLink> link;
+    std::unique_ptr<predict::ProactiveAdapter> adapter;
+    std::unique_ptr<obs::FunctionSink> relay;
+    std::unique_ptr<fault::FaultInjector> injector;
+  };
+
+  [[nodiscard]] bool bonded() const { return lm_->path_count() > 1; }
+  void watch_losses(int path);
+  // `p` again for another path: fresh descriptor id, origin_id tying it back.
+  net::Packet second_copy(const net::Packet& p);
+  void transmit_media(net::Packet p);
+  void send_media(int path, net::Packet p);
+  void send_copies(net::Packet p, bond::RouteDecision d, bool uplink,
+                   bond::BondablePath::DeliverFn done);
+  void send_feedback(const rtp::FeedbackReport& report, std::size_t size);
   void send_probe();
   void send_command();
   void send_telemetry();
+  void fec_tick();
   std::unique_ptr<cc::RateController> make_controller();
 
   SessionConfig cfg_;
+  bond::Policy policy_;
   const geo::Trajectory* trajectory_;
   std::string environment_;
   sim::Simulator sim_;
   sim::Rng rng_;
-  obs::EventBus bus_;  // outlives every publisher below
+  // One stream per operator, sharing one seq; front() is the session-level
+  // stream. Outlives every publisher below.
+  std::deque<obs::EventBus> buses_;
   std::unique_ptr<obs::RingBufferRecorder> recorder_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::PacketLog> packet_log_;
-  std::unique_ptr<obs::FunctionSink> measurement_relay_;
-  std::unique_ptr<cellular::CellularLink> link_;
-  std::unique_ptr<predict::ProactiveAdapter> adapter_;
+  std::vector<Operator> ops_;
+  std::unique_ptr<sat::SatelliteLink> sat_link_;
+  std::unique_ptr<sat::MeshHopLink> mesh_link_;
+  std::unique_ptr<bond::LinkManager> lm_;
+  std::unique_ptr<bond::ReorderWindow> window_;            // bonded only
+  std::unique_ptr<bond::AdaptiveFecController> fec_ctrl_;  // bonded FEC only
   std::unique_ptr<net::WanPath> wan_up_;
   std::unique_ptr<net::WanPath> wan_down_;
   FrameTable table_;
   std::unique_ptr<VideoSender> sender_;
   std::unique_ptr<VideoReceiver> receiver_;
 
-  std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<sim::TimePoint> loss_times_;
   std::uint64_t radio_losses_ = 0;
   std::uint64_t media_losses_ = 0;
   std::uint64_t wan_drops_ = 0;
+  std::uint64_t fec_rate_changes_ = 0;
   std::vector<std::pair<double, double>> rtt_by_altitude_;
   metrics::TimeSeries command_latency_ms_;
   metrics::TimeSeries telemetry_latency_ms_;
   std::uint64_t commands_sent_ = 0;
   std::uint64_t telemetry_sent_ = 0;
-  std::uint64_t next_probe_id_ = 1ULL << 48;
+  std::uint64_t next_id_ = 1ULL << 48;
 };
 
 }  // namespace rpv::pipeline

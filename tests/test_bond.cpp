@@ -13,7 +13,7 @@
 #include "bond/reorder_window.hpp"
 #include "exec/campaign_engine.hpp"
 #include "experiment/scenario.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/report_json.hpp"
 #include "rtp/fec.hpp"
 #include "sim/simulator.hpp"
@@ -323,6 +323,22 @@ TEST(BondedSession, ReorderFlushesAndSuppressionShowUpUnderBalancedSpray) {
   // Balanced spray interleaves two paths, so the window must actually work:
   // keyframe duplication feeds the suppression counter.
   EXPECT_GT(r.bond_duplicates_suppressed, 0u);
+}
+
+TEST(BondedSession, OneCollectFillsLossAccountingForEveryPathCount) {
+  // A bonded report comes out of the same collect() as a single-path one:
+  // every path's loss callback feeds loss_times and media_losses, and per
+  // keeps the Fig. 6 formula, summed over paths.
+  auto s = bonded_scenario(experiment::Multipath::kBondHighReliability);
+  s.fault_preset = experiment::FaultPreset::kRlfStorm;
+  s.faults_on_both_operators = true;
+  const auto r = experiment::run_scenario(s);
+  EXPECT_GT(r.radio_losses, 0u);
+  EXPECT_EQ(r.loss_times.size(), r.radio_losses);
+  EXPECT_GT(r.media_losses, 0u);
+  ASSERT_GT(r.packets_sent, 0u);
+  EXPECT_DOUBLE_EQ(r.per, static_cast<double>(r.radio_losses + r.buffer_drops) /
+                              static_cast<double>(r.packets_sent));
 }
 
 TEST(BondedCampaign, ByteIdenticalAcrossWorkerCounts) {

@@ -8,7 +8,7 @@
 #include "experiment/scenario.hpp"
 #include "fault/backoff.hpp"
 #include "fault/fault_schedule.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 
 namespace rpv {
 namespace {
@@ -223,22 +223,19 @@ TEST(FaultInjection, FailoverSwitchesToSecondaryDuringRlf) {
   s.cc = pipeline::CcKind::kGcc;
   s.seed = 407;
   sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-  auto layout_a = experiment::make_layout(s, rng);
-  auto layout_b = cellular::make_rural_layout_p2(rng);
+  std::vector<cellular::CellLayout> layouts;
+  layouts.push_back(experiment::make_layout(s, rng));
+  layouts.push_back(cellular::make_rural_layout_p2(rng));
   auto traj = experiment::make_trajectory(s, rng);
   auto cfg = experiment::make_session_config(s);
   cfg.faults.rlf(60.0);
-  pipeline::MultipathSession session{cfg,
-                                     std::move(layout_a),
-                                     std::move(layout_b),
-                                     &traj,
-                                     "failover-test",
-                                     pipeline::MultipathMode::kFailover};
+  pipeline::Session session{cfg, std::move(layouts), &traj, "failover-test",
+                            bond::Policy::kFailover};
   const auto r = session.run();
   // The RLF takes the primary down for >1 s (T310), so the sender switched
   // to the secondary and back: at least two active-link changes.
-  EXPECT_GE(session.failover_events(), 2u);
-  EXPECT_EQ(r.failover_events, session.failover_events());
+  EXPECT_GE(session.link_manager().path_switches(), 2u);
+  EXPECT_EQ(r.failover_events, session.link_manager().path_switches());
   EXPECT_GT(r.frames_played, 1000u);
   EXPECT_EQ(r.cc_name, "gcc+mpfail");
 }

@@ -7,7 +7,7 @@
 #include "experiment/scenario.hpp"
 #include "metrics/bootstrap.hpp"
 #include "obs/packet_log.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/qoe.hpp"
 
 namespace rpv {
@@ -218,30 +218,6 @@ TEST(Qoe, RealSessionInRange) {
   EXPECT_GE(q.mos, 1.0);
   EXPECT_LE(q.mos, 5.0);
   EXPECT_GT(q.mos, 2.0);  // GCC urban is a usable configuration
-}
-
-// --- Scheduled multipath ---
-
-TEST(MultipathScheduled, AggregatesWithoutDuplication) {
-  experiment::Scenario s;
-  s.env = experiment::Environment::kRuralP1;
-  s.cc = pipeline::CcKind::kStatic;
-  s.seed = 58;
-  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-  auto layout_a = experiment::make_layout(s, rng);
-  experiment::Scenario s2 = s;
-  s2.env = experiment::Environment::kRuralP2;
-  auto layout_b = experiment::make_layout(s2, rng);
-  auto traj = experiment::make_trajectory(s, rng);
-  auto cfg = experiment::make_session_config(s);
-  pipeline::MultipathSession mp{cfg,  std::move(layout_a),
-                                std::move(layout_b), &traj,
-                                "mp-sched", pipeline::MultipathMode::kScheduled};
-  const auto r = mp.run();
-  EXPECT_EQ(r.cc_name, "static+mpsched");
-  EXPECT_EQ(mp.duplicates_discarded(), 0u);  // nothing sent twice
-  EXPECT_GT(mp.rescued_by_b() + 0u, 0u);     // link B actually used
-  EXPECT_GT(r.frames_played, r.frames_encoded * 9 / 10);
 }
 
 }  // namespace

@@ -70,6 +70,24 @@ TEST(EventBus, SeqIsMonotoneInPublishOrder) {
   for (std::size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], i);
 }
 
+TEST(EventBus, SharedSequenceStampsAcrossBuses) {
+  obs::EventBus primary;
+  obs::EventBus secondary;
+  secondary.share_sequence(primary);
+  std::vector<std::uint64_t> seqs;
+  obs::FunctionSink all{obs::kAllKinds,
+                        [&](const obs::Event& e) { seqs.push_back(e.seq); }};
+  primary.subscribe(&all);
+  secondary.subscribe(&all);
+  for (int i = 0; i < 4; ++i) {
+    (i % 2 == 0 ? primary : secondary)
+        .publish(obs::Component::kSession, obs::EventKind::kTargetRate,
+                 TimePoint::from_us(i), obs::RatePayload{1e6});
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(primary.published(), 4u);
+}
+
 // --- RingBufferRecorder ---
 
 TEST(RingBufferRecorder, DropsOldestOnOverflow) {
@@ -297,6 +315,36 @@ TEST(ObsSession, ObservedSessionRecordsTimeline) {
   }
   EXPECT_TRUE(saw_measurement);
   EXPECT_FALSE(r.obs_metrics.counters.empty());
+}
+
+TEST(ObsSession, ObservingARunLeavesSimEventsUnchanged) {
+  // Subscribing every kind (kHandoverEnd included) must not add engine
+  // events: the report's sim_events is the same with and without a recorder.
+  experiment::Scenario s;
+  s.env = experiment::Environment::kUrban;
+  s.cc = pipeline::CcKind::kGcc;
+  s.seed = 74;
+  const auto plain = experiment::run_scenario(s);
+  s.observe = true;
+  const auto observed = experiment::run_scenario(s);
+  ASSERT_GT(observed.handovers.count(), 0u);
+  EXPECT_EQ(observed.sim_events, plain.sim_events);
+}
+
+TEST(ObsSession, BondedStreamHasOneIncreasingSeq) {
+  // Each operator publishes on a stream of its own; all of a session's
+  // streams stamp one publish-ordered sequence.
+  auto s = quick_scenario(75);
+  s.multipath = experiment::Multipath::kBondHighReliability;
+  s.path_set = experiment::PathSet::kThreeWay;
+  s.c2 = true;
+  const auto r = experiment::run_scenario(s);
+  ASSERT_GT(r.events.size(), 1u);
+  std::size_t out_of_order = 0;
+  for (std::size_t i = 1; i < r.events.size(); ++i) {
+    if (r.events[i].seq <= r.events[i - 1].seq) ++out_of_order;
+  }
+  EXPECT_EQ(out_of_order, 0u);
 }
 
 TEST(ObsSession, ReportJsonRoundTripsObsBlock) {

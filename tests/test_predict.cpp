@@ -11,7 +11,7 @@
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
 #include "json/json.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/report_json.hpp"
 #include "predict/estimators.hpp"
 #include "predict/link_predictor.hpp"
@@ -360,21 +360,21 @@ TEST(PredictMultipath, ProactiveFailoverSwitchesBeforeLinkDown) {
   s.seed = 61;
   s.policy = experiment::Policy::kProactive;
   sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-  auto layout_a = experiment::make_layout(s, rng);
+  std::vector<cellular::CellLayout> layouts;
+  layouts.push_back(experiment::make_layout(s, rng));
   experiment::Scenario s2 = s;
   s2.env = experiment::Environment::kRuralP1;
-  auto layout_b = experiment::make_layout(s2, rng);
+  layouts.push_back(experiment::make_layout(s2, rng));
   auto traj = experiment::make_trajectory(s, rng);
   auto cfg = experiment::make_session_config(s);
-  pipeline::MultipathSession mp{cfg,        std::move(layout_a),
-                                std::move(layout_b), &traj,
-                                "predict-failover",  pipeline::MultipathMode::kFailover};
+  pipeline::Session mp{cfg, std::move(layouts), &traj, "predict-failover",
+                       bond::Policy::kFailover};
   const auto r = mp.run();
   EXPECT_TRUE(r.prediction.proactive);
   // The primary-side adapter predicted handovers and moved traffic to the
   // secondary before the primary actually went down at least once.
   EXPECT_GT(r.prediction.predictive_switches, 0u);
-  EXPECT_GT(mp.failover_events(), 0u);
+  EXPECT_GT(r.failover_events, 0u);
 }
 
 // --- Proactive campaign determinism across worker counts ---

@@ -13,7 +13,7 @@
 #include "bond/reorder_window.hpp"
 #include "exec/campaign_engine.hpp"
 #include "experiment/scenario.hpp"
-#include "pipeline/multipath_session.hpp"
+#include "pipeline/session.hpp"
 #include "pipeline/report_json.hpp"
 #include "sat/mesh_link.hpp"
 #include "sat/satellite_link.hpp"

@@ -111,7 +111,7 @@ std::vector<NamedGrid> named_grids() {
     NamedGrid g;
     g.name = "bond";
     g.description =
-        "bonded operator pair: legacy modes vs rpv::bond policies x faults";
+        "bonded operator pair: reference arms vs rpv::bond policies x faults";
     g.axes.envs = {experiment::Environment::kRuralP1};
     g.axes.multipaths = {experiment::Multipath::kFailover,
                          experiment::Multipath::kDuplicate,
