@@ -64,7 +64,7 @@ ArmResult run_arm(experiment::Environment env, pipeline::CcKind cc,
   for (const auto& r : bench::run_scenarios(scenarios)) {
     stall_ms.insert(stall_ms.end(), r.stall_duration_ms.begin(),
                     r.stall_duration_ms.end());
-    owd_ms.insert(owd_ms.end(), r.owd_ms.begin(), r.owd_ms.end());
+    for (const auto& s : r.owd_trace_ms.samples()) owd_ms.push_back(s.value);
     lead_ms.insert(lead_ms.end(), r.prediction.ho_lead_time_ms.begin(),
                    r.prediction.ho_lead_time_ms.end());
     a.stalls_per_min += r.stalls_per_minute;

@@ -74,7 +74,7 @@ ArmResult run_arm(experiment::Environment env, experiment::Policy policy,
     double stall_sum = 0.0;
     for (const double x : r.stall_duration_ms) stall_sum += x;
     a.stall_ms_per_run += stall_sum;
-    owd_ms.insert(owd_ms.end(), r.owd_ms.begin(), r.owd_ms.end());
+    for (const auto& s : r.owd_trace_ms.samples()) owd_ms.push_back(s.value);
     lead_ms.insert(lead_ms.end(), r.prediction.ho_lead_time_ms.begin(),
                    r.prediction.ho_lead_time_ms.end());
     a.stalls_per_min += r.stalls_per_minute;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   freq_mean /= static_cast<double>(freq.size());
   std::size_t ping_pongs = 0, cells = 0;
   for (const auto& r : reports) {
-    ping_pongs += r.ping_pong_handovers;
+    ping_pongs += r.handovers.ping_pong_count();
     cells = std::max(cells, r.cells_seen);
   }
   std::cout << "\nHandover exposure: " << metrics::TextTable::num(freq_mean, 3)

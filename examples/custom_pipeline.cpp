@@ -56,7 +56,7 @@ int main() {
   const auto report = session.run();
 
   metrics::Cdf latency, ssim;
-  latency.add_all(report.playback_latency_ms);
+  latency.add_all(report.playback_latency_trace_ms.values());
   ssim.add_all(report.ssim_samples);
 
   metrics::TextTable t({"metric", "value"});

@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
   const auto report = experiment::run_scenario(s);
 
   metrics::Cdf owd, fps, ssim, latency, goodput;
-  owd.add_all(report.owd_ms);
+  owd.add_all(report.owd_trace_ms.values());
   fps.add_all(report.fps_windows);
   ssim.add_all(report.ssim_samples);
-  latency.add_all(report.playback_latency_ms);
+  latency.add_all(report.playback_latency_trace_ms.values());
   goodput.add_all(report.goodput_mbps_windows);
 
   metrics::TextTable t({"metric", "value"});
@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
   t.add_row({"stalls/min", metrics::TextTable::num(report.stalls_per_minute, 2)});
   t.add_row({"PER (%)", metrics::TextTable::num(100.0 * report.per, 3)});
   t.add_row({"handovers", std::to_string(report.handovers.count())});
-  t.add_row({"HO frequency (/s)", metrics::TextTable::num(report.ho_frequency_per_s, 3)});
+  t.add_row({"HO frequency (/s)",
+             metrics::TextTable::num(report.handovers.frequency(report.duration), 3)});
   t.add_row({"cells seen", std::to_string(report.cells_seen)});
   t.add_row({"queue discards (SCReAM)", std::to_string(report.queue_discard_events)});
   if (report.cc_name != "static") {

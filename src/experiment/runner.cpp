@@ -27,7 +27,7 @@ metrics::Cdf pool(const std::vector<pipeline::SessionReport>& rs, Getter get) {
 }  // namespace
 
 metrics::Cdf pool_owd(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) { return r.owd_ms; });
+  return pool(rs, [](const auto& r) { return r.owd_trace_ms.values(); });
 }
 
 metrics::Cdf pool_fps(const std::vector<pipeline::SessionReport>& rs) {
@@ -39,7 +39,9 @@ metrics::Cdf pool_ssim(const std::vector<pipeline::SessionReport>& rs) {
 }
 
 metrics::Cdf pool_playback_latency(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) { return r.playback_latency_ms; });
+  return pool(rs, [](const auto& r) {
+    return r.playback_latency_trace_ms.values();
+  });
 }
 
 metrics::Cdf pool_goodput(const std::vector<pipeline::SessionReport>& rs) {
@@ -48,14 +50,17 @@ metrics::Cdf pool_goodput(const std::vector<pipeline::SessionReport>& rs) {
 
 std::vector<double> pool_het(const std::vector<pipeline::SessionReport>& rs) {
   std::vector<double> out;
-  for (const auto& r : rs) out.insert(out.end(), r.het_ms.begin(), r.het_ms.end());
+  for (const auto& r : rs) {
+    const auto het = r.handovers.het_ms();
+    out.insert(out.end(), het.begin(), het.end());
+  }
   return out;
 }
 
 std::vector<double> pool_ho_frequency(const std::vector<pipeline::SessionReport>& rs) {
   std::vector<double> out;
   out.reserve(rs.size());
-  for (const auto& r : rs) out.push_back(r.ho_frequency_per_s);
+  for (const auto& r : rs) out.push_back(r.handovers.frequency(r.duration));
   return out;
 }
 
@@ -63,7 +68,9 @@ std::vector<double> pool_latency_ratio_before(
     const std::vector<pipeline::SessionReport>& rs) {
   std::vector<double> out;
   for (const auto& r : rs) {
-    for (const auto& lr : r.ho_latency_ratios) out.push_back(lr.before);
+    for (const auto& lr : r.handovers.latency_ratios(r.owd_trace_ms)) {
+      out.push_back(lr.before);
+    }
   }
   return out;
 }
@@ -72,7 +79,9 @@ std::vector<double> pool_latency_ratio_after(
     const std::vector<pipeline::SessionReport>& rs) {
   std::vector<double> out;
   for (const auto& r : rs) {
-    for (const auto& lr : r.ho_latency_ratios) out.push_back(lr.after);
+    for (const auto& lr : r.handovers.latency_ratios(r.owd_trace_ms)) {
+      out.push_back(lr.after);
+    }
   }
   return out;
 }

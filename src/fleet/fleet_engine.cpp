@@ -260,7 +260,7 @@ FleetRunResult FleetEngine::run(const FleetScenario& scenario) const {
     goodput_sum += r.avg_goodput_mbps;
     goodput_min = std::min(goodput_min, r.avg_goodput_mbps);
     goodput_max = std::max(goodput_max, r.avg_goodput_mbps);
-    rep.total_stalls += r.stall_count;
+    rep.total_stalls += r.stall_duration_ms.size();
     for (const double d : r.stall_duration_ms) stall_ms_sum += d;
     rep.packets_sent += r.packets_sent;
     rep.packets_received += r.packets_received;

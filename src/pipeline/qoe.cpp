@@ -13,7 +13,7 @@ QoeBreakdown score_qoe(const SessionReport& report) {
   metrics::Cdf ssim;
   ssim.add_all(report.ssim_samples);
   metrics::Cdf latency;
-  latency.add_all(report.playback_latency_ms);
+  latency.add_all(report.playback_latency_trace_ms.values());
   if (ssim.empty() || latency.empty()) return q;
 
   // Visual: being above the RP threshold is necessary; detail above 0.9 is

@@ -43,23 +43,16 @@ struct SessionReport {
   // --- Video delivery ---
   std::vector<double> goodput_mbps_windows;   // 1 s windows (Fig. 6)
   std::vector<double> fps_windows;            // 1 s windows (Fig. 7a)
-  std::vector<double> playback_latency_ms;    // per played frame (Fig. 7c)
   std::vector<double> ssim_samples;           // per frame incl. unplayed zeros (Fig. 7b)
   double stalls_per_minute = 0.0;             // §4.2.1 table
-  std::uint32_t stall_count = 0;
-  std::vector<double> stall_duration_ms;      // per frozen gap
+  std::vector<double> stall_duration_ms;      // per frozen gap; size() = stalls
   std::uint32_t frames_encoded = 0;
   std::uint32_t frames_played = 0;
   std::uint32_t frames_corrupted = 0;
   double avg_goodput_mbps = 0.0;
 
   // --- Network ---
-  std::vector<double> owd_ms;                 // per packet (Fig. 5)
   double per = 0.0;                           // radio + buffer drops / sent
-  double ho_frequency_per_s = 0.0;            // Fig. 4a
-  std::vector<double> het_ms;                 // Fig. 4b
-  std::vector<metrics::LatencyRatio> ho_latency_ratios;  // Fig. 9
-  std::size_t ping_pong_handovers = 0;
   std::size_t cells_seen = 0;
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_received = 0;
@@ -78,7 +71,6 @@ struct SessionReport {
   std::uint64_t pli_sent = 0;         // receiver keyframe requests
   std::uint32_t keyframes_forced = 0; // PLIs the sender honored
   int max_ladder_level = 0;           // deepest degradation level reached
-  std::uint64_t failover_events = 0;  // video-anchor switches (bonded only)
   std::vector<fault::FaultOutcome> fault_outcomes;
 
   // --- Prediction & proactive adaptation (rpv::predict) ---
@@ -139,6 +131,10 @@ struct SessionReport {
   std::uint64_t scream_misloss_packets = 0;   // ack-window mislabelled losses
 
   // --- Traces (Fig. 8 timeline) ---
+  // The only record of each signal; readers derive the figure statistics:
+  // values() for the OWD (Fig. 5) and playback-latency (Fig. 7c) CDFs,
+  // handovers.het_ms() / frequency(duration) / ping_pong_count() (Fig. 4)
+  // and handovers.latency_ratios(owd_trace_ms) (Fig. 9).
   metrics::TimeSeries owd_trace_ms;
   metrics::TimeSeries playback_latency_trace_ms;
   metrics::TimeSeries target_bitrate_trace_bps;

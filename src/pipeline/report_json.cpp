@@ -186,10 +186,8 @@ json::Value report_to_json(const SessionReport& r) {
   // Video delivery.
   v.set("goodput_mbps_windows", doubles_to_json(r.goodput_mbps_windows));
   v.set("fps_windows", doubles_to_json(r.fps_windows));
-  v.set("playback_latency_ms", doubles_to_json(r.playback_latency_ms));
   v.set("ssim_samples", doubles_to_json(r.ssim_samples));
   v.set("stalls_per_minute", r.stalls_per_minute);
-  v.set("stall_count", std::uint64_t{r.stall_count});
   v.set("stall_duration_ms", doubles_to_json(r.stall_duration_ms));
   v.set("frames_encoded", std::uint64_t{r.frames_encoded});
   v.set("frames_played", std::uint64_t{r.frames_played});
@@ -197,20 +195,7 @@ json::Value report_to_json(const SessionReport& r) {
   v.set("avg_goodput_mbps", r.avg_goodput_mbps);
 
   // Network.
-  v.set("owd_ms", doubles_to_json(r.owd_ms));
   v.set("per", r.per);
-  v.set("ho_frequency_per_s", r.ho_frequency_per_s);
-  v.set("het_ms", doubles_to_json(r.het_ms));
-  {
-    json::Value ratios = json::Value::array();
-    for (const auto& lr : r.ho_latency_ratios) {
-      json::Value p = json::Value::array();
-      p.push_back(lr.before).push_back(lr.after);
-      ratios.push_back(std::move(p));
-    }
-    v.set("ho_latency_ratios", std::move(ratios));
-  }
-  v.set("ping_pong_handovers", std::uint64_t{r.ping_pong_handovers});
   v.set("cells_seen", std::uint64_t{r.cells_seen});
   v.set("packets_sent", r.packets_sent);
   v.set("packets_received", r.packets_received);
@@ -227,7 +212,6 @@ json::Value report_to_json(const SessionReport& r) {
   v.set("pli_sent", r.pli_sent);
   v.set("keyframes_forced", std::uint64_t{r.keyframes_forced});
   v.set("max_ladder_level", std::int64_t{r.max_ladder_level});
-  v.set("failover_events", r.failover_events);
   v.set("fault_outcomes", outcomes_to_json(r.fault_outcomes));
 
   // Prediction & proactive adaptation.
@@ -355,10 +339,8 @@ SessionReport report_from_json(const json::Value& v) {
 
   r.goodput_mbps_windows = doubles_from_json(v.at("goodput_mbps_windows"));
   r.fps_windows = doubles_from_json(v.at("fps_windows"));
-  r.playback_latency_ms = doubles_from_json(v.at("playback_latency_ms"));
   r.ssim_samples = doubles_from_json(v.at("ssim_samples"));
   r.stalls_per_minute = v.at("stalls_per_minute").as_double();
-  r.stall_count = static_cast<std::uint32_t>(v.at("stall_count").as_u64());
   r.stall_duration_ms = doubles_from_json(v.at("stall_duration_ms"));
   r.frames_encoded = static_cast<std::uint32_t>(v.at("frames_encoded").as_u64());
   r.frames_played = static_cast<std::uint32_t>(v.at("frames_played").as_u64());
@@ -366,18 +348,7 @@ SessionReport report_from_json(const json::Value& v) {
       static_cast<std::uint32_t>(v.at("frames_corrupted").as_u64());
   r.avg_goodput_mbps = v.at("avg_goodput_mbps").as_double();
 
-  r.owd_ms = doubles_from_json(v.at("owd_ms"));
   r.per = v.at("per").as_double();
-  r.ho_frequency_per_s = v.at("ho_frequency_per_s").as_double();
-  r.het_ms = doubles_from_json(v.at("het_ms"));
-  for (const auto& p : v.at("ho_latency_ratios").items()) {
-    metrics::LatencyRatio lr;
-    lr.before = p.items().at(0).as_double();
-    lr.after = p.items().at(1).as_double();
-    r.ho_latency_ratios.push_back(lr);
-  }
-  r.ping_pong_handovers =
-      static_cast<std::size_t>(v.at("ping_pong_handovers").as_u64());
   r.cells_seen = static_cast<std::size_t>(v.at("cells_seen").as_u64());
   r.packets_sent = v.at("packets_sent").as_u64();
   r.packets_received = v.at("packets_received").as_u64();
@@ -393,7 +364,6 @@ SessionReport report_from_json(const json::Value& v) {
   r.pli_sent = v.at("pli_sent").as_u64();
   r.keyframes_forced = static_cast<std::uint32_t>(v.at("keyframes_forced").as_u64());
   r.max_ladder_level = static_cast<int>(v.at("max_ladder_level").as_i64());
-  r.failover_events = v.at("failover_events").as_u64();
   r.fault_outcomes = outcomes_from_json(v.at("fault_outcomes"));
 
   {
@@ -466,22 +436,7 @@ SessionReport report_from_json(const json::Value& v) {
     r.obs_enabled = o.at("enabled").as_bool();
     r.obs_events_recorded = o.at("events_recorded").as_u64();
     r.obs_events_dropped = o.at("events_dropped").as_u64();
-    for (const auto& e : o.at("counters").items()) {
-      obs::Counter c;
-      c.name = e.at("name").as_string();
-      c.value = e.at("value").as_u64();
-      r.obs_metrics.counters.push_back(std::move(c));
-    }
-    for (const auto& e : o.at("histograms").items()) {
-      obs::Histogram h;
-      h.name = e.at("name").as_string();
-      h.edges = doubles_from_json(e.at("edges"));
-      for (const auto& c : e.at("counts").items()) {
-        h.counts.push_back(c.as_u64());
-      }
-      h.total = e.at("total").as_u64();
-      r.obs_metrics.histograms.push_back(std::move(h));
-    }
+    r.obs_metrics = metrics_summary_from_json(o);
   }
 
   r.queue_discard_events = v.at("queue_discard_events").as_u64();

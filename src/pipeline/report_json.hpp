@@ -21,8 +21,13 @@ namespace rpv::pipeline {
 // version 5 the fleet report family (rpv::fleet documents carrying a `fleet`
 // block of merged metrics instead of N per-session reports); version 6 the
 // per-path breakdown inside the bond block, the sat block (LEO pass
-// handovers, outage totals, stall attribution), and sim_events.
-inline constexpr int kReportSchemaVersion = 7;
+// handovers, outage totals, stall attribution), and sim_events; version 7
+// the planning block and the prediction block's map-prior fields; version 8
+// dropped the statistics derivable from records kept beside them (owd_ms,
+// playback_latency_ms, het_ms, ho_frequency_per_s, ping_pong_handovers,
+// ho_latency_ratios, stall_count, failover_events), so each fact is stored
+// once.
+inline constexpr int kReportSchemaVersion = 8;
 
 [[nodiscard]] json::Value report_to_json(const SessionReport& r);
 

@@ -109,10 +109,6 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
     subscribe(recorder_.get());
     subscribe(metrics_.get());
   }
-  if (cfg_.obs.capture_packets) {
-    packet_log_ = std::make_unique<obs::PacketLog>();
-    subscribe(packet_log_.get());
-  }
 
   bond::LinkManagerConfig lm_cfg;
   lm_cfg.policy = policy_;
@@ -502,14 +498,11 @@ SessionReport Session::collect() {
     const auto& player = receiver_->player();
     r.goodput_mbps_windows = receiver_->goodput_mbps().values();
     r.fps_windows = player.fps_windows();
-    r.playback_latency_ms = player.playback_latency_ms().values();
     r.ssim_samples = player.played_ssim();
-    r.stall_count = player.stall_count();
     r.stall_duration_ms = player.stall_durations_ms();
     r.stalls_per_minute = player.stalls_per_minute();
     r.frames_played = player.frames_played();
     r.frames_corrupted = receiver_->corrupted_frames();
-    r.owd_ms = receiver_->owd_ms().values();
     r.owd_trace_ms = receiver_->owd_ms();
     r.playback_latency_trace_ms = player.playback_latency_ms();
     r.packets_received = receiver_->packets_received();
@@ -555,15 +548,8 @@ SessionReport Session::collect() {
   r.loss_times = loss_times_;
 
   const auto& primary = *ops_.front().link;
-  const auto& log = primary.handover_log();
-  r.handovers = log;
-  r.ho_frequency_per_s = log.frequency(r.duration);
-  r.het_ms = log.het_ms();
-  r.ping_pong_handovers = log.ping_pong_count();
+  r.handovers = primary.handover_log();
   r.capacity_trace_mbps = primary.capacity_trace();
-  if (receiver_) {
-    r.ho_latency_ratios = log.latency_ratios(receiver_->owd_ms());
-  }
   r.wan_drops = wan_drops_;
   r.media_losses = media_losses_;
   if (sender_ && receiver_) {
@@ -590,7 +576,6 @@ SessionReport Session::collect() {
     }
     r.fault_outcomes = injector->outcomes();
   }
-  r.failover_events = lm_->path_switches();
 
   r.prediction = ops_.front().adapter->stats();
 

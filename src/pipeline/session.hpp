@@ -35,7 +35,6 @@
 #include "net/wan_path.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/packet_log.hpp"
 #include "obs/recorder.hpp"
 #include "pipeline/report.hpp"
 #include "predict/proactive_adapter.hpp"
@@ -70,15 +69,12 @@ struct SessionConfig {
 
   // Observability (rpv::obs). When `enabled`, the session subscribes a
   // bounded ring-buffer recorder plus the metrics registry to its event bus
-  // (events + counters/histograms land in the SessionReport);
-  // `capture_packets` additionally attaches the per-packet ledger that
-  // replaced the old tcpdump-style net::PacketCapture. With everything off
+  // (events + counters/histograms land in the SessionReport). With it off
   // the bus carries only the kLinkMeasurement subscription rpv::predict
   // needs, and every other publish site is a single mask test.
   struct ObsConfig {
     bool enabled = false;
     std::size_t ring_capacity = obs::RingBufferRecorder::kDefaultCapacity;
-    bool capture_packets = false;
   } obs;
 
   // Command-and-control channel (the RP scenario of Fig. 1): the pilot sends
@@ -171,10 +167,6 @@ class Session {
   // is published on exactly one stream, so the sink sees each once; all
   // streams share one publish-ordered seq.
   void subscribe(obs::EventSink* sink);
-  // Per-packet ledger (cfg.obs.capture_packets); null when not attached.
-  [[nodiscard]] const obs::PacketLog* capture() const {
-    return packet_log_.get();
-  }
 
  private:
   // One cellular operator: its link, its predictor (fed from the operator's
@@ -213,7 +205,6 @@ class Session {
   std::deque<obs::EventBus> buses_;
   std::unique_ptr<obs::RingBufferRecorder> recorder_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<obs::PacketLog> packet_log_;
   std::vector<Operator> ops_;
   std::unique_ptr<sat::SatelliteLink> sat_link_;
   std::unique_ptr<sat::MeshHopLink> mesh_link_;

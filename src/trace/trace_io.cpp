@@ -111,8 +111,9 @@ std::vector<std::string> export_session(const pipeline::SessionReport& report,
     os << report.cc_name << "," << report.environment << ","
        << report.duration.sec() << "," << report.avg_goodput_mbps << ","
        << report.frames_encoded << "," << report.frames_played << ","
-       << report.stall_count << "," << report.per << ","
-       << report.ho_frequency_per_s << "," << report.cells_seen;
+       << report.stall_duration_ms.size() << "," << report.per << ","
+       << report.handovers.frequency(report.duration) << ","
+       << report.cells_seen;
     note(path("summary.csv"),
          write_lines(path("summary.csv"),
                      "cc,environment,duration_s,avg_goodput_mbps,frames_encoded,"

@@ -287,7 +287,7 @@ TEST(BondedSession, SmokeEveryPolicyReportsItsNameAndMovesBytes) {
     EXPECT_NE(r.cc_name.find(c.cc_suffix), std::string::npos) << r.cc_name;
     EXPECT_GT(r.bond_media_bytes, 0u);
     EXPECT_GE(r.bond_airtime_bytes, r.bond_media_bytes);
-    EXPECT_FALSE(r.owd_ms.empty());
+    EXPECT_FALSE(r.owd_trace_ms.empty());
     EXPECT_GT(r.commands_sent, 0u);
     EXPECT_FALSE(r.command_latency_ms.empty());
   }
@@ -314,7 +314,7 @@ TEST(BondedSession, FecRecoversThroughRlfOnOneOfTwoPaths) {
   EXPECT_GT(r.bond_path_switches, 0u);
   EXPECT_GT(r.bond_fec_rate_changes, 0u);
   // The stream survives the outages: stalls stay bounded, frames keep flowing.
-  EXPECT_FALSE(r.owd_ms.empty());
+  EXPECT_FALSE(r.owd_trace_ms.empty());
 }
 
 TEST(BondedSession, ReorderFlushesAndSuppressionShowUpUnderBalancedSpray) {

@@ -1,6 +1,7 @@
 // rpv::exec — thread pool, parallel campaign determinism, JSON round trips,
 // and the run-artifact store.
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 
@@ -220,6 +221,69 @@ pipeline::SessionReport faulted_report() {
   return experiment::run_scenario(s);
 }
 
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  for (const double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+// The report stores each fact once (schema 8); the figure statistics are
+// derived from its records at read time, so a stored run must reproduce
+// every one of them bit for bit.
+void expect_derived_statistics_bit_identical(
+    const pipeline::SessionReport& r, const pipeline::SessionReport& back) {
+  EXPECT_EQ(bits(back.handovers.het_ms()), bits(r.handovers.het_ms()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.handovers.frequency(back.duration)),
+            std::bit_cast<std::uint64_t>(r.handovers.frequency(r.duration)));
+  EXPECT_EQ(back.handovers.ping_pong_count(), r.handovers.ping_pong_count());
+  auto ratios = [](const pipeline::SessionReport& x) {
+    std::vector<double> flat;
+    for (const auto& lr : x.handovers.latency_ratios(x.owd_trace_ms)) {
+      flat.push_back(lr.before);
+      flat.push_back(lr.after);
+    }
+    return bits(flat);
+  };
+  EXPECT_EQ(ratios(back), ratios(r));
+  EXPECT_EQ(back.stall_duration_ms.size(), r.stall_duration_ms.size());
+  const std::vector<pipeline::SessionReport> before{r};
+  const std::vector<pipeline::SessionReport> after{back};
+  const auto owd = experiment::pool_owd(before);
+  const auto owd_back = experiment::pool_owd(after);
+  const auto play = experiment::pool_playback_latency(before);
+  const auto play_back = experiment::pool_playback_latency(after);
+  ASSERT_FALSE(owd.empty());
+  ASSERT_FALSE(play.empty());
+  for (const double q : {0.0, 0.05, 0.5, 0.95, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(owd_back.quantile(q)),
+              std::bit_cast<std::uint64_t>(owd.quantile(q)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(play_back.quantile(q)),
+              std::bit_cast<std::uint64_t>(play.quantile(q)));
+  }
+}
+
+pipeline::SessionReport urban_report() {
+  experiment::Scenario s;
+  s.env = experiment::Environment::kUrban;
+  s.cc = pipeline::CcKind::kGcc;
+  s.seed = 4052;
+  return experiment::run_scenario(s);
+}
+
+// Operator pair + LEO under an RLF storm on both operators: a bonded run
+// with path switches, stalls and handovers on the primary operator.
+pipeline::SessionReport three_way_report() {
+  experiment::Scenario s;
+  s.env = experiment::Environment::kRuralP1;
+  s.cc = pipeline::CcKind::kGcc;
+  s.seed = 4053;
+  s.multipath = experiment::Multipath::kBondHighReliability;
+  s.path_set = experiment::PathSet::kThreeWay;
+  s.fault_preset = experiment::FaultPreset::kRlfStorm;
+  s.faults_on_both_operators = true;
+  return experiment::run_scenario(s);
+}
+
 TEST(ReportJson, RoundTripIsByteStableAndLossless) {
   const auto r = faulted_report();
   const auto doc = pipeline::report_to_json(r);
@@ -231,12 +295,9 @@ TEST(ReportJson, RoundTripIsByteStableAndLossless) {
   EXPECT_EQ(back.cc_name, r.cc_name);
   EXPECT_EQ(back.environment, r.environment);
   EXPECT_EQ(back.duration.us(), r.duration.us());
-  EXPECT_EQ(back.owd_ms, r.owd_ms);
   EXPECT_EQ(back.ssim_samples, r.ssim_samples);
   EXPECT_EQ(back.packets_sent, r.packets_sent);
-  EXPECT_EQ(back.stall_count, r.stall_count);
   EXPECT_EQ(back.handovers.count(), r.handovers.count());
-  EXPECT_EQ(back.het_ms, r.het_ms);
   EXPECT_EQ(back.rtt_by_altitude, r.rtt_by_altitude);
   EXPECT_EQ(back.command_latency_ms, r.command_latency_ms);
   ASSERT_EQ(back.fault_outcomes.size(), r.fault_outcomes.size());
@@ -253,12 +314,35 @@ TEST(ReportJson, RoundTripIsByteStableAndLossless) {
     EXPECT_EQ(back.owd_trace_ms.samples().back().value,
               r.owd_trace_ms.samples().back().value);
   }
+  expect_derived_statistics_bit_identical(r, back);
+
+  // A plain single-path urban flight and a bonded three-way flight too.
+  for (const auto& flight : {urban_report(), three_way_report()}) {
+    SCOPED_TRACE(flight.environment + " " + flight.cc_name);
+    ASSERT_GT(flight.handovers.count(), 0u);
+    ASSERT_FALSE(
+        flight.handovers.latency_ratios(flight.owd_trace_ms).empty());
+    const std::string flight_bytes = pipeline::report_to_json(flight).dump();
+    const auto loaded = pipeline::report_from_json(json::parse(flight_bytes));
+    EXPECT_EQ(pipeline::report_to_json(loaded).dump(), flight_bytes);
+    expect_derived_statistics_bit_identical(flight, loaded);
+  }
 }
 
 TEST(ReportJson, RejectsWrongSchema) {
-  auto doc = pipeline::report_to_json(pipeline::SessionReport{});
-  doc.set("schema", std::int64_t{999});
-  EXPECT_THROW((void)pipeline::report_from_json(doc), std::runtime_error);
+  // 7 is the last version that stored the derived statistics.
+  for (const std::int64_t schema : {7, 999}) {
+    auto doc = pipeline::report_to_json(pipeline::SessionReport{});
+    doc.set("schema", schema);
+    try {
+      (void)pipeline::report_from_json(doc);
+      ADD_FAILURE() << "schema " << schema << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()},
+                "report_json: unsupported schema version " +
+                    std::to_string(schema));
+    }
+  }
   EXPECT_THROW((void)pipeline::report_from_json(json::parse("{}")),
                std::runtime_error);
 }

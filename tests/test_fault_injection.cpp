@@ -88,7 +88,7 @@ TEST(FaultInjection, SameSeedAndScheduleReproduceRun) {
   EXPECT_EQ(a.packets_sent, b.packets_sent);
   EXPECT_EQ(a.packets_received, b.packets_received);
   EXPECT_EQ(a.frames_played, b.frames_played);
-  EXPECT_EQ(a.stall_count, b.stall_count);
+  EXPECT_EQ(a.stall_duration_ms.size(), b.stall_duration_ms.size());
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.watchdog_events, b.watchdog_events);
   EXPECT_EQ(a.pli_sent, b.pli_sent);
@@ -235,7 +235,7 @@ TEST(FaultInjection, FailoverSwitchesToSecondaryDuringRlf) {
   // The RLF takes the primary down for >1 s (T310), so the sender switched
   // to the secondary and back: at least two active-link changes.
   EXPECT_GE(session.link_manager().path_switches(), 2u);
-  EXPECT_EQ(r.failover_events, session.link_manager().path_switches());
+  EXPECT_EQ(r.bond_path_switches, session.link_manager().path_switches());
   EXPECT_GT(r.frames_played, 1000u);
   EXPECT_EQ(r.cc_name, "gcc+mpfail");
 }

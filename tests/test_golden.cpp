@@ -57,21 +57,21 @@ TEST(GoldenPins, UrbanAirGccReport) {
   expect_report_pin(flight(experiment::Environment::kUrban,
                            experiment::Mobility::kAir, pipeline::CcKind::kGcc,
                            2101),
-                    0x974970f797ae8ca3ull);
+                    0x0c544f6a52180bebull);
 }
 
 TEST(GoldenPins, RuralP1AirScreamReport) {
   expect_report_pin(flight(experiment::Environment::kRuralP1,
                            experiment::Mobility::kAir,
                            pipeline::CcKind::kScream, 2102),
-                    0xea8b92a7de065ea1ull);
+                    0xbd406e2ccd62770bull);
 }
 
 TEST(GoldenPins, RuralP2GroundProbeOnlyReport) {
   auto s = flight(experiment::Environment::kRuralP2,
                   experiment::Mobility::kGround, pipeline::CcKind::kNone, 2103);
   s.probe_interval = sim::Duration::millis(200);
-  const auto r = expect_report_pin(s, 0x21c3281a52c9252aull);
+  const auto r = expect_report_pin(s, 0xc62ef9cc8c9c1bc1ull);
   EXPECT_FALSE(r.rtt_by_altitude.empty());
 }
 
@@ -82,7 +82,7 @@ TEST(GoldenPins, UrbanAirStaticC2RlfStormResilienceFecReport) {
   s.fault_preset = experiment::FaultPreset::kRlfStorm;
   s.resilience = true;
   s.fec_group_size = 10;
-  expect_report_pin(s, 0x5bc2b45deef197d2ull);
+  expect_report_pin(s, 0x5b3b20dade87cad7ull);
 }
 
 TEST(GoldenPins, ObservedUrbanAirGccEventStream) {

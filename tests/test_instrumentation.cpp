@@ -1,12 +1,12 @@
 // Tests for the data-collection fidelity pieces: the RRC message log
-// (QCSuper analogue), the obs-layer packet ledger (tcpdump analogue),
+// (QCSuper analogue), the per-packet event stream (tcpdump analogue),
 // bootstrap confidence intervals, and the RP QoE score.
 #include <gtest/gtest.h>
 
 #include "cellular/rrc_log.hpp"
 #include "experiment/scenario.hpp"
 #include "metrics/bootstrap.hpp"
-#include "obs/packet_log.hpp"
+#include "obs/metrics_registry.hpp"
 #include "pipeline/session.hpp"
 #include "pipeline/qoe.hpp"
 
@@ -78,64 +78,31 @@ TEST(RrcLog, SessionRrcMatchesHandoverLog) {
   }
 }
 
-// --- PacketLog (obs-layer packet ledger) ---
+// --- Per-packet events (tcpdump analogue) ---
 
-TEST(PacketLog, RecordsDeliveriesAndLosses) {
-  obs::PacketLog log;
-  obs::EventBus bus;
-  bus.subscribe(&log);
-  obs::PacketPayload p;
-  p.id = 1;
-  p.size_bytes = 1000;
-  p.owd_ms = 40.0;
-  bus.publish(obs::Component::kReceiver, obs::EventKind::kPacketReceived,
-              TimePoint::from_us(40'100), p);
-  p.id = 2;
-  bus.publish(obs::Component::kCellular, obs::EventKind::kPacketLost,
-              TimePoint::from_us(41'000), p);
-  EXPECT_EQ(log.count(), 2u);
-  EXPECT_EQ(log.lost_count(), 1u);
-  EXPECT_FALSE(log.records()[0].lost);
-  EXPECT_DOUBLE_EQ(log.records()[0].owd_ms, 40.0);
-  EXPECT_TRUE(log.records()[1].lost);
-}
-
-TEST(PacketLog, BoundedMemory) {
-  obs::PacketLog log{10};
-  obs::EventBus bus;
-  bus.subscribe(&log);
-  obs::PacketPayload p;
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    p.id = i;
-    bus.publish(obs::Component::kReceiver, obs::EventKind::kPacketReceived,
-                TimePoint::from_us(100 * i), p);
-  }
-  EXPECT_EQ(log.count(), 10u);
-  EXPECT_EQ(log.dropped_records(), 10u);
-}
-
-TEST(PacketLog, SessionCaptureConsistentWithCounters) {
+// Every packet a session delivers or loses is an event on its bus, so a
+// MetricsRegistry tapped in through run_scenario(s, sink) reconciles against
+// the report's counters.
+TEST(PacketEvents, SessionStreamConsistentWithCounters) {
   experiment::Scenario s;
   s.env = experiment::Environment::kRuralP1;
   s.cc = pipeline::CcKind::kStatic;
   s.seed = 56;
-  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-  auto layout = experiment::make_layout(s, rng);
-  auto traj = experiment::make_trajectory(s, rng);
-  auto cfg = experiment::make_session_config(s);
-  cfg.obs.capture_packets = true;
-  pipeline::Session session{cfg, std::move(layout), &traj, "cap-test"};
-  const auto r = session.run();
-  ASSERT_NE(session.capture(), nullptr);
-  // Deliveries + radio losses match the report's accounting (WAN drops are
-  // ledgered separately; small slack for feedback-path records).
-  const auto cap_delivered = session.capture()->count() -
-                             session.capture()->lost_count() -
-                             session.capture()->wan_drop_count();
-  EXPECT_NEAR(static_cast<double>(cap_delivered),
+  obs::MetricsRegistry registry;
+  const auto r = experiment::run_scenario(s, &registry);
+  auto total = [&](obs::EventKind kind) {
+    std::uint64_t n = 0;
+    for (int c = 0; c < obs::kComponentCount; ++c) {
+      n += registry.count(static_cast<obs::Component>(c), kind);
+    }
+    return n;
+  };
+  // Deliveries match the report's accounting (small slack for feedback-path
+  // events); radio/buffer losses and WAN drops are counted apart, exactly.
+  EXPECT_NEAR(static_cast<double>(total(obs::EventKind::kPacketReceived)),
               static_cast<double>(r.packets_received), 5.0);
-  EXPECT_EQ(session.capture()->lost_count(), r.radio_losses + r.buffer_drops);
-  EXPECT_EQ(session.capture()->wan_drop_count(), r.wan_drops);
+  EXPECT_EQ(total(obs::EventKind::kPacketLost), r.radio_losses + r.buffer_drops);
+  EXPECT_EQ(total(obs::EventKind::kWanDrop), r.wan_drops);
 }
 
 // --- Bootstrap CI ---
@@ -177,7 +144,7 @@ pipeline::SessionReport synthetic_report(double ssim, double latency_ms,
   pipeline::SessionReport r;
   for (int i = 0; i < 1000; ++i) {
     r.ssim_samples.push_back(ssim);
-    r.playback_latency_ms.push_back(latency_ms);
+    r.playback_latency_trace_ms.add(TimePoint::from_us(i * 33'333), latency_ms);
   }
   r.stalls_per_minute = stalls_per_min;
   return r;

@@ -37,10 +37,12 @@ TEST_P(SessionCcTest, CoreInvariants) {
   EXPECT_LT(r.per, 0.05);
 
   // One-way delay can never undercut access + WAN propagation.
-  for (const double owd : r.owd_ms) EXPECT_GT(owd, 15.0);
+  for (const auto& owd : r.owd_trace_ms.samples()) EXPECT_GT(owd.value, 15.0);
 
   // Playback latency at least the jitter-buffer depth.
-  for (const double pl : r.playback_latency_ms) EXPECT_GT(pl, 150.0);
+  for (const auto& pl : r.playback_latency_trace_ms.samples()) {
+    EXPECT_GT(pl.value, 150.0);
+  }
 
   // SSIM samples in [0, 1].
   for (const double s : r.ssim_samples) {
@@ -56,7 +58,7 @@ TEST_P(SessionCcTest, CoreInvariants) {
 
   // Handovers happened in the air and the log is consistent.
   EXPECT_GT(r.handovers.count(), 0u);
-  EXPECT_EQ(r.het_ms.size(), r.handovers.count());
+  EXPECT_EQ(r.handovers.het_ms().size(), r.handovers.count());
   EXPECT_GT(r.cells_seen, 1u);
 }
 
@@ -143,16 +145,19 @@ TEST(Session, GroundRunsSeeFewerHandovers) {
   for (std::uint64_t k = 0; k < 4; ++k) {
     air.seed = 21 + k;
     grd.seed = 21 + k;
-    air_freq += run_scenario(air).ho_frequency_per_s;
-    grd_freq += run_scenario(grd).ho_frequency_per_s;
+    const auto a = run_scenario(air);
+    const auto g = run_scenario(grd);
+    air_freq += a.handovers.frequency(a.duration);
+    grd_freq += g.handovers.frequency(g.duration);
   }
   EXPECT_GT(air_freq, 2.0 * grd_freq);
 }
 
 TEST(Session, HoLatencyRatiosComputed) {
   const auto r = run(Environment::kUrban, pipeline::CcKind::kGcc);
-  EXPECT_FALSE(r.ho_latency_ratios.empty());
-  for (const auto& lr : r.ho_latency_ratios) {
+  const auto ratios = r.handovers.latency_ratios(r.owd_trace_ms);
+  EXPECT_FALSE(ratios.empty());
+  for (const auto& lr : ratios) {
     EXPECT_GE(lr.before, 1.0);
     EXPECT_GE(lr.after, 1.0);
   }
@@ -168,8 +173,8 @@ TEST(Session, DropOnLatencyReducesLatePlayback) {
   dol.drop_on_latency = true;
   const auto dropped = run_scenario(dol);
   metrics::Cdf n, d;
-  n.add_all(normal.playback_latency_ms);
-  d.add_all(dropped.playback_latency_ms);
+  n.add_all(normal.playback_latency_trace_ms.values());
+  d.add_all(dropped.playback_latency_trace_ms.values());
   // Appendix A.4: dropping late frames improves the high latency quantiles.
   EXPECT_LT(d.quantile(0.95), n.quantile(0.95) * 1.05);
 }

@@ -30,7 +30,7 @@ TEST(C2, CommandLatencyWellBelowVideo) {
   const auto r = run_scenario(s);
   metrics::Cdf cmd, vid;
   cmd.add_all(r.command_latency_ms);
-  vid.add_all(r.owd_ms);
+  vid.add_all(r.owd_trace_ms.values());
   // Related work [34][51][61]: control latency is far below video latency,
   // especially in the tail (the video shares the bloated uplink queue).
   EXPECT_LT(cmd.quantile(0.99), vid.quantile(0.99));
@@ -94,9 +94,9 @@ TEST(FiveG, ShortensLatencyTail) {
     s.env = Environment::kUrban;
     s.cc = pipeline::CcKind::kStatic;
     s.seed = 81 + k;
-    lte.add_all(run_scenario(s).owd_ms);
+    lte.add_all(run_scenario(s).owd_trace_ms.values());
     s.tech = AccessTech::k5gSa;
-    nr.add_all(run_scenario(s).owd_ms);
+    nr.add_all(run_scenario(s).owd_trace_ms.values());
   }
   EXPECT_LT(nr.median(), lte.median());
   EXPECT_LT(nr.quantile(0.99), lte.quantile(0.99) * 0.7);

@@ -328,7 +328,7 @@ void print_summary(const std::vector<exec::GridCellResult>& cells) {
     const auto play = experiment::pool_playback_latency(rs);
     const auto ssim = experiment::pool_ssim(rs);
     double ho = 0.0;
-    for (const auto& r : rs) ho += r.ho_frequency_per_s;
+    for (const auto& r : rs) ho += r.handovers.frequency(r.duration);
     if (!rs.empty()) ho /= static_cast<double>(rs.size());
     auto med = [](const metrics::Cdf& c) {
       return c.empty() ? std::string{"-"} : metrics::TextTable::num(c.median(), 2);

@@ -2,10 +2,14 @@
 // the simulator's counterpart to the paper's released dataset and parsing
 // scripts; or pretty-print a recorded rpv::obs event timeline.
 //
-//   $ rpv_trace <out_dir> [urban|rural|rural-p2] [gcc|scream|static] [seed]
+//   $ rpv_trace <out_dir> [urban|rural-p1|rural-p2] [gcc|scream|static] [seed]
 //               [--observe]
 //   $ rpv_trace events <file.jsonl> [--component C] [--kind K]
 //               [--from SEC] [--to SEC]
+//
+// The flight form accepts `rural` as an alias of `rural-p1`. Any other
+// environment or CC name, a seed that is not a decimal integer, or an extra
+// argument prints the usage text and exits with code 2.
 //
 // The `events` form reads an events.jsonl written by an observed run
 // (Scenario::observe / rpv_campaign --observe) and renders one line per
@@ -13,6 +17,7 @@
 // the recording alone — no re-simulation. Components cover every layer that
 // publishes, including the 3-way bonding paths (`--component sat` isolates
 // satellite pass handovers and obstruction/rain-fade windows).
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -27,6 +32,17 @@
 namespace {
 
 using namespace rpv;
+
+constexpr const char* kUsage =
+    "usage: rpv_trace <out_dir> [urban|rural-p1|rural-p2] "
+    "[gcc|scream|static] [seed] [--observe]\n"
+    "       rpv_trace events <file.jsonl> [--component C] "
+    "[--kind K] [--from SEC] [--to SEC]\n";
+
+int usage_error(const std::string& what) {
+  std::cerr << "rpv_trace: " << what << "\n" << kUsage;
+  return 2;
+}
 
 int run_events(int argc, char** argv) {
   if (argc < 3) {
@@ -124,10 +140,7 @@ int main(int argc, char** argv) {
     return run_events(argc, argv);
   }
   if (argc < 2) {
-    std::cerr << "usage: rpv_trace <out_dir> [urban|rural|rural-p2] "
-                 "[gcc|scream|static] [seed] [--observe]\n"
-                 "       rpv_trace events <file.jsonl> [--component C] "
-                 "[--kind K] [--from SEC] [--to SEC]\n";
+    std::cerr << kUsage;
     return 2;
   }
   const std::string dir = argv[1];
@@ -146,17 +159,32 @@ int main(int argc, char** argv) {
 
   experiment::Scenario s;
   s.observe = observe;
+  if (positional.size() > 3) {
+    return usage_error("unexpected argument '" + positional[3] + "'");
+  }
   if (!positional.empty()) {
     const std::string& env = positional[0];
-    if (env == "rural") s.env = experiment::Environment::kRuralP1;
-    else if (env == "rural-p2") s.env = experiment::Environment::kRuralP2;
+    using experiment::Environment;
+    if (env == "urban") s.env = Environment::kUrban;
+    else if (env == "rural-p1" || env == "rural") s.env = Environment::kRuralP1;
+    else if (env == "rural-p2") s.env = Environment::kRuralP2;
+    else return usage_error("unknown environment '" + env + "'");
   }
   if (positional.size() > 1) {
     const std::string& cc = positional[1];
-    if (cc == "scream") s.cc = pipeline::CcKind::kScream;
+    if (cc == "gcc") s.cc = pipeline::CcKind::kGcc;
+    else if (cc == "scream") s.cc = pipeline::CcKind::kScream;
     else if (cc == "static") s.cc = pipeline::CcKind::kStatic;
+    else return usage_error("unknown congestion controller '" + cc + "'");
   }
-  s.seed = positional.size() > 2 ? std::stoull(positional[2]) : 1;
+  if (positional.size() > 2) {
+    const std::string& seed = positional[2];
+    const char* end = seed.data() + seed.size();
+    const auto [ptr, ec] = std::from_chars(seed.data(), end, s.seed);
+    if (ec != std::errc{} || ptr != end) {
+      return usage_error("bad seed '" + seed + "'");
+    }
+  }
 
   std::cerr << "Running " << experiment::environment_name(s.env) << "/"
             << pipeline::cc_name(s.cc) << " flight (seed " << s.seed << ")...\n";
