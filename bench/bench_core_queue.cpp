@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "json/json.hpp"
 #include "metrics/text_table.hpp"
 #include "sim/event_queue.hpp"
@@ -306,6 +307,7 @@ int main(int argc, char** argv) {
   if (bench_json) {
     json::Value doc = json::Value::object();
     doc.set("bench", std::string{"core_queue"})
+        .set("host", bench::host_json(1))  // the queue runs on one thread
         .set("events", events)
         .set("outstanding", std::uint64_t{outstanding})
         .set("seed", seed)

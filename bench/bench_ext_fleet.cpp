@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "json/json.hpp"
 #include "metrics/text_table.hpp"
@@ -219,6 +220,7 @@ int main(int argc, char** argv) {
   if (bench_json) {
     json::Value doc = json::Value::object();
     doc.set("bench", std::string{"fleet"})
+        .set("host", bench::host_json(jobs))
         .set("env", env_name)
         .set("horizon_sec", horizon_sec)
         .set("epoch_sec", epoch_sec)

@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "bench_common.hpp"
+#include "bench_host.hpp"
 
 #include "experiment/scenario.hpp"
 #include "json/json.hpp"
@@ -167,6 +168,7 @@ int main(int argc, char** argv) {
   if (bench_json) {
     json::Value doc = json::Value::object();
     doc.set("bench", std::string{"sat"})
+        .set("host", bench::host_json(bench::options().jobs))
         .set("env", std::string{"rural-p1"})
         .set("fault_preset", std::string{"rlf-storm"})
         .set("seed", bench::seed_or(17000))

@@ -147,17 +147,14 @@ void CellularLink::measurement_tick() {
   refresh_capacity();
   capacity_trace_.add(now, capacity_mbps_);
 
-  const bool bus_wants_meas =
-      bus_ != nullptr && bus_->wants(obs::EventKind::kLinkMeasurement);
-  if (bus_wants_meas) {
-    LinkMeasurement m;
-    m.t = now;
+  if (bus_ != nullptr && bus_->wants(obs::EventKind::kLinkMeasurement)) {
+    obs::MeasurementPayload m;
     m.serving_cell = ho_->serving_cell();
     m.serving_rsrp_dbm = radio_->rsrp_of(m.serving_cell);
     for (const auto& cell : radio_->measurements()) {
       if (cell.cell_id != m.serving_cell) {
-        m.best_neighbor_cell = cell.cell_id;
-        m.best_neighbor_rsrp_dbm = cell.rsrp_dbm;
+        m.neighbor_cell = cell.cell_id;
+        m.neighbor_rsrp_dbm = cell.rsrp_dbm;
         break;  // measurements are strongest-first
       }
     }
@@ -165,14 +162,9 @@ void CellularLink::measurement_tick() {
     m.queuing_delay_ms = queuing_delay_ms();
     m.in_handover = ho_->in_handover(now);
     m.ho_triggered = ho_triggered;
-    m.het = ho_het;
+    m.het_us = ho_het.us();
     bus_->publish(obs::Component::kCellular, obs::EventKind::kLinkMeasurement,
-                  now,
-                  obs::MeasurementPayload{
-                      m.serving_cell, m.serving_rsrp_dbm,
-                      m.best_neighbor_cell, m.best_neighbor_rsrp_dbm,
-                      m.capacity_mbps, m.queuing_delay_ms, m.in_handover,
-                      m.ho_triggered, m.het.us()});
+                  now, m);
   }
   if (bus_ && bus_->wants(obs::EventKind::kQueueDepth)) {
     // Low-rate depth snapshot riding the RRC tick; the per-packet enqueue

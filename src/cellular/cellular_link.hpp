@@ -43,44 +43,6 @@ struct CellularLinkConfig {
   double downlink_loss = 1e-5;
 };
 
-// Snapshot of one RRC measurement tick, exported to observers (the
-// rpv::predict estimators). Everything here is information a real UE modem
-// reports to the application processor, so predictors built on it do not
-// peek at simulator internals.
-struct LinkMeasurement {
-  sim::TimePoint t;
-  std::uint32_t serving_cell = 0;
-  double serving_rsrp_dbm = 0.0;
-  std::uint32_t best_neighbor_cell = 0;
-  double best_neighbor_rsrp_dbm = -200.0;  // -200 = no neighbor measured
-  double capacity_mbps = 0.0;
-  double queuing_delay_ms = 0.0;
-  bool in_handover = false;
-  // Set on the tick whose A3 evaluation triggered a handover; `het` is the
-  // sampled execution time of that handover (zero otherwise).
-  bool ho_triggered = false;
-  sim::Duration het = sim::Duration::zero();
-};
-
-// Rebuild the measurement snapshot from its published kLinkMeasurement event
-// (the inverse of CellularLink's publish); lets bus subscribers such as
-// rpv::predict keep consuming the LinkMeasurement API.
-[[nodiscard]] inline LinkMeasurement measurement_from_event(const obs::Event& e) {
-  const auto& p = std::get<obs::MeasurementPayload>(e.payload);
-  LinkMeasurement m;
-  m.t = e.t;
-  m.serving_cell = p.serving_cell;
-  m.serving_rsrp_dbm = p.serving_rsrp_dbm;
-  m.best_neighbor_cell = p.neighbor_cell;
-  m.best_neighbor_rsrp_dbm = p.neighbor_rsrp_dbm;
-  m.capacity_mbps = p.capacity_mbps;
-  m.queuing_delay_ms = p.queuing_delay_ms;
-  m.in_handover = p.in_handover;
-  m.ho_triggered = p.ho_triggered;
-  m.het = sim::Duration::micros(p.het_us);
-  return m;
-}
-
 class CellularLink {
  public:
   using DeliverFn = std::function<void(net::Packet)>;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "json/binder.hpp"
 #include "pipeline/report_json.hpp"
 
 namespace rpv::fleet {
@@ -14,86 +15,52 @@ obs::Histogram make_stall_histogram(std::string name) {
   return obs::Histogram{std::move(name), {300, 500, 1000, 2000, 5000}};
 }
 
-json::Value fleet_report_to_json(const FleetReport& r) {
-  json::Value v = json::Value::object();
-  v.set("schema", std::int64_t{pipeline::kReportSchemaVersion});
-  v.set("kind", std::string{"fleet"});
-  v.set("label", r.label);
+template <class IO>
+void fields(IO& io, CellLoadPeak& c) {
+  io.field("cell", c.cell_id);
+  io.field("peak_users", c.peak_users);
+}
 
-  json::Value f = json::Value::object();
-  f.set("sessions", std::int64_t{r.sessions})
-      .set("horizon_sec", r.horizon_sec)
-      .set("epoch_sec", r.epoch_sec)
-      .set("total_events", r.total_events)
-      .set("mean_goodput_mbps", r.mean_goodput_mbps)
-      .set("min_goodput_mbps", r.min_goodput_mbps)
-      .set("max_goodput_mbps", r.max_goodput_mbps)
-      .set("total_stalls", r.total_stalls)
-      .set("mean_stall_ms_per_session", r.mean_stall_ms_per_session)
-      .set("packets_sent", r.packets_sent)
-      .set("packets_received", r.packets_received)
-      .set("peak_cell_load", std::uint64_t{r.peak_cell_load});
-  json::Value cells = json::Value::array();
-  for (const auto& c : r.cell_peak_load) {
-    json::Value e = json::Value::object();
-    e.set("cell", std::uint64_t{c.cell_id}).set("peak_users", std::uint64_t{c.peak_users});
-    cells.push_back(std::move(e));
+template <class IO>
+void fields(IO& io, FleetReport& r) {
+  json::schema(io, pipeline::kReportSchemaVersion, "fleet_report_json");
+  std::string kind = "fleet";
+  io.field("kind", kind);
+  if (kind != "fleet") {
+    throw std::runtime_error("fleet_report_json: not a fleet report");
   }
-  f.set("cell_peak_load", std::move(cells));
-  v.set("fleet", std::move(f));
+  io.field("label", r.label);
+  io.object("fleet", [&](auto& f) {
+    f.field("sessions", r.sessions);
+    f.field("horizon_sec", r.horizon_sec);
+    f.field("epoch_sec", r.epoch_sec);
+    f.field("total_events", r.total_events);
+    f.field("mean_goodput_mbps", r.mean_goodput_mbps);
+    f.field("min_goodput_mbps", r.min_goodput_mbps);
+    f.field("max_goodput_mbps", r.max_goodput_mbps);
+    f.field("total_stalls", r.total_stalls);
+    f.field("mean_stall_ms_per_session", r.mean_stall_ms_per_session);
+    f.field("packets_sent", r.packets_sent);
+    f.field("packets_received", r.packets_received);
+    f.field("peak_cell_load", r.peak_cell_load);
+    f.field("cell_peak_load", r.cell_peak_load);
+  });
+  io.field("metrics", r.metrics);
+  io.object("contention", [&](auto& c) {
+    c.field("owd_contended_ms", r.owd_contended_ms);
+    c.field("owd_clean_ms", r.owd_clean_ms);
+    c.field("stall_contended_ms", r.stall_contended_ms);
+    c.field("stall_clean_ms", r.stall_clean_ms);
+  });
+}
 
-  v.set("metrics", pipeline::metrics_summary_to_json(r.metrics));
-
-  json::Value contention = json::Value::object();
-  contention.set("owd_contended_ms", pipeline::histogram_to_json(r.owd_contended_ms));
-  contention.set("owd_clean_ms", pipeline::histogram_to_json(r.owd_clean_ms));
-  contention.set("stall_contended_ms",
-                 pipeline::histogram_to_json(r.stall_contended_ms));
-  contention.set("stall_clean_ms", pipeline::histogram_to_json(r.stall_clean_ms));
-  v.set("contention", std::move(contention));
-  return v;
+json::Value fleet_report_to_json(const FleetReport& r) {
+  return json::Writer::encode(r);
 }
 
 FleetReport fleet_report_from_json(const json::Value& v) {
-  const auto schema = v.at("schema").as_i64();
-  if (schema != pipeline::kReportSchemaVersion) {
-    throw std::runtime_error("fleet_report_json: unsupported schema version " +
-                             std::to_string(schema));
-  }
-  if (v.at("kind").as_string() != "fleet") {
-    throw std::runtime_error("fleet_report_json: not a fleet report");
-  }
   FleetReport r;
-  r.label = v.at("label").as_string();
-
-  const auto& f = v.at("fleet");
-  r.sessions = static_cast<int>(f.at("sessions").as_i64());
-  r.horizon_sec = f.at("horizon_sec").as_double();
-  r.epoch_sec = f.at("epoch_sec").as_double();
-  r.total_events = f.at("total_events").as_u64();
-  r.mean_goodput_mbps = f.at("mean_goodput_mbps").as_double();
-  r.min_goodput_mbps = f.at("min_goodput_mbps").as_double();
-  r.max_goodput_mbps = f.at("max_goodput_mbps").as_double();
-  r.total_stalls = f.at("total_stalls").as_u64();
-  r.mean_stall_ms_per_session = f.at("mean_stall_ms_per_session").as_double();
-  r.packets_sent = f.at("packets_sent").as_u64();
-  r.packets_received = f.at("packets_received").as_u64();
-  r.peak_cell_load = static_cast<std::uint32_t>(f.at("peak_cell_load").as_u64());
-  for (const auto& e : f.at("cell_peak_load").items()) {
-    CellLoadPeak c;
-    c.cell_id = static_cast<std::uint32_t>(e.at("cell").as_u64());
-    c.peak_users = static_cast<std::uint32_t>(e.at("peak_users").as_u64());
-    r.cell_peak_load.push_back(c);
-  }
-
-  r.metrics = pipeline::metrics_summary_from_json(v.at("metrics"));
-
-  const auto& contention = v.at("contention");
-  r.owd_contended_ms = pipeline::histogram_from_json(contention.at("owd_contended_ms"));
-  r.owd_clean_ms = pipeline::histogram_from_json(contention.at("owd_clean_ms"));
-  r.stall_contended_ms =
-      pipeline::histogram_from_json(contention.at("stall_contended_ms"));
-  r.stall_clean_ms = pipeline::histogram_from_json(contention.at("stall_clean_ms"));
+  json::Reader::decode(v, r);
   return r;
 }
 

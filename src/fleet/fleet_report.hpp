@@ -7,8 +7,10 @@
 // contention-attributed histograms (samples split by whether the serving
 // cell hosted more than one active user when they were observed).
 //
-// Serialized under the session-report schema version (v5) with
-// "kind": "fleet"; nothing host- or wall-clock-dependent is written, so two
+// Serialized under the session-report schema version (since v5) with
+// "kind": "fleet". The format is one field list per record (FleetReport,
+// CellLoadPeak) in fleet_report.cpp, walked by both directions of
+// json/binder.hpp. Nothing host- or wall-clock-dependent is written, so two
 // runs of the same fleet scenario dump byte-identical JSON for any --jobs.
 #pragma once
 
@@ -67,7 +69,8 @@ struct FleetReport {
 };
 
 [[nodiscard]] json::Value fleet_report_to_json(const FleetReport& r);
-// Throws std::runtime_error on schema/kind mismatch.
+// Throws std::runtime_error on a schema or kind mismatch, a missing key, or
+// an integer that does not fit its member.
 [[nodiscard]] FleetReport fleet_report_from_json(const json::Value& v);
 
 }  // namespace rpv::fleet

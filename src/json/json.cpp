@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 namespace rpv::json {
 
@@ -27,6 +28,27 @@ namespace {
   throw std::runtime_error(std::string{"json: expected "} + want +
                            ", got kind " + std::to_string(static_cast<int>(got)));
 }
+
+[[noreturn]] void not_representable(const std::string& value, const char* want) {
+  throw std::runtime_error("json: " + value + " is not " + want);
+}
+
+// The integral double `d` as T; a fraction, or a value outside T, throws
+// (casting such a double is undefined behaviour).
+template <class T>
+T integral_double(double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;  // exact as a double
+  constexpr bool kSigned = std::is_signed_v<T>;
+  const double lo = kSigned ? -kTwo63 : 0.0;
+  const double hi = kSigned ? kTwo63 : 2.0 * kTwo63;
+  if (!(d >= lo && d < hi) || std::trunc(d) != d) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, d);
+    not_representable(std::string(buf, res.ptr),
+                      kSigned ? "an int64" : "a uint64");
+  }
+  return static_cast<T>(d);
+}
 }  // namespace
 
 bool Value::as_bool() const {
@@ -37,17 +59,24 @@ bool Value::as_bool() const {
 std::int64_t Value::as_i64() const {
   switch (kind_) {
     case Kind::kInt: return int_;
-    case Kind::kUint: return static_cast<std::int64_t>(uint_);
-    case Kind::kDouble: return static_cast<std::int64_t>(double_);
+    case Kind::kUint:
+      if (uint_ > static_cast<std::uint64_t>(
+                      std::numeric_limits<std::int64_t>::max())) {
+        not_representable(std::to_string(uint_), "an int64");
+      }
+      return static_cast<std::int64_t>(uint_);
+    case Kind::kDouble: return integral_double<std::int64_t>(double_);
     default: type_error("number", kind_);
   }
 }
 
 std::uint64_t Value::as_u64() const {
   switch (kind_) {
-    case Kind::kInt: return static_cast<std::uint64_t>(int_);
+    case Kind::kInt:
+      if (int_ < 0) not_representable(std::to_string(int_), "a uint64");
+      return static_cast<std::uint64_t>(int_);
     case Kind::kUint: return uint_;
-    case Kind::kDouble: return static_cast<std::uint64_t>(double_);
+    case Kind::kDouble: return integral_double<std::uint64_t>(double_);
     default: type_error("number", kind_);
   }
 }
@@ -385,7 +414,9 @@ class Parser {
     }
     const std::string_view tok = text_.substr(start, pos_ - start);
     if (tok.empty() || tok == "-") fail("bad number");
-    if (is_integer) {
+    // "-0" stays the double -0.0: the integer kinds have no negative zero,
+    // and dumping -0.0 writes "-0", which must parse back to itself.
+    if (is_integer && tok != "-0") {
       if (tok[0] == '-') {
         std::int64_t i = 0;
         const auto r = std::from_chars(tok.data(), tok.data() + tok.size(), i);

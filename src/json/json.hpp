@@ -51,7 +51,10 @@ class Value {
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
 
   // Typed accessors; numeric ones coerce between the three number kinds and
-  // throw std::runtime_error on any other kind mismatch.
+  // throw std::runtime_error on any other kind mismatch. The integer ones
+  // also throw when the value is not representable: a double with a fraction
+  // or outside the range, a negative read as unsigned, or a uint above
+  // INT64_MAX read as signed.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_i64() const;
   [[nodiscard]] std::uint64_t as_u64() const;

@@ -42,6 +42,10 @@ class HandoverLog {
       const TimeSeries& owd_ms,
       sim::Duration window = sim::Duration::seconds(1.0)) const;
 
+  // JSON field list (json/binder.hpp), defined with the report format.
+  template <class IO>
+  friend void fields(IO& io, HandoverLog& log);
+
  private:
   std::vector<HandoverEvent> events_;
 };

@@ -39,6 +39,10 @@ class TimeSeries {
   [[nodiscard]] std::optional<double> mean_in(sim::TimePoint from,
                                               sim::TimePoint to) const;
 
+  // JSON field list (json/binder.hpp), defined with the report format.
+  template <class IO>
+  friend void fields(IO& io, TimeSeries& ts);
+
  private:
   std::vector<Sample> samples_;  // appended in time order by construction
 };

@@ -3,8 +3,9 @@
 #include <array>
 #include <cstdarg>
 #include <cstdio>
-#include <stdexcept>
+#include <type_traits>
 
+#include "json/binder.hpp"
 #include "obs/event_json.hpp"
 
 namespace rpv::obs {
@@ -60,273 +61,176 @@ std::optional<EventKind> event_kind_from_name(std::string_view name) {
 }
 
 // --- JSON -------------------------------------------------------------------
+// One field list per payload and one for the envelope; json::Writer and
+// json::Reader both walk them (json/binder.hpp).
+
+template <class IO>
+void fields(IO& io, MeasurementPayload& m) {
+  io.field("serving_cell", m.serving_cell);
+  io.field("serving_rsrp_dbm", m.serving_rsrp_dbm);
+  io.field("neighbor_cell", m.neighbor_cell);
+  io.field("neighbor_rsrp_dbm", m.neighbor_rsrp_dbm);
+  io.field("capacity_mbps", m.capacity_mbps);
+  io.field("queuing_delay_ms", m.queuing_delay_ms);
+  io.field("in_handover", m.in_handover);
+  io.field("ho_triggered", m.ho_triggered);
+  io.field("het_us", m.het_us);
+}
+
+template <class IO>
+void fields(IO& io, HandoverPayload& h) {
+  io.field("source_cell", h.source_cell);
+  io.field("target_cell", h.target_cell);
+  io.field("het_us", h.het_us);
+}
+
+template <class IO>
+void fields(IO& io, QueuePayload& q) {
+  io.field("packet_id", q.packet_id);
+  io.field("size_bytes", q.size_bytes);
+  io.field("queued_bytes", q.queued_bytes);
+  io.field("queued_packets", q.queued_packets);
+  io.field("reason", q.reason);
+}
+
+template <class IO>
+void fields(IO& io, RatePayload& r) {
+  io.field("bps", r.bps);
+}
+
+template <class IO>
+void fields(IO& io, SignalPayload& s) {
+  io.field("signal", s.signal);
+}
+
+template <class IO>
+void fields(IO& io, FramePayload& f) {
+  io.field("frame_id", f.frame_id);
+  io.field("bytes", f.bytes);
+  io.field("keyframe", f.keyframe);
+  io.field("damaged", f.damaged);
+}
+
+template <class IO>
+void fields(IO& io, PacketPayload& p) {
+  io.field("id", p.id);
+  io.field("kind", p.kind);
+  io.field("size_bytes", p.size_bytes);
+  io.field("frame_id", p.frame_id);
+  io.field("transport_seq", p.transport_seq);
+  io.field("owd_ms", p.owd_ms);
+}
+
+template <class IO>
+void fields(IO& io, StallPayload& s) {
+  io.field("duration_ms", s.duration_ms);
+}
+
+template <class IO>
+void fields(IO& io, FaultPayload& f) {
+  io.field("kind", f.kind);
+  io.field("duration_us", f.duration_us);
+  io.field("magnitude", f.magnitude);
+}
+
+template <class IO>
+void fields(IO& io, PathSwitchPayload& p) {
+  io.field("from_path", p.from_path);
+  io.field("to_path", p.to_path);
+  io.field("reason", p.reason);
+  io.field("traffic_class", p.traffic_class);
+}
+
+template <class IO>
+void fields(IO& io, FecRatePayload& f) {
+  io.field("group_size", f.group_size);
+  io.field("prev_group_size", f.prev_group_size);
+  io.field("loss_ewma", f.loss_ewma);
+  io.field("ho_armed", f.ho_armed);
+}
+
+template <class IO>
+void fields(IO& io, ReorderFlushPayload& r) {
+  io.field("released", r.released);
+  io.field("reason", r.reason);
+  io.field("hold_ms", r.hold_ms);
+}
+
+template <class IO>
+void fields(IO& io, PreemptPayload& p) {
+  io.field("traffic_class", p.traffic_class);
+  io.field("from_path", p.from_path);
+  io.field("to_path", p.to_path);
+  io.field("queue_delay_ms", p.queue_delay_ms);
+}
+
+template <class IO>
+void fields(IO& io, SatPassPayload& s) {
+  io.field("pass_index", s.pass_index);
+  io.field("interruption_us", s.interruption_us);
+}
+
+template <class IO>
+void fields(IO& io, SatOutagePayload& s) {
+  io.field("kind", s.kind);
+  io.field("duration_us", s.duration_us);
+  io.field("magnitude", s.magnitude);
+}
+
+template <class IO>
+void fields(IO& io, ReplanPayload& r) {
+  io.field("candidates", r.candidates);
+  io.field("selected", r.selected);
+  io.field("predicted_stall_ms_direct", r.predicted_stall_ms_direct);
+  io.field("predicted_stall_ms_selected", r.predicted_stall_ms_selected);
+  io.field("deviation_m", r.deviation_m);
+}
 
 namespace {
 
-json::Value payload_to_json(const Payload& p) {
-  json::Value v = json::Value::object();
-  if (const auto* m = std::get_if<MeasurementPayload>(&p)) {
-    v.set("serving_cell", std::uint64_t{m->serving_cell})
-        .set("serving_rsrp_dbm", m->serving_rsrp_dbm)
-        .set("neighbor_cell", std::uint64_t{m->neighbor_cell})
-        .set("neighbor_rsrp_dbm", m->neighbor_rsrp_dbm)
-        .set("capacity_mbps", m->capacity_mbps)
-        .set("queuing_delay_ms", m->queuing_delay_ms)
-        .set("in_handover", m->in_handover)
-        .set("ho_triggered", m->ho_triggered)
-        .set("het_us", m->het_us);
-  } else if (const auto* h = std::get_if<HandoverPayload>(&p)) {
-    v.set("source_cell", std::uint64_t{h->source_cell})
-        .set("target_cell", std::uint64_t{h->target_cell})
-        .set("het_us", h->het_us);
-  } else if (const auto* q = std::get_if<QueuePayload>(&p)) {
-    v.set("packet_id", q->packet_id)
-        .set("size_bytes", std::uint64_t{q->size_bytes})
-        .set("queued_bytes", q->queued_bytes)
-        .set("queued_packets", std::uint64_t{q->queued_packets})
-        .set("reason", std::uint64_t{q->reason});
-  } else if (const auto* r = std::get_if<RatePayload>(&p)) {
-    v.set("bps", r->bps);
-  } else if (const auto* s = std::get_if<SignalPayload>(&p)) {
-    v.set("signal", std::int64_t{s->signal});
-  } else if (const auto* f = std::get_if<FramePayload>(&p)) {
-    v.set("frame_id", std::uint64_t{f->frame_id})
-        .set("bytes", std::uint64_t{f->bytes})
-        .set("keyframe", f->keyframe)
-        .set("damaged", f->damaged);
-  } else if (const auto* pk = std::get_if<PacketPayload>(&p)) {
-    v.set("id", pk->id)
-        .set("kind", std::uint64_t{pk->kind})
-        .set("size_bytes", std::uint64_t{pk->size_bytes})
-        .set("frame_id", std::uint64_t{pk->frame_id})
-        .set("transport_seq", std::uint64_t{pk->transport_seq})
-        .set("owd_ms", pk->owd_ms);
-  } else if (const auto* st = std::get_if<StallPayload>(&p)) {
-    v.set("duration_ms", st->duration_ms);
-  } else if (const auto* fa = std::get_if<FaultPayload>(&p)) {
-    v.set("kind", std::uint64_t{fa->kind})
-        .set("duration_us", fa->duration_us)
-        .set("magnitude", fa->magnitude);
-  } else if (const auto* ps = std::get_if<PathSwitchPayload>(&p)) {
-    v.set("from_path", std::uint64_t{ps->from_path})
-        .set("to_path", std::uint64_t{ps->to_path})
-        .set("reason", std::uint64_t{ps->reason})
-        .set("traffic_class", std::uint64_t{ps->traffic_class});
-  } else if (const auto* fr = std::get_if<FecRatePayload>(&p)) {
-    v.set("group_size", std::int64_t{fr->group_size})
-        .set("prev_group_size", std::int64_t{fr->prev_group_size})
-        .set("loss_ewma", fr->loss_ewma)
-        .set("ho_armed", fr->ho_armed);
-  } else if (const auto* rf = std::get_if<ReorderFlushPayload>(&p)) {
-    v.set("released", std::uint64_t{rf->released})
-        .set("reason", std::uint64_t{rf->reason})
-        .set("hold_ms", rf->hold_ms);
-  } else if (const auto* pr = std::get_if<PreemptPayload>(&p)) {
-    v.set("traffic_class", std::uint64_t{pr->traffic_class})
-        .set("from_path", std::uint64_t{pr->from_path})
-        .set("to_path", std::uint64_t{pr->to_path})
-        .set("queue_delay_ms", pr->queue_delay_ms);
-  } else if (const auto* sp = std::get_if<SatPassPayload>(&p)) {
-    v.set("pass_index", std::uint64_t{sp->pass_index})
-        .set("interruption_us", sp->interruption_us);
-  } else if (const auto* so = std::get_if<SatOutagePayload>(&p)) {
-    v.set("kind", std::uint64_t{so->kind})
-        .set("duration_us", so->duration_us)
-        .set("magnitude", so->magnitude);
-  } else if (const auto* rp = std::get_if<ReplanPayload>(&p)) {
-    v.set("candidates", std::uint64_t{rp->candidates})
-        .set("selected", std::uint64_t{rp->selected})
-        .set("predicted_stall_ms_direct", rp->predicted_stall_ms_direct)
-        .set("predicted_stall_ms_selected", rp->predicted_stall_ms_selected)
-        .set("deviation_m", rp->deviation_m);
-  }
-  return v;
-}
-
-MeasurementPayload measurement_from_json(const json::Value& v) {
-  MeasurementPayload m;
-  m.serving_cell = static_cast<std::uint32_t>(v.at("serving_cell").as_u64());
-  m.serving_rsrp_dbm = v.at("serving_rsrp_dbm").as_double();
-  m.neighbor_cell = static_cast<std::uint32_t>(v.at("neighbor_cell").as_u64());
-  m.neighbor_rsrp_dbm = v.at("neighbor_rsrp_dbm").as_double();
-  m.capacity_mbps = v.at("capacity_mbps").as_double();
-  m.queuing_delay_ms = v.at("queuing_delay_ms").as_double();
-  m.in_handover = v.at("in_handover").as_bool();
-  m.ho_triggered = v.at("ho_triggered").as_bool();
-  m.het_us = v.at("het_us").as_i64();
-  return m;
-}
-
-HandoverPayload handover_from_json(const json::Value& v) {
-  HandoverPayload h;
-  h.source_cell = static_cast<std::uint32_t>(v.at("source_cell").as_u64());
-  h.target_cell = static_cast<std::uint32_t>(v.at("target_cell").as_u64());
-  h.het_us = v.at("het_us").as_i64();
-  return h;
-}
-
-QueuePayload queue_from_json(const json::Value& v) {
-  QueuePayload q;
-  q.packet_id = v.at("packet_id").as_u64();
-  q.size_bytes = static_cast<std::uint32_t>(v.at("size_bytes").as_u64());
-  q.queued_bytes = v.at("queued_bytes").as_u64();
-  q.queued_packets = static_cast<std::uint32_t>(v.at("queued_packets").as_u64());
-  q.reason = static_cast<std::uint8_t>(v.at("reason").as_u64());
-  return q;
-}
-
-FramePayload frame_from_json(const json::Value& v) {
-  FramePayload f;
-  f.frame_id = static_cast<std::uint32_t>(v.at("frame_id").as_u64());
-  f.bytes = static_cast<std::uint32_t>(v.at("bytes").as_u64());
-  f.keyframe = v.at("keyframe").as_bool();
-  f.damaged = v.at("damaged").as_bool();
-  return f;
-}
-
-PacketPayload packet_from_json(const json::Value& v) {
-  PacketPayload p;
-  p.id = v.at("id").as_u64();
-  p.kind = static_cast<std::uint8_t>(v.at("kind").as_u64());
-  p.size_bytes = static_cast<std::uint32_t>(v.at("size_bytes").as_u64());
-  p.frame_id = static_cast<std::uint32_t>(v.at("frame_id").as_u64());
-  p.transport_seq = static_cast<std::uint16_t>(v.at("transport_seq").as_u64());
-  p.owd_ms = v.at("owd_ms").as_double();
-  return p;
-}
-
-FaultPayload fault_from_json(const json::Value& v) {
-  FaultPayload f;
-  f.kind = static_cast<std::uint8_t>(v.at("kind").as_u64());
-  f.duration_us = v.at("duration_us").as_i64();
-  f.magnitude = v.at("magnitude").as_double();
-  return f;
-}
-
-Payload payload_from_json(EventKind k, const json::Value* p) {
-  if (p == nullptr) return {};
-  switch (k) {
-    case EventKind::kLinkMeasurement:
-      return measurement_from_json(*p);
-    case EventKind::kHandoverStart:
-    case EventKind::kHandoverEnd:
-    case EventKind::kRlf:
-      return handover_from_json(*p);
-    case EventKind::kQueueEnqueue:
-    case EventKind::kQueueDrop:
-    case EventKind::kQueueDepth:
-      return queue_from_json(*p);
-    case EventKind::kTargetRate:
-      return RatePayload{p->at("bps").as_double()};
-    case EventKind::kOveruse:
-      return SignalPayload{static_cast<std::int32_t>(p->at("signal").as_i64())};
-    case EventKind::kFrameEncoded:
-    case EventKind::kFrameDecoded:
-      return frame_from_json(*p);
-    case EventKind::kPacketSent:
-    case EventKind::kPacketReceived:
-    case EventKind::kPacketLost:
-    case EventKind::kWanDrop:
-      return packet_from_json(*p);
-    case EventKind::kStall:
-      return StallPayload{p->at("duration_ms").as_double()};
-    case EventKind::kFaultInjected:
-    case EventKind::kFaultEnded:
-      return fault_from_json(*p);
-    case EventKind::kPathSwitch: {
-      PathSwitchPayload ps;
-      ps.from_path = static_cast<std::uint8_t>(p->at("from_path").as_u64());
-      ps.to_path = static_cast<std::uint8_t>(p->at("to_path").as_u64());
-      ps.reason = static_cast<std::uint8_t>(p->at("reason").as_u64());
-      ps.traffic_class =
-          static_cast<std::uint8_t>(p->at("traffic_class").as_u64());
-      return ps;
-    }
-    case EventKind::kFecRateChange: {
-      FecRatePayload fr;
-      fr.group_size = static_cast<std::int32_t>(p->at("group_size").as_i64());
-      fr.prev_group_size =
-          static_cast<std::int32_t>(p->at("prev_group_size").as_i64());
-      fr.loss_ewma = p->at("loss_ewma").as_double();
-      fr.ho_armed = p->at("ho_armed").as_bool();
-      return fr;
-    }
-    case EventKind::kReorderFlush: {
-      ReorderFlushPayload rf;
-      rf.released = static_cast<std::uint32_t>(p->at("released").as_u64());
-      rf.reason = static_cast<std::uint8_t>(p->at("reason").as_u64());
-      rf.hold_ms = p->at("hold_ms").as_double();
-      return rf;
-    }
-    case EventKind::kClassPreempt: {
-      PreemptPayload pr;
-      pr.traffic_class =
-          static_cast<std::uint8_t>(p->at("traffic_class").as_u64());
-      pr.from_path = static_cast<std::uint8_t>(p->at("from_path").as_u64());
-      pr.to_path = static_cast<std::uint8_t>(p->at("to_path").as_u64());
-      pr.queue_delay_ms = p->at("queue_delay_ms").as_double();
-      return pr;
-    }
-    case EventKind::kSatPassHo: {
-      SatPassPayload sp;
-      sp.pass_index = static_cast<std::uint32_t>(p->at("pass_index").as_u64());
-      sp.interruption_us = p->at("interruption_us").as_i64();
-      return sp;
-    }
-    case EventKind::kSatObstructionStart:
-    case EventKind::kSatObstructionEnd: {
-      SatOutagePayload so;
-      so.kind = static_cast<std::uint8_t>(p->at("kind").as_u64());
-      so.duration_us = p->at("duration_us").as_i64();
-      so.magnitude = p->at("magnitude").as_double();
-      return so;
-    }
-    case EventKind::kReplan: {
-      ReplanPayload rp;
-      rp.candidates = static_cast<std::uint32_t>(p->at("candidates").as_u64());
-      rp.selected = static_cast<std::uint32_t>(p->at("selected").as_u64());
-      rp.predicted_stall_ms_direct =
-          p->at("predicted_stall_ms_direct").as_double();
-      rp.predicted_stall_ms_selected =
-          p->at("predicted_stall_ms_selected").as_double();
-      rp.deviation_m = p->at("deviation_m").as_double();
-      return rp;
-    }
-  }
-  throw std::runtime_error("obs: unknown event kind in payload");
-}
+// The payload type each kind carries, in EventKind order; the reader
+// decodes "p" into a copy of the kind's entry.
+const std::array<Payload, kEventKindCount> kPayloadOfKind = {
+    MeasurementPayload{}, HandoverPayload{},   HandoverPayload{},
+    HandoverPayload{},    QueuePayload{},      QueuePayload{},
+    QueuePayload{},       RatePayload{},       SignalPayload{},
+    FramePayload{},       FramePayload{},      PacketPayload{},
+    PacketPayload{},      PacketPayload{},     StallPayload{},
+    PacketPayload{},      FaultPayload{},      FaultPayload{},
+    PathSwitchPayload{},  FecRatePayload{},    ReorderFlushPayload{},
+    PreemptPayload{},     SatPassPayload{},    SatOutagePayload{},
+    SatOutagePayload{},   ReplanPayload{},
+};
 
 }  // namespace
 
-json::Value event_to_json(const Event& e) {
-  json::Value v = json::Value::object();
-  v.set("t_us", e.t.us())
-      .set("seq", e.seq)
-      .set("component", std::string(component_name(e.component)))
-      .set("kind", std::string(event_kind_name(e.kind)));
-  if (!std::holds_alternative<std::monostate>(e.payload)) {
-    v.set("p", payload_to_json(e.payload));
+// {"t_us", "seq", "component", "kind", "p"}; "p" is omitted for payload-less
+// events.
+template <class IO>
+void fields(IO& io, Event& e) {
+  io.field("t_us", e.t);
+  io.field("seq", e.seq);
+  io.field("component", json::named(e.component, kComponentNames));
+  io.field("kind", json::named(e.kind, kKindNames));
+  if constexpr (IO::kReading) {
+    if (!io.has("p")) return;
+    e.payload = kPayloadOfKind[static_cast<std::size_t>(e.kind)];
   }
-  return v;
+  std::visit(
+      [&](auto& p) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(p)>,
+                                      std::monostate>) {
+          io.field("p", p);
+        }
+      },
+      e.payload);
 }
+
+json::Value event_to_json(const Event& e) { return json::Writer::encode(e); }
 
 Event event_from_json(const json::Value& v) {
   Event e;
-  e.t = sim::TimePoint::from_us(v.at("t_us").as_i64());
-  e.seq = v.at("seq").as_u64();
-  const auto c = component_from_name(v.at("component").as_string());
-  if (!c) {
-    throw std::runtime_error("obs: unknown component '" +
-                             v.at("component").as_string() + "'");
-  }
-  e.component = *c;
-  const auto k = event_kind_from_name(v.at("kind").as_string());
-  if (!k) {
-    throw std::runtime_error("obs: unknown event kind '" +
-                             v.at("kind").as_string() + "'");
-  }
-  e.kind = *k;
-  e.payload = payload_from_json(e.kind, v.find("p"));
+  json::Reader::decode(v, e);
   return e;
 }
 

@@ -11,9 +11,9 @@
 //
 // Layering: obs sits just above rpv::sim and knows nothing about cellular,
 // cc, or pipeline types — publishers convert their domain structs into the
-// payload PODs defined here, and consumers (e.g. the rpv::predict relay)
-// convert back. This keeps the dependency graph acyclic while every layer
-// publishes into the same stream.
+// payload PODs defined here, and consumers (e.g. rpv::predict and the radio
+// map) read those payloads directly. This keeps the dependency graph acyclic
+// while every layer publishes into the same stream.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +101,11 @@ inline constexpr std::uint64_t kTimelineKinds =
 // Small PODs mirroring the publishing component's domain structs. All
 // payloads round-trip through JSONL losslessly (see event_json).
 
-// kLinkMeasurement — the modem's per-tick snapshot (cellular::LinkMeasurement).
+// kLinkMeasurement — the modem's per-tick RRC snapshot. Everything here is
+// information a real UE modem reports to the application processor, so
+// predictors built on it (rpv::predict) do not peek at simulator internals.
+// neighbor_rsrp_dbm = -200 means no neighbor was measured; het_us is the
+// sampled execution time of the handover this tick triggered (zero otherwise).
 struct MeasurementPayload {
   std::uint32_t serving_cell = 0;
   double serving_rsrp_dbm = 0.0;

@@ -49,6 +49,28 @@ struct MetricsSummary {
   bool operator==(const MetricsSummary&) const = default;
 };
 
+// JSON field lists (json/binder.hpp), shared by the session report's obs
+// block and the fleet report.
+template <class IO>
+void fields(IO& io, Counter& c) {
+  io.field("name", c.name);
+  io.field("value", c.value);
+}
+
+template <class IO>
+void fields(IO& io, Histogram& h) {
+  io.field("name", h.name);
+  io.field("edges", h.edges);
+  io.field("counts", h.counts);
+  io.field("total", h.total);
+}
+
+template <class IO>
+void fields(IO& io, MetricsSummary& m) {
+  io.field("counters", m.counters);
+  io.field("histograms", m.histograms);
+}
+
 class MetricsRegistry final : public EventSink {
  public:
   MetricsRegistry();

@@ -3,14 +3,17 @@
 // Every field of a SessionReport — sample vectors, time-series traces, the
 // handover log, fault outcomes — is persisted so a stored run is a full
 // substitute for re-simulating it: the figure benches and `rpv_campaign
-// --load` re-aggregate from these files alone. Serialization is canonical
-// (fixed member order, shortest-round-trip doubles, integer counters stay
-// integers), so two byte-identical reports dump to byte-identical JSON; the
-// parallel-determinism tests rely on exactly this.
+// --load` re-aggregate from these files alone. The format is one field list
+// per record in report_json.cpp (SessionReport, PathBreakdown, FaultOutcome,
+// HandoverEvent, PredictionStats; obs::Histogram and MetricsSummary in
+// obs/metrics_registry.hpp), walked by both directions of json/binder.hpp.
+// Serialization is canonical (fixed member order, shortest-round-trip
+// doubles, integer counters stay integers), so two byte-identical reports
+// dump to byte-identical JSON; the parallel-determinism tests rely on
+// exactly this.
 #pragma once
 
 #include "json/json.hpp"
-#include "obs/metrics_registry.hpp"
 #include "pipeline/report.hpp"
 
 namespace rpv::pipeline {
@@ -31,16 +34,9 @@ inline constexpr int kReportSchemaVersion = 8;
 
 [[nodiscard]] json::Value report_to_json(const SessionReport& r);
 
-// Inverse of report_to_json; throws std::runtime_error (missing key / type
-// mismatch) on documents that do not match the schema.
+// Inverse of report_to_json; throws std::runtime_error on documents that do
+// not match the schema: a missing key, a kind mismatch, or an integer that
+// does not fit its member.
 [[nodiscard]] SessionReport report_from_json(const json::Value& v);
-
-// Canonical encoding of one obs::Histogram / a whole MetricsSummary, shared
-// between the session report's obs block and the fleet report. Layouts
-// round-trip exactly (integer counts stay integers).
-[[nodiscard]] json::Value histogram_to_json(const obs::Histogram& h);
-[[nodiscard]] obs::Histogram histogram_from_json(const json::Value& v);
-[[nodiscard]] json::Value metrics_summary_to_json(const obs::MetricsSummary& m);
-[[nodiscard]] obs::MetricsSummary metrics_summary_from_json(const json::Value& v);
 
 }  // namespace rpv::pipeline

@@ -135,7 +135,8 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
     op.relay = std::make_unique<obs::FunctionSink>(
         obs::kind_bit(obs::EventKind::kLinkMeasurement),
         [adapter = op.adapter.get()](const obs::Event& e) {
-          adapter->on_link_measurement(cellular::measurement_from_event(e));
+          adapter->on_link_measurement(
+              e.t, std::get<obs::MeasurementPayload>(e.payload));
         });
     buses_[i].subscribe(op.relay.get());
     op.link->attach_observer(&buses_[i]);

@@ -22,18 +22,20 @@ ProactiveAdapter::ProactiveAdapter(ProactiveConfig cfg)
            "ProactiveAdapter: post_ho_guard must be >= 0");
 }
 
-void ProactiveAdapter::on_link_measurement(const cellular::LinkMeasurement& m) {
+void ProactiveAdapter::on_link_measurement(sim::TimePoint t,
+                                           const obs::MeasurementPayload& m) {
   // Margin = serving - best neighbor. With no neighbor measured the margin is
   // effectively open-ended; feed the predictor a comfortably positive value
   // so the trend filter relaxes instead of extrapolating stale decay.
   const double margin_db =
-      m.best_neighbor_rsrp_dbm <= -199.0
+      m.neighbor_rsrp_dbm <= -199.0
           ? 4.0 * cfg_.ho.hysteresis_db
-          : m.serving_rsrp_dbm - m.best_neighbor_rsrp_dbm;
-  predictor_.on_margin(m.t, margin_db);
+          : m.serving_rsrp_dbm - m.neighbor_rsrp_dbm;
+  predictor_.on_margin(t, margin_db);
   if (m.ho_triggered) {
-    predictor_.on_handover(m.t, m.het);
-    ho_complete_at_ = m.t + m.het;
+    const auto het = sim::Duration::micros(m.het_us);
+    predictor_.on_handover(t, het);
+    ho_complete_at_ = t + het;
     post_guard_until_ = ho_complete_at_ + cfg_.post_ho_guard;
     flush_armed_ = true;
   }
@@ -41,7 +43,7 @@ void ProactiveAdapter::on_link_measurement(const cellular::LinkMeasurement& m) {
   forecaster_.on_sample(m.capacity_mbps);
 
   // Count dip-window entries (rising edges only).
-  const bool in_dip = cfg_.proactive && dip_window_active(m.t);
+  const bool in_dip = cfg_.proactive && dip_window_active(t);
   if (in_dip && !was_in_dip_) ++dip_windows_;
   was_in_dip_ = in_dip;
 }

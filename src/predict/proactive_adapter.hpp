@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <limits>
 
-#include "cellular/cellular_link.hpp"
+#include "obs/event.hpp"
 #include "predict/estimators.hpp"
 #include "predict/link_predictor.hpp"
 #include "predict/stats.hpp"
@@ -52,7 +52,7 @@ class ProactiveAdapter {
   explicit ProactiveAdapter(ProactiveConfig cfg = {});
 
   // --- Sample feeds ---
-  void on_link_measurement(const cellular::LinkMeasurement& m);
+  void on_link_measurement(sim::TimePoint t, const obs::MeasurementPayload& m);
   void on_owd_sample(sim::TimePoint t, double owd_ms);
   void on_goodput_sample(sim::TimePoint t, double mbps);
 

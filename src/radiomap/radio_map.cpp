@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "json/binder.hpp"
+
 namespace rpv::radiomap {
 namespace {
 
@@ -22,12 +24,6 @@ std::int64_t to_milli(double v) { return std::llround(v * 1000.0); }
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::runtime_error(std::string("radio map: ") + what);
-}
-
-const json::Value& field(const json::Value& v, const char* key) {
-  const json::Value* f = v.find(key);
-  require(f != nullptr, key);
-  return *f;
 }
 
 }  // namespace
@@ -158,114 +154,106 @@ void RadioMap::merge(const RadioMap& other) {
   }
 }
 
+// --- JSON: one field list per record (json/binder.hpp) ---
+
+template <class IO>
+void fields(IO& io, GridSpec& s) {
+  io.field("origin_x", s.origin.x);
+  io.field("origin_y", s.origin.y);
+  io.field("origin_z", s.origin.z);
+  io.field("voxel_xy_m", s.voxel_xy_m);
+  io.field("voxel_z_m", s.voxel_z_m);
+  io.field("nx", s.nx);
+  io.field("ny", s.ny);
+  io.field("nz", s.nz);
+}
+
+template <class IO>
+void fields(IO& io, CellStats& c) {
+  io.field("cell", c.cell_id);
+  io.field("samples", c.samples);
+  io.field("rsrp_milli_sum", c.rsrp_milli_sum);
+  io.field("rsrp_milli_sq_sum", c.rsrp_milli_sq_sum);
+}
+
+template <class IO>
+void fields(IO& io, VoxelStats& s) {
+  io.field("samples", s.samples);
+  io.field("rsrp_milli_sum", s.rsrp_milli_sum);
+  io.field("rsrp_milli_sq_sum", s.rsrp_milli_sq_sum);
+  io.field("capacity_kbps_sum", s.capacity_kbps_sum);
+  io.field("ho_triggers", s.ho_triggers);
+  io.field("rlf_count", s.rlf_count);
+  io.field("losses", s.losses);
+  io.field("stall_us", s.stall_us);
+  io.field("cells", s.cells);
+}
+
+namespace {
+
+// The stored document: the spec plus the non-empty voxels, sorted by index.
+struct VoxelEntry {
+  std::uint32_t i = 0;
+  VoxelStats stats;
+};
+
+struct MapDocument {
+  GridSpec spec;
+  std::vector<VoxelEntry> voxels;
+};
+
+template <class IO>
+void fields(IO& io, VoxelEntry& e) {
+  io.field("i", e.i);
+  fields(io, e.stats);
+}
+
+template <class IO>
+void fields(IO& io, MapDocument& d) {
+  json::schema(io, kRadioMapSchemaVersion, "radio map");
+  io.field("spec", d.spec);
+  io.field("voxels", d.voxels);
+}
+
+}  // namespace
+
 json::Value RadioMap::to_json() const {
-  json::Value v = json::Value::object();
-  v.set("schema", std::int64_t{kRadioMapSchemaVersion});
-  json::Value spec = json::Value::object();
-  spec.set("origin_x", spec_.origin.x)
-      .set("origin_y", spec_.origin.y)
-      .set("origin_z", spec_.origin.z)
-      .set("voxel_xy_m", spec_.voxel_xy_m)
-      .set("voxel_z_m", spec_.voxel_z_m)
-      .set("nx", std::uint64_t{spec_.nx})
-      .set("ny", std::uint64_t{spec_.ny})
-      .set("nz", std::uint64_t{spec_.nz});
-  v.set("spec", std::move(spec));
-  json::Value voxels = json::Value::array();
+  MapDocument doc{spec_, {}};
   for (std::uint32_t i = 0; i < voxels_.size(); ++i) {
-    const VoxelStats& s = voxels_[i];
-    if (s.empty()) continue;
-    json::Value o = json::Value::object();
-    o.set("i", std::uint64_t{i})
-        .set("samples", s.samples)
-        .set("rsrp_milli_sum", s.rsrp_milli_sum)
-        .set("rsrp_milli_sq_sum", s.rsrp_milli_sq_sum)
-        .set("capacity_kbps_sum", s.capacity_kbps_sum)
-        .set("ho_triggers", s.ho_triggers)
-        .set("rlf_count", s.rlf_count)
-        .set("losses", s.losses)
-        .set("stall_us", s.stall_us);
-    json::Value cells = json::Value::array();
-    for (const CellStats& c : s.cells) {
-      json::Value e = json::Value::object();
-      e.set("cell", std::uint64_t{c.cell_id})
-          .set("samples", c.samples)
-          .set("rsrp_milli_sum", c.rsrp_milli_sum)
-          .set("rsrp_milli_sq_sum", c.rsrp_milli_sq_sum);
-      cells.push_back(std::move(e));
-    }
-    o.set("cells", std::move(cells));
-    voxels.push_back(std::move(o));
+    if (!voxels_[i].empty()) doc.voxels.push_back({i, voxels_[i]});
   }
-  v.set("voxels", std::move(voxels));
-  return v;
+  return json::Writer::encode(doc);
 }
 
 RadioMap radio_map_from_json(const json::Value& v) {
-  require(v.is_object(), "document must be an object");
-  require(field(v, "schema").as_i64() == kRadioMapSchemaVersion,
-          "unsupported schema version");
-  const json::Value& sp = field(v, "spec");
-  require(sp.is_object(), "spec must be an object");
-  GridSpec spec;
-  spec.origin.x = field(sp, "origin_x").as_double();
-  spec.origin.y = field(sp, "origin_y").as_double();
-  spec.origin.z = field(sp, "origin_z").as_double();
-  spec.voxel_xy_m = field(sp, "voxel_xy_m").as_double();
-  spec.voxel_z_m = field(sp, "voxel_z_m").as_double();
-  const std::uint64_t nx = field(sp, "nx").as_u64();
-  const std::uint64_t ny = field(sp, "ny").as_u64();
-  const std::uint64_t nz = field(sp, "nz").as_u64();
-  require(nx > 0 && ny > 0 && nz > 0, "grid axes must be positive");
-  require(nx * ny * nz <= (1u << 24), "grid too large");
+  MapDocument doc;
+  json::Reader::decode(v, doc);
+  const GridSpec& spec = doc.spec;
+  require(spec.nx > 0 && spec.ny > 0 && spec.nz > 0,
+          "grid axes must be positive");
+  // Checked axis by axis so the product cannot wrap.
+  constexpr std::uint64_t kMaxVoxels = 1u << 24;
+  require(spec.nx <= kMaxVoxels && spec.ny <= kMaxVoxels / spec.nx &&
+              spec.nz <= kMaxVoxels / (std::uint64_t{spec.nx} * spec.ny),
+          "grid too large");
   require(std::isfinite(spec.voxel_xy_m) && std::isfinite(spec.voxel_z_m) &&
               spec.voxel_xy_m > 0.0 && spec.voxel_z_m > 0.0,
           "voxel size must be positive and finite");
-  spec.nx = static_cast<std::uint32_t>(nx);
-  spec.ny = static_cast<std::uint32_t>(ny);
-  spec.nz = static_cast<std::uint32_t>(nz);
 
   RadioMap map{spec};
-  std::vector<VoxelStats> voxels(spec.voxel_count());
-  const json::Value& vx = field(v, "voxels");
-  require(vx.is_array(), "voxels must be an array");
   std::int64_t prev_index = -1;
-  for (const json::Value& o : vx.items()) {
-    require(o.is_object(), "voxel entry must be an object");
-    const std::uint64_t i = field(o, "i").as_u64();
-    require(i < voxels.size(), "voxel index out of range");
-    require(static_cast<std::int64_t>(i) > prev_index,
-            "voxels must be sorted by index");
-    prev_index = static_cast<std::int64_t>(i);
-    VoxelStats& s = voxels[i];
-    s.samples = field(o, "samples").as_u64();
-    s.rsrp_milli_sum = field(o, "rsrp_milli_sum").as_i64();
-    s.rsrp_milli_sq_sum = field(o, "rsrp_milli_sq_sum").as_u64();
-    s.capacity_kbps_sum = field(o, "capacity_kbps_sum").as_u64();
-    s.ho_triggers = field(o, "ho_triggers").as_u64();
-    s.rlf_count = field(o, "rlf_count").as_u64();
-    s.losses = field(o, "losses").as_u64();
-    s.stall_us = field(o, "stall_us").as_u64();
-    const json::Value& cells = field(o, "cells");
-    require(cells.is_array(), "cells must be an array");
+  for (VoxelEntry& e : doc.voxels) {
+    require(e.i < map.voxels_.size(), "voxel index out of range");
+    require(std::int64_t{e.i} > prev_index, "voxels must be sorted by index");
+    prev_index = e.i;
     std::int64_t prev_cell = -1;
-    for (const json::Value& e : cells.items()) {
-      require(e.is_object(), "cell entry must be an object");
-      CellStats c;
-      const std::uint64_t id = field(e, "cell").as_u64();
-      require(id <= 0xFFFFFFFFull, "cell id out of range");
-      require(static_cast<std::int64_t>(id) > prev_cell,
-              "cells must be sorted by id");
-      prev_cell = static_cast<std::int64_t>(id);
-      c.cell_id = static_cast<std::uint32_t>(id);
-      c.samples = field(e, "samples").as_u64();
-      c.rsrp_milli_sum = field(e, "rsrp_milli_sum").as_i64();
-      c.rsrp_milli_sq_sum = field(e, "rsrp_milli_sq_sum").as_u64();
-      s.cells.push_back(c);
+    for (const CellStats& c : e.stats.cells) {
+      require(std::int64_t{c.cell_id} > prev_cell, "cells must be sorted by id");
+      prev_cell = c.cell_id;
     }
-    require(!s.empty(), "voxel entry must be non-empty");
+    require(!e.stats.empty(), "voxel entry must be non-empty");
+    map.voxels_[e.i] = std::move(e.stats);
   }
-  map.voxels_ = std::move(voxels);
   return map;
 }
 

@@ -146,8 +146,10 @@ class RadioMap {
 };
 
 // Strict loader: throws std::runtime_error on schema mismatch, malformed
-// structure, out-of-range indices, or unsorted voxels/cells (a fuzz target —
-// malformed input must throw, never crash).
+// structure, out-of-range indices or integers, or unsorted voxels/cells (a
+// fuzz target — malformed input must throw, never crash). The format is one
+// field list per record (GridSpec, VoxelStats, CellStats) in radio_map.cpp,
+// walked by both directions of json/binder.hpp.
 [[nodiscard]] RadioMap radio_map_from_json(const json::Value& v);
 [[nodiscard]] RadioMap radio_map_from_bytes(std::string_view text);
 

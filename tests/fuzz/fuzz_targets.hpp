@@ -18,6 +18,7 @@
 
 #include "json/json.hpp"
 #include "obs/recorder.hpp"
+#include "pipeline/report_json.hpp"
 #include "radiomap/radio_map.hpp"
 
 namespace rpv::fuzz {
@@ -60,6 +61,20 @@ inline void one_radiomap(std::string_view text) {
   if (radiomap::radio_map_from_bytes(bytes).canonical_bytes() != bytes) {
     std::abort();
   }
+}
+
+// Session-report loader (pipeline::report_from_json), which `rpv_campaign
+// --load` runs on every stored run.
+inline void one_report(std::string_view text) {
+  pipeline::SessionReport report;
+  try {
+    report = pipeline::report_from_json(json::parse(text));
+  } catch (const std::exception&) {
+    return;
+  }
+  const std::string bytes = pipeline::report_to_json(report).dump();
+  const auto again = pipeline::report_from_json(json::parse(bytes));
+  if (pipeline::report_to_json(again).dump() != bytes) std::abort();
 }
 
 }  // namespace rpv::fuzz

@@ -4,6 +4,7 @@
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,40 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW(json::parse("{} x"), std::runtime_error);
   EXPECT_FALSE(json::try_parse("nope").has_value());
   EXPECT_TRUE(json::try_parse("[]").has_value());
+}
+
+TEST(Json, IntegerAccessorsRejectUnrepresentableValues) {
+  // Doubles convert only when integral and inside the target range (a cast
+  // of 1e300 would be undefined behaviour).
+  EXPECT_EQ(json::parse("4.0").as_i64(), 4);
+  EXPECT_EQ(json::parse("-4e0").as_i64(), -4);
+  EXPECT_EQ(json::parse("4.0").as_u64(), 4u);
+  for (const char* text : {"1e300", "-1e300", "2.5", "9223372036854775808.0"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)json::parse(text).as_i64(), std::runtime_error);
+  }
+  for (const char* text : {"1e300", "2.5", "-1.0", "18446744073709551616"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)json::parse(text).as_u64(), std::runtime_error);
+  }
+  // Negative integers never read as unsigned (-5 used to become 2^64 - 5).
+  EXPECT_THROW((void)json::parse("-5").as_u64(), std::runtime_error);
+  // A uint above INT64_MAX does not read as signed.
+  EXPECT_THROW((void)json::parse("9223372036854775808").as_i64(),
+               std::runtime_error);
+  EXPECT_EQ(json::parse("9223372036854775807").as_i64(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(json::parse("-9223372036854775808").as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(Json, NegativeZeroRoundTrips) {
+  // "-0" has no integer form, so it stays the double -0.0 and every dump of
+  // it re-parses to the same bytes.
+  EXPECT_EQ(json::Value{-0.0}.dump(), "-0");
+  EXPECT_EQ(json::parse("-0").dump(), "-0");
+  EXPECT_EQ(json::parse("[-0.0]").dump(), "[-0]");
+  EXPECT_EQ(json::parse("-0").as_i64(), 0);
 }
 
 TEST(Json, MissingKeyNamesTheKey) {
@@ -347,6 +382,28 @@ TEST(ReportJson, RejectsWrongSchema) {
                std::runtime_error);
 }
 
+TEST(ReportJson, RejectsOutOfRangeIntegers) {
+  const auto good = pipeline::report_to_json(pipeline::SessionReport{});
+  const std::pair<const char*, json::Value> cases[] = {
+      {"frames_encoded", std::int64_t{4294967301}},  // above uint32
+      {"packets_sent", std::int64_t{-1}},            // negative unsigned
+      {"max_ladder_level", std::int64_t{1} << 40},   // above int
+      {"duration_us", 1e300},                        // beyond int64
+      {"cells_seen", 2.5},                           // not an integer
+  };
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(key);
+    auto doc = good;
+    doc.set(key, value);
+    try {
+      (void)pipeline::report_from_json(doc);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(key), std::string::npos) << e.what();
+    }
+  }
+}
+
 // --- Artifact store ---
 
 class RunArtifactTest : public ::testing::Test {
@@ -421,6 +478,16 @@ TEST_F(RunArtifactTest, WriteThenLoadRoundTripsCampaign) {
                 pipeline::report_to_json(result.cells[c].reports[i]).dump());
     }
   }
+
+  // A stored run tampered with an integer its member cannot hold makes the
+  // load fail instead of wrapping (4294967301 used to reload as 5).
+  const auto run_path =
+      campaign_dir / cell0.at("runs").items()[0].at("file").as_string();
+  auto run = json::parse(*json::read_file(run_path.string()));
+  run.set("frames_encoded", std::int64_t{4294967301});
+  ASSERT_TRUE(json::write_file(run_path.string(), run, -1));
+  EXPECT_THROW((void)exec::RunArtifactStore::load_campaign(campaign_dir),
+               std::runtime_error);
 }
 
 TEST_F(RunArtifactTest, RejectsBadCampaignNames) {

@@ -17,6 +17,7 @@
 #include "fleet/fleet_report.hpp"
 #include "fleet/shared_deployment.hpp"
 #include "geo/trajectory.hpp"
+#include "json/binder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "pipeline/report_json.hpp"
 #include "pipeline/session.hpp"
@@ -338,6 +339,30 @@ TEST(FleetEngine, ReportJsonRoundTrips) {
   EXPECT_EQ(fleet::fleet_report_to_json(back).dump(2), j.dump(2));
 }
 
+TEST(FleetEngine, ReportJsonRejectsOutOfRangeIntegers) {
+  fleet::FleetReport r;
+  r.cell_peak_load.push_back({3, 2});
+  const auto good = fleet::fleet_report_to_json(r);
+  auto tampered = [&](const char* key, json::Value value) {
+    auto v = good;
+    auto f = v.at("fleet");
+    f.set(key, std::move(value));
+    v.set("fleet", std::move(f));
+    return v;
+  };
+  EXPECT_THROW((void)fleet::fleet_report_from_json(
+                   tampered("sessions", std::int64_t{1} << 40)),
+               std::runtime_error);
+  EXPECT_THROW((void)fleet::fleet_report_from_json(
+                   tampered("total_stalls", std::int64_t{-1})),
+               std::runtime_error);
+  auto cells = json::Value::array();
+  cells.push_back(json::parse(R"({"cell":4294967301,"peak_users":2})"));
+  EXPECT_THROW(
+      (void)fleet::fleet_report_from_json(tampered("cell_peak_load", cells)),
+      std::runtime_error);
+}
+
 TEST(FleetEngine, GridExpansionCoversAxesInOrder) {
   fleet::FleetGridAxes axes;
   axes.sizes = {1, 8};
@@ -369,8 +394,8 @@ TEST(CampaignMerge, MergedScenariosAreJobsIndependent) {
   const auto m1 = e1.run_scenarios_merged(scenarios);
   const auto m4 = e4.run_scenarios_merged(scenarios);
   EXPECT_EQ(m1.runs, 2u);
-  EXPECT_EQ(pipeline::metrics_summary_to_json(m1.metrics).dump(),
-            pipeline::metrics_summary_to_json(m4.metrics).dump());
+  EXPECT_EQ(json::Writer::encode(m1.metrics).dump(),
+            json::Writer::encode(m4.metrics).dump());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fuzz/fuzz_targets.hpp"
+#include "pipeline/report_json.hpp"
 #include "radiomap/radio_map.hpp"
 
 #ifndef RPV_FUZZ_CORPUS_DIR
@@ -75,6 +76,23 @@ TEST(FuzzCorpus, RadioMapSeedsAreValidMaps) {
   for (const auto& p : corpus_files("radiomap")) {
     SCOPED_TRACE(p.filename().string());
     EXPECT_NO_THROW((void)radiomap::radio_map_from_bytes(slurp(p)));
+  }
+}
+
+TEST(FuzzCorpus, ReportSeedsReplayClean) {
+  const auto files = corpus_files("report");
+  ASSERT_GE(files.size(), 2u);
+  for (const auto& p : files) {
+    SCOPED_TRACE(p.filename().string());
+    fuzz::one_report(slurp(p));
+  }
+}
+
+TEST(FuzzCorpus, ReportSeedsAreValidReports) {
+  // Like the radiomap seeds: start the fuzzer from accepted documents.
+  for (const auto& p : corpus_files("report")) {
+    SCOPED_TRACE(p.filename().string());
+    EXPECT_NO_THROW((void)pipeline::report_from_json(json::parse(slurp(p))));
   }
 }
 

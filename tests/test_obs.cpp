@@ -176,6 +176,28 @@ TEST(EventJson, RejectsMalformedLinesWithLineNumber) {
   }
 }
 
+TEST(EventJson, RejectsOutOfRangeIntegers) {
+  // Each of these used to wrap into the member silently: size_bytes is a
+  // uint32, transport_seq a uint16, source_cell a uint32, seq a uint64.
+  const char* lines[] = {
+      R"({"t_us":1,"seq":0,"component":"receiver","kind":"packet-lost",)"
+      R"("p":{"id":1,"kind":0,"size_bytes":5000000000,"frame_id":0,)"
+      R"("transport_seq":0,"owd_ms":0}})",
+      R"({"t_us":1,"seq":0,"component":"receiver","kind":"packet-lost",)"
+      R"("p":{"id":1,"kind":0,"size_bytes":1200,"frame_id":0,)"
+      R"("transport_seq":70000,"owd_ms":0}})",
+      R"({"t_us":1,"seq":0,"component":"cellular","kind":"handover-start",)"
+      R"("p":{"source_cell":4294967301,"target_cell":5,"het_us":0}})",
+      R"({"t_us":1,"seq":-1,"component":"cellular","kind":"rlf"})",
+      R"({"t_us":1e300,"seq":0,"component":"cellular","kind":"rlf"})",
+  };
+  for (const char* line : lines) {
+    SCOPED_TRACE(line);
+    EXPECT_THROW((void)obs::read_jsonl(std::string{line} + "\n"),
+                 std::runtime_error);
+  }
+}
+
 TEST(EventJson, NamesRoundTrip) {
   for (std::size_t i = 0; i < obs::kComponentCount; ++i) {
     const auto c = static_cast<obs::Component>(i);

@@ -228,12 +228,11 @@ TEST(CapacityForecaster, NotReadyBeforeTwoSamplesAndReportsFloor) {
 
 // --- ProactiveAdapter ---
 
-cellular::LinkMeasurement measurement(std::int64_t t_ms, double margin_db,
-                                      double capacity_mbps = 20.0) {
-  cellular::LinkMeasurement m;
-  m.t = at_ms(t_ms);
+obs::MeasurementPayload measurement(double margin_db,
+                                    double capacity_mbps = 20.0) {
+  obs::MeasurementPayload m;
   m.serving_rsrp_dbm = -90.0 + margin_db;
-  m.best_neighbor_rsrp_dbm = -90.0;
+  m.neighbor_rsrp_dbm = -90.0;
   m.capacity_mbps = capacity_mbps;
   return m;
 }
@@ -241,17 +240,19 @@ cellular::LinkMeasurement measurement(std::int64_t t_ms, double margin_db,
 TEST(ProactiveAdapter, ReactiveModeObservesButNeverActs) {
   predict::ProactiveAdapter a;  // proactive defaults to false
   EXPECT_FALSE(a.proactive());
-  for (int i = 0; i < 2; ++i) a.on_link_measurement(measurement(100 * i, 6.0 - i));
+  for (int i = 0; i < 2; ++i) {
+    a.on_link_measurement(at_ms(100 * i), measurement(6.0 - i));
+  }
   // The predictor armed (observation), but every policy hook stays inert.
   EXPECT_TRUE(a.ho_imminent(at_ms(100)));
   EXPECT_EQ(a.bitrate_cap_bps(at_ms(100)),
             std::numeric_limits<double>::infinity());
   EXPECT_FALSE(a.defer_keyframe(at_ms(100)));
-  auto ho = measurement(200, 4.0);
+  auto ho = measurement(4.0);
   ho.ho_triggered = true;
   ho.in_handover = true;
-  ho.het = Duration::millis(300);
-  a.on_link_measurement(ho);
+  ho.het_us = 300'000;
+  a.on_link_measurement(at_ms(200), ho);
   EXPECT_FALSE(a.should_flush(at_ms(600), 500.0));
   a.finish();
   const auto s = a.stats();
@@ -266,7 +267,9 @@ TEST(ProactiveAdapter, ProactiveDipCapsBitrateAndDefersKeyframes) {
   predict::ProactiveConfig cfg;
   cfg.proactive = true;
   predict::ProactiveAdapter a{cfg};
-  for (int i = 0; i < 2; ++i) a.on_link_measurement(measurement(100 * i, 6.0 - i));
+  for (int i = 0; i < 2; ++i) {
+    a.on_link_measurement(at_ms(100 * i), measurement(6.0 - i));
+  }
   ASSERT_TRUE(a.ho_imminent(at_ms(100)));
   // Cap = dip_factor (0.7) x forecast (20 Mbps steady capacity), above the
   // 2 Mbps floor.
@@ -279,12 +282,14 @@ TEST(ProactiveAdapter, PostHandoverFlushFiresOnceWhenBacklogIsDeep) {
   predict::ProactiveConfig cfg;
   cfg.proactive = true;
   predict::ProactiveAdapter a{cfg};
-  for (int i = 0; i < 2; ++i) a.on_link_measurement(measurement(100 * i, 6.0 - i));
-  auto ho = measurement(200, -4.0);
+  for (int i = 0; i < 2; ++i) {
+    a.on_link_measurement(at_ms(100 * i), measurement(6.0 - i));
+  }
+  auto ho = measurement(-4.0);
   ho.ho_triggered = true;
   ho.in_handover = true;
-  ho.het = Duration::millis(400);  // bearer back at t = 600 ms
-  a.on_link_measurement(ho);
+  ho.het_us = 400'000;  // bearer back at t = 600 ms
+  a.on_link_measurement(at_ms(200), ho);
   // Still interrupted: no flush yet.
   EXPECT_FALSE(a.should_flush(at_ms(500), 300.0));
   // Bearer back with a shallow queue: the opportunity is spent without a flush.
@@ -293,11 +298,11 @@ TEST(ProactiveAdapter, PostHandoverFlushFiresOnceWhenBacklogIsDeep) {
   EXPECT_EQ(a.stats().proactive_flushes, 0u);
 
   // Next handover re-arms the flush; a deep queue then flushes exactly once.
-  auto ho2 = measurement(2000, -4.0);
+  auto ho2 = measurement(-4.0);
   ho2.ho_triggered = true;
   ho2.in_handover = true;
-  ho2.het = Duration::millis(200);
-  a.on_link_measurement(ho2);
+  ho2.het_us = 200'000;
+  a.on_link_measurement(at_ms(2000), ho2);
   EXPECT_TRUE(a.should_flush(at_ms(2300), 300.0));
   EXPECT_FALSE(a.should_flush(at_ms(2400), 300.0));
   EXPECT_EQ(a.stats().proactive_flushes, 1u);
@@ -310,11 +315,10 @@ TEST(ProactiveAdapter, MissingNeighborRelaxesTheMarginFilter) {
   // Serving RSRP decays but no neighbor is measured (-200 sentinel): the
   // adapter must not arm off a margin against nothing.
   for (int i = 0; i < 10; ++i) {
-    cellular::LinkMeasurement m;
-    m.t = at_ms(100 * i);
+    obs::MeasurementPayload m;
     m.serving_rsrp_dbm = -90.0 - 2.0 * i;
-    m.capacity_mbps = 20.0;  // best_neighbor_rsrp_dbm stays at the sentinel
-    a.on_link_measurement(m);
+    m.capacity_mbps = 20.0;  // neighbor_rsrp_dbm stays at the sentinel
+    a.on_link_measurement(at_ms(100 * i), m);
   }
   EXPECT_FALSE(a.ho_imminent(at_ms(900)));
   EXPECT_EQ(a.stats().ho_predicted, 0u);

@@ -248,6 +248,47 @@ TEST(RadioMapJson, LoaderRejectsMalformedDocuments) {
   }
 }
 
+TEST(RadioMapJson, LoaderRejectsOutOfRangeIntegers) {
+  radiomap::RadioMap map{small_spec()};
+  map.observe_measurement({5.0, 5.0, 10.0}, 3, -90.0, 12.0, false);
+  const auto good = map.to_json();
+  auto with_voxel_member = [&](const char* key, json::Value value) {
+    auto v = good;
+    auto entry = v.at("voxels").items()[0];
+    entry.set(key, std::move(value));
+    auto arr = json::Value::array();
+    arr.push_back(std::move(entry));
+    v.set("voxels", std::move(arr));
+    return v;
+  };
+  // A negative count and an int64 sum beyond INT64_MAX used to wrap.
+  EXPECT_THROW(radiomap::radio_map_from_json(
+                   with_voxel_member("samples", std::int64_t{-1})),
+               std::runtime_error);
+  EXPECT_THROW(radiomap::radio_map_from_json(with_voxel_member(
+                   "rsrp_milli_sum", std::uint64_t{9223372036854775808ull})),
+               std::runtime_error);
+  {
+    // 2^22 per axis: the old 64-bit product wrapped to 0 and passed the
+    // grid-size cap.
+    auto v = good;
+    auto spec = v.at("spec");
+    for (const char* axis : {"nx", "ny", "nz"}) {
+      spec.set(axis, std::uint64_t{1} << 22);
+    }
+    v.set("spec", std::move(spec));
+    v.set("voxels", json::Value::array());
+    EXPECT_THROW(radiomap::radio_map_from_json(v), std::runtime_error);
+  }
+  {
+    auto v = good;
+    auto spec = v.at("spec");
+    spec.set("nx", std::uint64_t{1} << 32);
+    v.set("spec", std::move(spec));
+    EXPECT_THROW(radiomap::radio_map_from_json(v), std::runtime_error);
+  }
+}
+
 // --- survey trajectory ------------------------------------------------------
 
 TEST(RadioMapSurvey, LawnmowerCoversEveryAltitudeLayerInsideExtent) {

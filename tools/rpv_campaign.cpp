@@ -23,6 +23,8 @@
 //              environment, then {reactive, proactive, planned} x
 //              {urban, rural-p1} with the map attached; with --out the maps
 //              are stored as campaign artifacts (maps/<env>.map.json)
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -170,6 +172,21 @@ void print_usage() {
          "plan grid: builds a warm-up survey radio map per environment, then\n"
          "  runs {reactive, proactive, planned} x {urban, rural-p1} with the\n"
          "  map attached; with --out, maps land in DIR/<name>/maps/\n";
+}
+
+// A whole-token decimal >= `min`, by the rules of bench::parse_options: no
+// trailing junk ("1x"), no sign (std::stoull wraps "-5" to 2^64 - 5) and no
+// out-of-range or non-finite value.
+template <class T>
+T parse_number(const std::string& flag, const std::string& text, T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto r = std::from_chars(text.data(), end, value);
+  if (text.empty() || text[0] == '-' || r.ec != std::errc{} || r.ptr != end ||
+      !(value >= min) || !std::isfinite(static_cast<double>(value))) {
+    throw std::invalid_argument{"bad value for " + flag + ": '" + text + "'"};
+  }
+  return value;
 }
 
 experiment::Environment parse_env_name(const std::string& name) {
@@ -368,14 +385,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
-      if (arg == "--runs") runs = std::stoi(value_of(i, arg));
-      else if (arg == "--seed") seed = std::stoull(value_of(i, arg));
-      else if (arg == "--jobs") jobs = std::stoi(value_of(i, arg));
+      if (arg == "--runs") runs = parse_number(arg, value_of(i, arg), 1);
+      else if (arg == "--seed")
+        seed = parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
+      else if (arg == "--jobs") jobs = parse_number(arg, value_of(i, arg), 0);
       else if (arg == "--out") out_dir = value_of(i, arg);
       else if (arg == "--name") campaign_name = value_of(i, arg);
       else if (arg == "--load") load_dir = value_of(i, arg);
       else if (arg == "--observe") observe = true;
-      else if (arg == "--sessions") fleet_sessions = std::stoi(value_of(i, arg));
+      else if (arg == "--sessions")
+        fleet_sessions = parse_number(arg, value_of(i, arg), 1);
       else if (arg == "--env") {
         // Validate eagerly so a typo fails with the full usage text instead
         // of surfacing later (or silently defaulting).
@@ -388,7 +407,8 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-      else if (arg == "--horizon") fleet_horizon = std::stod(value_of(i, arg));
+      else if (arg == "--horizon")
+        fleet_horizon = parse_number(arg, value_of(i, arg), 0.0);
       else if (arg == "--list") {
         for (const auto& g : named_grids()) {
           const auto cells = exec::expand_grid(g.axes, g.base);
@@ -420,8 +440,9 @@ int main(int argc, char** argv) {
         std::cerr << "unknown argument: " << arg << "\n";
         return 2;
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n\n";
+      print_usage();
       return 2;
     }
   }
