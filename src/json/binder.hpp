@@ -84,6 +84,8 @@ class Writer {
                std::string_view key_b, B Row::*b) {
     Value col_a = Value::array();
     Value col_b = Value::array();
+    col_a.reserve(rows.size());
+    col_b.reserve(rows.size());
     for (const Row& r : rows) {
       col_a.push_back(encode(r.*a));
       col_b.push_back(encode(r.*b));
@@ -110,10 +112,12 @@ class Writer {
       return Value{std::string{x.names[static_cast<std::size_t>(x.value)]}};
     } else if constexpr (detail::kIsVector<T>) {
       Value a = Value::array();
+      a.reserve(x.size());
       for (const auto& e : x) a.push_back(encode(e));
       return a;
     } else if constexpr (detail::kIsPair<T>) {
       Value a = Value::array();
+      a.reserve(2);
       a.push_back(encode(x.first));
       a.push_back(encode(x.second));
       return a;

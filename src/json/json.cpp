@@ -1,24 +1,49 @@
 #include "json/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <type_traits>
 
 namespace rpv::json {
 
+Value::Value(const Value& other) : kind_{other.kind_}, p_{other.p_} {
+  switch (kind_) {
+    case Kind::kString: p_.s = new std::string(*other.p_.s); break;
+    case Kind::kArray: p_.a = new Array(*other.p_.a); break;
+    case Kind::kObject: p_.o = new Object(*other.p_.o); break;
+    default: break;
+  }
+}
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) *this = Value{other};
+  return *this;
+}
+
+void Value::release() noexcept {
+  switch (kind_) {
+    case Kind::kString: delete p_.s; break;
+    case Kind::kArray: delete p_.a; break;
+    case Kind::kObject: delete p_.o; break;
+    default: break;
+  }
+}
+
 Value Value::array() {
   Value v;
+  v.p_.a = new Array;
   v.kind_ = Kind::kArray;
   return v;
 }
 
 Value Value::object() {
   Value v;
+  v.p_.o = new Object;
   v.kind_ = Kind::kObject;
   return v;
 }
@@ -53,19 +78,19 @@ T integral_double(double d) {
 
 bool Value::as_bool() const {
   if (kind_ != Kind::kBool) type_error("bool", kind_);
-  return bool_;
+  return p_.b;
 }
 
 std::int64_t Value::as_i64() const {
   switch (kind_) {
-    case Kind::kInt: return int_;
+    case Kind::kInt: return p_.i;
     case Kind::kUint:
-      if (uint_ > static_cast<std::uint64_t>(
-                      std::numeric_limits<std::int64_t>::max())) {
-        not_representable(std::to_string(uint_), "an int64");
+      if (p_.u > static_cast<std::uint64_t>(
+                     std::numeric_limits<std::int64_t>::max())) {
+        not_representable(std::to_string(p_.u), "an int64");
       }
-      return static_cast<std::int64_t>(uint_);
-    case Kind::kDouble: return integral_double<std::int64_t>(double_);
+      return static_cast<std::int64_t>(p_.u);
+    case Kind::kDouble: return integral_double<std::int64_t>(p_.d);
     default: type_error("number", kind_);
   }
 }
@@ -73,56 +98,63 @@ std::int64_t Value::as_i64() const {
 std::uint64_t Value::as_u64() const {
   switch (kind_) {
     case Kind::kInt:
-      if (int_ < 0) not_representable(std::to_string(int_), "a uint64");
-      return static_cast<std::uint64_t>(int_);
-    case Kind::kUint: return uint_;
-    case Kind::kDouble: return integral_double<std::uint64_t>(double_);
+      if (p_.i < 0) not_representable(std::to_string(p_.i), "a uint64");
+      return static_cast<std::uint64_t>(p_.i);
+    case Kind::kUint: return p_.u;
+    case Kind::kDouble: return integral_double<std::uint64_t>(p_.d);
     default: type_error("number", kind_);
   }
 }
 
 double Value::as_double() const {
   switch (kind_) {
-    case Kind::kInt: return static_cast<double>(int_);
-    case Kind::kUint: return static_cast<double>(uint_);
-    case Kind::kDouble: return double_;
+    case Kind::kInt: return static_cast<double>(p_.i);
+    case Kind::kUint: return static_cast<double>(p_.u);
+    case Kind::kDouble: return p_.d;
     default: type_error("number", kind_);
   }
 }
 
 const std::string& Value::as_string() const {
   if (kind_ != Kind::kString) type_error("string", kind_);
-  return string_;
+  return *p_.s;
 }
 
 Value& Value::push_back(Value v) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kArray;
+  if (kind_ == Kind::kNull) *this = array();
   if (kind_ != Kind::kArray) type_error("array", kind_);
-  array_.push_back(std::move(v));
+  p_.a->push_back(std::move(v));
+  return *this;
+}
+
+Value& Value::reserve(std::size_t n) {
+  if (kind_ == Kind::kNull) *this = array();
+  if (kind_ != Kind::kArray) type_error("array", kind_);
+  p_.a->reserve(n);
   return *this;
 }
 
 const std::vector<Value>& Value::items() const {
   if (kind_ != Kind::kArray) type_error("array", kind_);
-  return array_;
+  return *p_.a;
 }
 
 Value& Value::set(std::string key, Value v) {
-  if (kind_ == Kind::kNull) kind_ = Kind::kObject;
+  if (kind_ == Kind::kNull) *this = object();
   if (kind_ != Kind::kObject) type_error("object", kind_);
-  for (auto& m : object_) {
+  for (auto& m : *p_.o) {
     if (m.key == key) {
       m.value = std::move(v);
       return *this;
     }
   }
-  object_.push_back(Member{std::move(key), std::move(v)});
+  p_.o->push_back(Member{std::move(key), std::move(v)});
   return *this;
 }
 
 const Value* Value::find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& m : object_) {
+  for (const auto& m : *p_.o) {
     if (m.key == key) return &m.value;
   }
   return nullptr;
@@ -138,14 +170,14 @@ const Value& Value::at(std::string_view key) const {
 
 const std::vector<Member>& Value::members() const {
   if (kind_ != Kind::kObject) type_error("object", kind_);
-  return object_;
+  return *p_.o;
 }
 
 std::size_t Value::size() const {
   switch (kind_) {
-    case Kind::kArray: return array_.size();
-    case Kind::kObject: return object_.size();
-    case Kind::kString: return string_.size();
+    case Kind::kArray: return p_.a->size();
+    case Kind::kObject: return p_.o->size();
+    case Kind::kString: return p_.s->size();
     default: return 0;
   }
 }
@@ -187,6 +219,13 @@ void append_double(std::string& out, double d) {
   out.append(buf, res.ptr);
 }
 
+template <class Int>
+void append_integer(std::string& out, Int i) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, i);
+  out.append(buf, res.ptr);
+}
+
 void append_newline_indent(std::string& out, int indent, int depth) {
   out += '\n';
   out.append(static_cast<std::size_t>(indent) * depth, ' ');
@@ -194,35 +233,37 @@ void append_newline_indent(std::string& out, int indent, int depth) {
 
 }  // namespace
 
-void Value::dump_to(std::string& out, int indent, int depth) const {
+void Value::write(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::kNull: out += "null"; return;
-    case Kind::kBool: out += bool_ ? "true" : "false"; return;
-    case Kind::kInt: out += std::to_string(int_); return;
-    case Kind::kUint: out += std::to_string(uint_); return;
-    case Kind::kDouble: append_double(out, double_); return;
-    case Kind::kString: append_escaped(out, string_); return;
+    case Kind::kBool: out += p_.b ? "true" : "false"; return;
+    case Kind::kInt: append_integer(out, p_.i); return;
+    case Kind::kUint: append_integer(out, p_.u); return;
+    case Kind::kDouble: append_double(out, p_.d); return;
+    case Kind::kString: append_escaped(out, *p_.s); return;
     case Kind::kArray: {
+      const Array& items = *p_.a;
       out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += indent >= 0 ? ", " : ",";
-        array_[i].dump_to(out, indent, depth);
+        items[i].write(out, indent, depth);
       }
       out += ']';
       return;
     }
     case Kind::kObject: {
+      const Object& members = *p_.o;
       out += '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < members.size(); ++i) {
         if (i > 0) out += ',';
         if (indent >= 0) {
           append_newline_indent(out, indent, depth + 1);
         }
-        append_escaped(out, object_[i].key);
+        append_escaped(out, members[i].key);
         out += indent >= 0 ? ": " : ":";
-        object_[i].value.dump_to(out, indent, depth + 1);
+        members[i].value.write(out, indent, depth + 1);
       }
-      if (indent >= 0 && !object_.empty()) {
+      if (indent >= 0 && !members.empty()) {
         append_newline_indent(out, indent, depth);
       }
       out += '}';
@@ -233,14 +274,18 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
 
 std::string Value::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  dump_to(out, indent);
   return out;
+}
+
+void Value::dump_to(std::string& out, int indent) const {
+  write(out, indent, 0);
 }
 
 // --- Parsing ---
 
-namespace {
-
+// Recursive descent over the whole text. Not in an unnamed namespace: Value
+// befriends it so members append straight into the object's vector.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_{text} {}
@@ -282,6 +327,14 @@ class Parser {
     return true;
   }
 
+  // Consumes the opening bracket of an array or object, one level deeper.
+  void open(char bracket) {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+    expect(bracket);
+  }
+
   Value parse_value() {
     skip_ws();
     const char c = peek();
@@ -303,47 +356,54 @@ class Parser {
   }
 
   Value parse_object() {
-    expect('{');
+    open('{');
     Value obj = Value::object();
+    Value::Object& members = *obj.p_.o;
     skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return obj;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.set(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
+    if (peek() != '}') {
+      while (true) {
+        skip_ws();
+        std::string key = parse_string();
+        skip_ws();
+        expect(':');
+        members.push_back({std::move(key), parse_value()});
+        skip_ws();
+        if (peek() != ',') break;
         ++pos_;
-        continue;
       }
-      expect('}');
-      return obj;
     }
+    expect('}');
+    reject_duplicate_keys(members);
+    --depth_;
+    return obj;
+  }
+
+  // Our writers never repeat a key (set() overwrites), so a repeat marks a
+  // foreign or corrupt document. Sorting keeps a hostile object O(n log n).
+  void reject_duplicate_keys(const Value::Object& members) {
+    keys_.clear();
+    for (const Member& m : members) keys_.push_back(m.key);
+    std::sort(keys_.begin(), keys_.end());
+    const auto it = std::adjacent_find(keys_.begin(), keys_.end());
+    if (it != keys_.end()) fail("duplicate key '" + std::string{*it} + "'");
   }
 
   Value parse_array() {
-    expect('[');
+    open('[');
     Value arr = Value::array();
+    Value::Array& items = *arr.p_.a;
     skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return arr;
-    }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
+    if (peek() != ']') {
+      while (true) {
+        items.push_back(parse_value());
+        skip_ws();
+        if (peek() != ',') break;
         ++pos_;
-        continue;
       }
-      expect(']');
-      return arr;
     }
+    expect(']');
+    --depth_;
+    return arr;
   }
 
   std::string parse_string() {
@@ -444,9 +504,9 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::vector<std::string_view> keys_;  // reused by reject_duplicate_keys
 };
-
-}  // namespace
 
 Value parse(std::string_view text) { return Parser{text}.parse_document(); }
 
@@ -468,11 +528,15 @@ bool write_file(const std::string& path, const Value& v, int indent) {
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
+  std::ifstream in{path, std::ios::binary | std::ios::ate};
   if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return std::move(ss).str();
+  const std::streamoff size = in.tellg();
+  if (size < 0) return std::nullopt;
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(text.data(), size);
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return text;
 }
 
 }  // namespace rpv::json

@@ -8,6 +8,14 @@
 // tests can compare serialized reports verbatim; and exact integer fidelity
 // (64-bit counters are kept as integers, never squeezed through a double).
 // No third-party dependency: the toolchain image is frozen.
+//
+// Node layout: a Value is a kind tag plus one 8-byte payload, 16 bytes in
+// all. bool, int64, uint64 and double sit inline in the payload; a string,
+// array or object sits behind one owning pointer, so copy, move and the
+// destructor are written by hand. The reason is the per-packet traces: a
+// stored run carries ~610k OWD samples, and one 10.9 MB report's tree took
+// ~137 MB as 112-byte nodes that kept every representation side by side,
+// and takes ~20 MB as 16-byte nodes.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +33,45 @@ class Value;
 // dumps deterministic and diffs readable (std::map would reorder keys).
 struct Member;
 
+// Deepest array/object nesting parse() accepts; deeper input throws instead
+// of recursing until the stack runs out. The deepest artifact (report,
+// manifest, fleet, radio map) nests five levels, an event two.
+inline constexpr int kMaxDepth = 256;
+
 class Value {
  public:
   enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject };
 
   Value() = default;  // null
-  Value(bool b) : kind_{Kind::kBool}, bool_{b} {}
-  Value(int i) : kind_{Kind::kInt}, int_{i} {}
-  Value(std::int64_t i) : kind_{Kind::kInt}, int_{i} {}
-  Value(std::uint64_t u) : kind_{Kind::kUint}, uint_{u} {}
-  Value(double d) : kind_{Kind::kDouble}, double_{d} {}
-  Value(std::string s) : kind_{Kind::kString}, string_{std::move(s)} {}
-  Value(const char* s) : kind_{Kind::kString}, string_{s} {}
+  Value(bool b) : kind_{Kind::kBool} { p_.b = b; }
+  Value(int i) : kind_{Kind::kInt} { p_.i = i; }
+  Value(std::int64_t i) : kind_{Kind::kInt} { p_.i = i; }
+  Value(std::uint64_t u) : kind_{Kind::kUint} { p_.u = u; }
+  Value(double d) : kind_{Kind::kDouble} { p_.d = d; }
+  Value(std::string s) : kind_{Kind::kString} {
+    p_.s = new std::string(std::move(s));
+  }
+  Value(const char* s) : kind_{Kind::kString} { p_.s = new std::string(s); }
+
+  // Copies are deep. A moved-from Value is null.
+  Value(const Value& other);
+  Value(Value&& other) noexcept : kind_{other.kind_}, p_{other.p_} {
+    other.kind_ = Kind::kNull;
+  }
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      // `other` may live inside *this: take it before freeing the old tree.
+      const Value old{std::move(*this)};
+      kind_ = other.kind_;
+      p_ = other.p_;
+      other.kind_ = Kind::kNull;
+    }
+    return *this;
+  }
+  ~Value() {
+    if (on_heap()) release();
+  }
 
   [[nodiscard]] static Value array();
   [[nodiscard]] static Value object();
@@ -62,7 +97,9 @@ class Value {
   [[nodiscard]] const std::string& as_string() const;
 
   // --- Arrays ---
+  // Both turn a null into an empty array and throw on any other non-array.
   Value& push_back(Value v);
+  Value& reserve(std::size_t n);
   [[nodiscard]] const std::vector<Value>& items() const;
 
   // --- Objects ---
@@ -79,18 +116,31 @@ class Value {
   // Serialize. indent < 0 -> compact single line; indent >= 0 -> pretty
   // printed with that many spaces per level. Non-finite doubles become null.
   [[nodiscard]] std::string dump(int indent = -1) const;
+  // The same bytes, appended to `out`.
+  void dump_to(std::string& out, int indent = -1) const;
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
+  friend class Parser;  // appends parsed members without set()'s key scan
+
+  using Array = std::vector<Value>;
+  using Object = std::vector<Member>;
+  union Payload {
+    std::uint64_t u;
+    std::int64_t i;
+    double d;
+    bool b;
+    std::string* s;
+    Array* a;
+    Object* o;
+  };
+
+  // The last three kinds own their payload on the heap.
+  [[nodiscard]] bool on_heap() const { return kind_ >= Kind::kString; }
+  void release() noexcept;  // frees the string, array or object
+  void write(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<Value> array_;
-  std::vector<Member> object_;
+  Payload p_{};
 };
 
 struct Member {

@@ -38,7 +38,7 @@ std::vector<Event> RingBufferRecorder::snapshot() const {
 std::string to_jsonl(const std::vector<Event>& events) {
   std::string out;
   for (const Event& e : events) {
-    out += event_to_json(e).dump(-1);
+    event_to_json(e).dump_to(out);
     out += '\n';
   }
   return out;

@@ -7,6 +7,11 @@
 #include <limits>
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
 
 #include "bench_common.hpp"
 #include "exec/campaign_engine.hpp"
@@ -155,6 +160,169 @@ TEST(Json, MissingKeyNamesTheKey) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find("missing"), std::string::npos);
   }
+}
+
+TEST(Json, NestingDeeperThanTheLimitThrowsInsteadOfCrashing) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(json::parse(nested(json::kMaxDepth)).dump(), nested(json::kMaxDepth));
+  try {
+    (void)json::parse(nested(json::kMaxDepth + 1));
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    // The offset of the bracket that went one level too deep.
+    EXPECT_NE(std::string{e.what()}.find(
+                  "at offset " + std::to_string(json::kMaxDepth)),
+              std::string::npos)
+        << e.what();
+  }
+  // Unbalanced megabytes of brackets used to overflow the stack.
+  for (const std::size_t n : {std::size_t{100'000}, std::size_t{1'000'000}}) {
+    EXPECT_THROW((void)json::parse(std::string(n, '[')), std::runtime_error);
+    EXPECT_THROW((void)json::parse(std::string(n / 2, '[') + "{\"a\":" +
+                                   std::string(n / 2, '{')),
+                 std::runtime_error);
+  }
+}
+
+TEST(Json, DuplicateKeyThrows) {
+  for (const char* text : {R"({"a":1,"b":2,"a":3})", R"({"x":{"k":1,"k":1}})"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)json::parse(text), std::runtime_error);
+  }
+  // A repeat among many keys, far from its first use.
+  std::string big = "{";
+  for (int i = 0; i < 100; ++i) big += "\"k" + std::to_string(i) + "\":0,";
+  EXPECT_NO_THROW((void)json::parse(big + "\"k100\":0}"));
+  EXPECT_THROW((void)json::parse(big + "\"k42\":0}"), std::runtime_error);
+  // The same key in sibling objects is fine.
+  EXPECT_NO_THROW((void)json::parse(R"([{"a":1},{"a":2}])"));
+}
+
+TEST(Json, HundredThousandKeyObjectParses) {
+  // Members append as parsed; inserting each through set()'s scan of the
+  // earlier keys made this quadratic (40k keys took seconds).
+  constexpr int kKeys = 100'000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ',';
+    text += "\"key" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  text += '}';
+  const auto v = json::parse(text);
+  ASSERT_EQ(v.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(v.members().front().key, "key0");
+  EXPECT_EQ(v.at("key99999").as_i64(), 99999);
+  EXPECT_EQ(v.dump(), text);
+}
+
+// --- JSON value node: the hand-managed 16-byte layout ---
+
+static_assert(sizeof(json::Value) <= 16, "json::Value is a tag plus 8 bytes");
+
+// Bytes the allocator has handed out and not had back.
+std::size_t heap_in_use() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return __sanitizer_get_current_allocated_bytes();
+#else
+  const auto m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+#endif
+}
+
+json::Value sample_document() {
+  json::Value doc = json::Value::object();
+  doc.set("name", "run").set("n", 3).set("xs", json::parse("[1,2.5,[true]]"));
+  doc.set("sub", json::parse(R"({"k":"v","z":null})"));
+  return doc;
+}
+
+TEST(JsonValue, CopyIsDeep) {
+  const json::Value original = sample_document();
+  const std::string before = original.dump();
+  json::Value copy = original;
+  copy.set("name", "changed").set("sub", 1);
+  json::Value xs = copy.at("xs");
+  xs.push_back("more");
+  copy.set("xs", xs);
+  EXPECT_EQ(original.dump(), before);
+  EXPECT_EQ(copy.dump(),
+            R"({"name":"changed","n":3,"xs":[1,2.5,[true],"more"],"sub":1})");
+
+  json::Value assigned = json::Value::array();
+  assigned = original;
+  assigned.set("n", 4);
+  EXPECT_EQ(original.dump(), before);
+  EXPECT_EQ(assigned.at("n").as_i64(), 4);
+}
+
+TEST(JsonValue, MovedFromValueIsNullAndReusable) {
+  for (json::Value v : {sample_document(), json::Value{"text"},
+                        json::parse("[1,2]"), json::Value{7}}) {
+    const std::string bytes = v.dump();
+    json::Value moved{std::move(v)};
+    EXPECT_TRUE(v.is_null());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.dump(), bytes);
+
+    json::Value target = json::parse(R"({"old":[1,2,3]})");
+    target = std::move(moved);
+    EXPECT_TRUE(moved.is_null());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(target.dump(), bytes);
+
+    v.push_back(1).push_back("x");
+    EXPECT_EQ(v.dump(), R"([1,"x"])");
+    moved.set("k", true);
+    EXPECT_EQ(moved.dump(), R"({"k":true})");
+  }
+}
+
+TEST(JsonValue, SelfAssignmentIsANoOp) {
+  json::Value v = sample_document();
+  const std::string before = v.dump();
+  json::Value& alias = v;
+  v = alias;
+  EXPECT_EQ(v.dump(), before);
+  v = std::move(alias);
+  EXPECT_EQ(v.dump(), before);
+
+  json::Value s{"text"};
+  json::Value& s_alias = s;
+  s = s_alias;
+  s = std::move(s_alias);
+  EXPECT_EQ(s.as_string(), "text");
+}
+
+TEST(JsonValue, OverwritingAContainerMemberWithAScalarFreesIt) {
+  constexpr std::size_t kItems = std::size_t{1} << 20;  // 16 MB of nodes
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  const std::size_t base = heap_in_use();
+  json::Value doc = json::Value::object();
+  {
+    json::Value items = json::Value::array();
+    items.reserve(kItems);
+    for (std::size_t i = 0; i < kItems; ++i) items.push_back(std::uint64_t{i});
+    json::Value wrapper = json::Value::object();
+    wrapper.set("inner", items);
+    doc.set("array", std::move(items)).set("object", std::move(wrapper));
+  }
+  EXPECT_GT(heap_in_use(), base + 30 * kMiB);
+  doc.set("array", 1).set("object", false);
+  EXPECT_LT(heap_in_use(), base + kMiB);
+  EXPECT_EQ(doc.dump(), R"({"array":1,"object":false})");
+}
+
+TEST(JsonValue, ReserveOnANonArrayThrowsLikePushBack) {
+  for (json::Value v : {json::Value::object(), json::Value{"s"}, json::Value{1},
+                        json::Value{2.5}, json::Value{true}}) {
+    SCOPED_TRACE(v.dump());
+    EXPECT_THROW(v.reserve(4), std::runtime_error);
+    EXPECT_THROW(v.push_back(1), std::runtime_error);
+  }
+  json::Value null;
+  null.reserve(4).push_back(1);
+  EXPECT_EQ(null.dump(), "[1]");
 }
 
 // --- Campaign determinism: parallel == serial, byte for byte ---
