@@ -15,15 +15,15 @@ ScreamController::ScreamController(ScreamConfig cfg)
 void ScreamController::on_packet_sent(const SentPacket& p) {
   const std::int64_t seq = unwrapper_.unwrap(p.transport_seq);
   last_sent_seq_ = p.transport_seq;
-  flights_.emplace(seq, Flight{p.size_bytes, p.send_time});
+  flights_.insert(seq, Flight{p.size_bytes, p.send_time});
   bytes_in_flight_ += p.size_bytes;
 }
 
 void ScreamController::declare_lost(std::int64_t seq, sim::TimePoint now) {
-  const auto it = flights_.find(seq);
-  if (it == flights_.end()) return;
-  bytes_in_flight_ -= std::min(bytes_in_flight_, it->second.size_bytes);
-  flights_.erase(it);
+  const Flight* flight = flights_.find(seq);
+  if (flight == nullptr) return;
+  bytes_in_flight_ -= std::min(bytes_in_flight_, flight->size_bytes);
+  flights_.erase(seq);
   ++declared_lost_;
   pending_loss_ = true;
   maybe_loss_event(now);
@@ -56,19 +56,18 @@ void ScreamController::on_feedback(const rtp::FeedbackReport& report,
   std::int64_t highest_reported = -1;
 
   for (const auto& r : report.results) {
-    // Locate the unwrapped seq by searching the flights map; send-side
-    // numbering is dense so reconstruct via the 16-bit offset from the
-    // newest sent seq.
+    // Send-side numbering is dense, so the unwrapped seq is the 16-bit
+    // offset back from the newest sent seq.
     const std::int64_t newest = unwrapper_.highest();
     const int back = rtp::seq_diff(last_sent_seq_, r.transport_seq);
     const std::int64_t seq = newest - back;
     highest_reported = std::max(highest_reported, seq);
     if (!r.received) continue;
 
-    const auto it = flights_.find(seq);
-    if (it == flights_.end()) continue;  // already acked or declared lost
-    const double owd_ms = (r.arrival - it->second.send_time).ms();
-    const double rtt_ms = (now - it->second.send_time).ms();
+    const Flight* flight = flights_.find(seq);
+    if (flight == nullptr) continue;  // already acked or declared lost
+    const double owd_ms = (r.arrival - flight->send_time).ms();
+    const double rtt_ms = (now - flight->send_time).ms();
     srtt_ms_ = 0.9 * srtt_ms_ + 0.1 * rtt_ms;
     if (owd_ms < base_owd_ms_) base_owd_ms_ = owd_ms;
     window_min_owd_ms_ = std::min(window_min_owd_ms_, owd_ms);
@@ -79,9 +78,9 @@ void ScreamController::on_feedback(const rtp::FeedbackReport& report,
     }
     last_qdelay_ms_ = std::max(0.0, owd_ms - base_owd_ms_);
 
-    bytes_newly_acked += it->second.size_bytes;
-    bytes_in_flight_ -= std::min(bytes_in_flight_, it->second.size_bytes);
-    flights_.erase(it);
+    bytes_newly_acked += flight->size_bytes;
+    bytes_in_flight_ -= std::min(bytes_in_flight_, flight->size_bytes);
+    flights_.erase(seq);
   }
 
   // RFC 8888 bounded-window loss detection: anything still unacked at or
@@ -91,8 +90,8 @@ void ScreamController::on_feedback(const rtp::FeedbackReport& report,
   if (highest_reported >= 0 && !report.results.empty()) {
     const std::int64_t window_low =
         highest_reported - static_cast<std::int64_t>(report.results.size()) + 1;
-    while (!flights_.empty() && flights_.begin()->first < window_low) {
-      declare_lost(flights_.begin()->first, now);
+    while (!flights_.empty() && flights_.front() < window_low) {
+      declare_lost(flights_.front(), now);
     }
     // Explicitly-reported losses inside the window (genuine radio losses)
     // only count once the window has moved past them; handled above on the
@@ -163,9 +162,9 @@ void ScreamController::update_rate(sim::TimePoint now) {
 void ScreamController::on_tick(sim::TimePoint now) {
   // Radio silence recovery: flights older than the timeout free the window.
   while (!flights_.empty()) {
-    const auto it = flights_.begin();
-    if (now - it->second.send_time < cfg_.flight_timeout) break;
-    declare_lost(it->first, now);
+    const std::int64_t oldest = flights_.front();
+    if (now - flights_.find(oldest)->send_time < cfg_.flight_timeout) break;
+    declare_lost(oldest, now);
   }
 }
 

@@ -16,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "cc/rate_controller.hpp"
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
 
 namespace rpv::cc::scream {
@@ -91,7 +91,9 @@ class ScreamController final : public RateController {
   std::size_t cwnd_;
   std::size_t bytes_in_flight_ = 0;
 
-  std::map<std::int64_t, Flight> flights_;  // unwrapped transport seq
+  // In flight, keyed by unwrapped transport seq; the window spans the
+  // oldest to the newest unacked packet and grows as the span needs.
+  rtp::SeqWindow<Flight> flights_;
   rtp::SeqUnwrapper unwrapper_;
   std::uint16_t last_sent_seq_ = 0;
 

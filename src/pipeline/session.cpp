@@ -70,6 +70,16 @@ void SessionConfig::validate() const {
                 "SessionConfig: fec_group_size must not be negative");
   rpv::validate(obs.ring_capacity > 0,
                 "SessionConfig: obs.ring_capacity must be positive");
+  // A non-positive feedback or poll interval re-arms its timer at the same
+  // instant forever; an ack window below one acknowledges nothing.
+  rpv::validate(receiver.twcc_interval > sim::Duration::zero(),
+                "SessionConfig: receiver.twcc_interval must be positive");
+  rpv::validate(receiver.rfc8888_interval > sim::Duration::zero(),
+                "SessionConfig: receiver.rfc8888_interval must be positive");
+  rpv::validate(receiver.rfc8888_ack_window >= 1,
+                "SessionConfig: receiver.rfc8888_ack_window must be >= 1");
+  rpv::validate(sender.blocked_poll > sim::Duration::zero(),
+                "SessionConfig: sender.blocked_poll must be positive");
   if (c2.enabled) {
     rpv::validate(c2.command_interval > sim::Duration::zero(),
                   "SessionConfig: c2.command_interval must be positive");
@@ -204,8 +214,8 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
     }
     receiver_ = std::make_unique<VideoReceiver>(
         sim_, cfg_.receiver, table_,
-        [this](const rtp::FeedbackReport& report, std::size_t size) {
-          send_feedback(report, size);
+        [this](rtp::FeedbackReport report, std::size_t size) {
+          send_feedback(std::move(report), size);
         },
         rng_.fork(), fec_table);
     // Rate hints and dip/deferral follow the primary operator's predictor.
@@ -337,10 +347,10 @@ void Session::send_copies(net::Packet p, bond::RouteDecision d, bool uplink,
   });
 }
 
-void Session::send_feedback(const rtp::FeedbackReport& report,
-                            std::size_t size) {
+void Session::send_feedback(rtp::FeedbackReport report, std::size_t size) {
   // Feedback: WAN back-haul, then the downlink of every path; the sender
-  // acts on the first copy to arrive.
+  // acts on the first copy to arrive. Every path's copy shares the one
+  // immutable report.
   net::Packet p;
   p.id = next_id_++;
   p.kind = net::PacketKind::kRtcpFeedback;
@@ -350,10 +360,12 @@ void Session::send_feedback(const rtp::FeedbackReport& report,
                               static_cast<std::uint32_t>(p.size_bytes))) {
     return;
   }
-  sim_.schedule_in(wan_delay, [this, p, report] {
-    bond::BondablePath::DeliverFn done = [this, report](net::Packet) {
-      sender_->on_feedback(report);
-    };
+  auto shared = std::make_shared<const rtp::FeedbackReport>(std::move(report));
+  sim_.schedule_in(wan_delay, [this, p, shared = std::move(shared)]() mutable {
+    bond::BondablePath::DeliverFn done =
+        [this, shared = std::move(shared)](net::Packet) {
+          sender_->on_feedback(*shared);
+        };
     const int n = static_cast<int>(lm_->path_count());
     if (n > 1) done = first_copy_only(std::move(done));
     for (int i = 0; i < n; ++i) {

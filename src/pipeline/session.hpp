@@ -187,7 +187,7 @@ class Session {
   void send_media(int path, net::Packet p);
   void send_copies(net::Packet p, bond::RouteDecision d, bool uplink,
                    bond::BondablePath::DeliverFn done);
-  void send_feedback(const rtp::FeedbackReport& report, std::size_t size);
+  void send_feedback(rtp::FeedbackReport report, std::size_t size);
   void send_probe();
   void send_command();
   void send_telemetry();

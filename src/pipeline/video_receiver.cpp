@@ -111,7 +111,7 @@ void VideoReceiver::feedback_tick() {
   if (have && !report.results.empty()) {
     const std::size_t size = cfg_.feedback_base_bytes +
                              cfg_.feedback_per_result_bytes * report.results.size();
-    send_feedback_(report, size);
+    send_feedback_(std::move(report), size);
   }
 
   const auto interval = cfg_.feedback == FeedbackKind::kTwcc
@@ -187,7 +187,7 @@ void VideoReceiver::maybe_request_keyframe() {
   rtp::FeedbackReport report;
   report.generated = now;
   report.keyframe_request = true;
-  send_feedback_(report, cfg_.feedback_base_bytes);
+  send_feedback_(std::move(report), cfg_.feedback_base_bytes);
   ++pli_sent_;
   pli_times_.push_back(now);
   next_pli_allowed_ = now + pli_backoff_.next();

@@ -60,8 +60,9 @@ struct ReceiverConfig {
 
 class VideoReceiver {
  public:
-  // Sends a feedback report back to the sender over the return path.
-  using FeedbackFn = std::function<void(const rtp::FeedbackReport&, std::size_t)>;
+  // Sends a feedback report back to the sender over the return path; the
+  // report is handed over, not copied.
+  using FeedbackFn = std::function<void(rtp::FeedbackReport, std::size_t)>;
 
   VideoReceiver(sim::Simulator& simulator, ReceiverConfig cfg,
                 const FrameTable& table, FeedbackFn send_feedback, sim::Rng rng,

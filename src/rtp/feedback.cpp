@@ -1,6 +1,9 @@
 #include "rtp/feedback.hpp"
 
+#include <algorithm>
+
 #include "rtp/sequence.hpp"
+#include "sim/validate.hpp"
 
 namespace rpv::rtp {
 namespace {
@@ -50,35 +53,38 @@ FeedbackReport TwccCollector::build_report(sim::TimePoint now) {
   return report;
 }
 
+Rfc8888Collector::Rfc8888Collector(int ack_window) : ack_window_{ack_window} {
+  rpv::validate(ack_window >= 1, "Rfc8888Collector: ack_window must be >= 1");
+}
+
 void Rfc8888Collector::on_packet(std::uint16_t transport_seq, sim::TimePoint arrival) {
+  const std::int64_t retained = 4 * static_cast<std::int64_t>(ack_window_);
+  if (!unwrapper_.started()) arrivals_.reserve(static_cast<std::size_t>(retained) + 1);
   const std::int64_t s = unwrapper_.unwrap(transport_seq);
-  arrivals_.emplace(s, arrival);
-  any_seen_ = true;
-  if (s > highest_) highest_ = s;
-  // Trim state well behind any feedback window we could still report.
-  const std::int64_t keep_from = highest_ - 4 * ack_window_;
-  while (!arrivals_.empty() && arrivals_.begin()->first < keep_from) {
-    arrivals_.erase(arrivals_.begin());
-  }
+  // Trim state well behind any feedback window we could still report; a
+  // packet arriving already behind it is never retained.
+  const std::int64_t keep_from = unwrapper_.highest() - retained;
+  arrivals_.erase_below(keep_from);
+  if (s >= keep_from) arrivals_.insert(s, arrival);
 }
 
 FeedbackReport Rfc8888Collector::build_report(sim::TimePoint now) const {
   FeedbackReport report;
   report.generated = now;
-  if (!any_seen_) return report;
-  const std::int64_t first = std::max<std::int64_t>(
-      arrivals_.empty() ? highest_ : arrivals_.begin()->first,
-      highest_ - ack_window_ + 1);
-  report.results.reserve(static_cast<std::size_t>(highest_ - first + 1));
-  for (std::int64_t s = first; s <= highest_; ++s) {
-    PacketResult r;
+  if (!has_data()) return report;
+  // The highest seq is always retained, so the ring is never empty here.
+  const std::int64_t highest = unwrapper_.highest();
+  const std::int64_t first =
+      std::max(arrivals_.front(), highest - ack_window_ + 1);
+  report.results.resize(static_cast<std::size_t>(highest - first + 1));
+  std::int64_t s = first;
+  for (PacketResult& r : report.results) {
     r.transport_seq = rewrap(s);
-    const auto it = arrivals_.find(s);
-    if (it != arrivals_.end()) {
+    if (const sim::TimePoint* arrival = arrivals_.find(s)) {
       r.received = true;
-      r.arrival = it->second;
+      r.arrival = *arrival;
     }
-    report.results.push_back(r);
+    ++s;
   }
   return report;
 }

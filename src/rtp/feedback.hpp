@@ -16,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
 #include "sim/time.hpp"
 
@@ -63,21 +63,26 @@ class TwccCollector {
 // Receiver-side collector for RFC 8888 feedback (SCReAM).
 class Rfc8888Collector {
  public:
-  explicit Rfc8888Collector(int ack_window = 64) : ack_window_{ack_window} {}
+  // Throws std::invalid_argument unless ack_window >= 1.
+  explicit Rfc8888Collector(int ack_window = 64);
 
   void on_packet(std::uint16_t transport_seq, sim::TimePoint arrival);
 
   // Report covering [highest - window + 1, highest]: the bounded window is
   // what loses acknowledgments at high rates (see file comment).
   [[nodiscard]] FeedbackReport build_report(sim::TimePoint now) const;
-  [[nodiscard]] bool has_data() const { return any_seen_; }
+  [[nodiscard]] bool has_data() const { return unwrapper_.started(); }
   [[nodiscard]] int ack_window() const { return ack_window_; }
+  // Arrival-ring slots: zero until the first packet, then at least
+  // 4 * ack_window + 1 for the collector's lifetime.
+  [[nodiscard]] std::size_t ring_slots() const { return arrivals_.capacity(); }
 
  private:
   int ack_window_;
-  std::map<std::int64_t, sim::TimePoint> arrivals_;  // unwrapped seq -> arrival
-  std::int64_t highest_ = -1;
-  bool any_seen_ = false;
+  // Arrivals at or above highest - 4 * window, keyed by unwrapped seq (the
+  // first arrival wins). The span never exceeds the ring reserved on the
+  // first packet, so the per-packet path does not allocate.
+  SeqWindow<sim::TimePoint> arrivals_;
   SeqUnwrapper unwrapper_;
 };
 

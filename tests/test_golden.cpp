@@ -1,10 +1,10 @@
 // Golden pins for single-path sessions: the FNV-1a digest of the canonical
-// report JSON of four unobserved flights, and of the events.jsonl stream of
+// report JSON of five unobserved flights, and of the events.jsonl stream of
 // one observed flight. Together they cover every single-path feature the
-// session wiring touches (GCC, SCReAM, probe-only, C2, faults, resilience,
-// FEC, observability), so any refactor of the session layer that changes a
-// single byte of a single-path artifact fails here. See docs/TESTING.md
-// ("Refreshing golden pins") before touching a constant.
+// session wiring touches (GCC, SCReAM at both ack windows, probe-only, C2,
+// faults, resilience, FEC, observability), so any refactor of the session
+// layer that changes a single byte of a single-path artifact fails here. See
+// docs/TESTING.md ("Refreshing golden pins") before touching a constant.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -83,6 +83,20 @@ TEST(GoldenPins, UrbanAirStaticC2RlfStormResilienceFecReport) {
   s.resilience = true;
   s.fec_group_size = 10;
   expect_report_pin(s, 0x5b3b20dade87cad7ull);
+}
+
+// The paper's 64-packet RFC 8888 window under an RLF storm with FEC and
+// keyframe recovery: exercises SCReAM's loss walk below the ack window, its
+// flight timeouts, feedback carrying only a keyframe request, and parity
+// transport seqs.
+TEST(GoldenPins, UrbanAirScreamAckWindow64Report) {
+  auto s = flight(experiment::Environment::kUrban, experiment::Mobility::kAir,
+                  pipeline::CcKind::kScream, 2106);
+  s.rfc8888_ack_window = 64;
+  s.resilience = true;
+  s.fec_group_size = 10;
+  s.fault_preset = experiment::FaultPreset::kRlfStorm;
+  expect_report_pin(s, 0xd89b9684d7f28092ull);
 }
 
 TEST(GoldenPins, ObservedUrbanAirGccEventStream) {

@@ -301,6 +301,28 @@ TEST(SessionConfigValidate, RejectsBadConfigs) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
+// A zero feedback or poll interval re-arms its timer at the same instant
+// forever; an ack window below one starves or crashes SCReAM mid-run.
+TEST(SessionConfigValidate, RejectsFeedbackPathConfigsThatHangOrCrash) {
+  const pipeline::SessionConfig ok;
+
+  pipeline::SessionConfig bad = ok;
+  bad.receiver.twcc_interval = Duration::zero();
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+
+  bad = ok;
+  bad.receiver.rfc8888_interval = Duration::millis(-10);
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+
+  bad = ok;
+  bad.sender.blocked_poll = Duration::zero();
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+
+  bad = ok;
+  bad.receiver.rfc8888_ack_window = 0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+}
+
 // --- End-to-end: observed sessions ---
 
 experiment::Scenario quick_scenario(std::uint64_t seed) {

@@ -1,5 +1,11 @@
 // Property-style parameterized sweeps across seeds, rates, and module
 // configurations: invariants that must hold for any input in the domain.
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cc/gcc/gcc_controller.hpp"
@@ -7,8 +13,10 @@
 #include "cellular/link_queue.hpp"
 #include "cellular/loss_model.hpp"
 #include "radiomap/radio_map.hpp"
+#include "rtp/feedback.hpp"
 #include "rtp/jitter_buffer.hpp"
 #include "rtp/packetizer.hpp"
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
 #include "video/encoder_model.hpp"
 #include "video/ssim_model.hpp"
@@ -222,8 +230,421 @@ TEST_P(ScreamFeedbackFuzz, FlightAccountingConsistent) {
   }
 }
 
+// --- The flat RFC 8888 feedback path matches the ordered-map model ---
+//
+// Reference models: the RFC 8888 collector and SCReAM's flight accounting
+// written over std::map. The flat seq windows must match them exactly, so
+// the fuzzers drive each pair side by side and compare after every call.
+
+TimePoint at_ms(double ms) {
+  return TimePoint::from_us(static_cast<std::int64_t>(ms * 1000));
+}
+
+class MapRfc8888Collector {
+ public:
+  explicit MapRfc8888Collector(int ack_window) : ack_window_{ack_window} {}
+
+  void on_packet(std::uint16_t transport_seq, TimePoint arrival) {
+    const std::int64_t s = unwrapper_.unwrap(transport_seq);
+    arrivals_.emplace(s, arrival);
+    any_seen_ = true;
+    if (s > highest_) highest_ = s;
+    const std::int64_t keep_from = highest_ - 4 * ack_window_;
+    while (!arrivals_.empty() && arrivals_.begin()->first < keep_from) {
+      arrivals_.erase(arrivals_.begin());
+    }
+  }
+
+  rtp::FeedbackReport build_report(TimePoint now) const {
+    rtp::FeedbackReport report;
+    report.generated = now;
+    if (!any_seen_) return report;
+    const std::int64_t first = std::max<std::int64_t>(
+        arrivals_.empty() ? highest_ : arrivals_.begin()->first,
+        highest_ - ack_window_ + 1);
+    for (std::int64_t s = first; s <= highest_; ++s) {
+      rtp::PacketResult r;
+      r.transport_seq = static_cast<std::uint16_t>(s & 0xFFFF);
+      const auto it = arrivals_.find(s);
+      if (it != arrivals_.end()) {
+        r.received = true;
+        r.arrival = it->second;
+      }
+      report.results.push_back(r);
+    }
+    return report;
+  }
+
+ private:
+  int ack_window_;
+  std::map<std::int64_t, TimePoint> arrivals_;
+  std::int64_t highest_ = -1;
+  bool any_seen_ = false;
+  rtp::SeqUnwrapper unwrapper_;
+};
+
+class MapScreamController {
+ public:
+  explicit MapScreamController(cc::scream::ScreamConfig cfg = {})
+      : cfg_{cfg},
+        rate_bps_{cfg.initial_rate_bps},
+        cwnd_{std::max<std::size_t>(cfg.min_cwnd_bytes, 20 * cfg.mss_bytes)} {}
+
+  void on_packet_sent(const cc::SentPacket& p) {
+    const std::int64_t seq = unwrapper_.unwrap(p.transport_seq);
+    last_sent_seq_ = p.transport_seq;
+    flights_.emplace(seq, Flight{p.size_bytes, p.send_time});
+    bytes_in_flight_ += p.size_bytes;
+  }
+
+  void on_feedback(const rtp::FeedbackReport& report, TimePoint now) {
+    if (report.results.empty()) return;
+    std::size_t bytes_newly_acked = 0;
+    std::int64_t highest_reported = -1;
+    for (const auto& r : report.results) {
+      const std::int64_t newest = unwrapper_.highest();
+      const int back = rtp::seq_diff(last_sent_seq_, r.transport_seq);
+      const std::int64_t seq = newest - back;
+      highest_reported = std::max(highest_reported, seq);
+      if (!r.received) continue;
+      const auto it = flights_.find(seq);
+      if (it == flights_.end()) continue;
+      const double owd_ms = (r.arrival - it->second.send_time).ms();
+      const double rtt_ms = (now - it->second.send_time).ms();
+      srtt_ms_ = 0.9 * srtt_ms_ + 0.1 * rtt_ms;
+      if (owd_ms < base_owd_ms_) base_owd_ms_ = owd_ms;
+      window_min_owd_ms_ = std::min(window_min_owd_ms_, owd_ms);
+      if (now - base_window_start_ > cfg_.base_refresh) {
+        base_owd_ms_ = window_min_owd_ms_;
+        window_min_owd_ms_ = 1e9;
+        base_window_start_ = now;
+      }
+      last_qdelay_ms_ = std::max(0.0, owd_ms - base_owd_ms_);
+      bytes_newly_acked += it->second.size_bytes;
+      bytes_in_flight_ -= std::min(bytes_in_flight_, it->second.size_bytes);
+      flights_.erase(it);
+    }
+    if (highest_reported >= 0 && !report.results.empty()) {
+      const std::int64_t window_low =
+          highest_reported - static_cast<std::int64_t>(report.results.size()) + 1;
+      while (!flights_.empty() && flights_.begin()->first < window_low) {
+        declare_lost(flights_.begin()->first, now);
+      }
+      for (const auto& r : report.results) {
+        if (r.received) continue;
+        const std::int64_t newest = unwrapper_.highest();
+        const int back = rtp::seq_diff(last_sent_seq_, r.transport_seq);
+        const std::int64_t seq = newest - back;
+        if (highest_reported - seq >
+            static_cast<std::int64_t>(report.results.size()) / 2) {
+          declare_lost(seq, now);
+        }
+      }
+    }
+    const double off_target =
+        (cfg_.qdelay_target_ms - last_qdelay_ms_) / cfg_.qdelay_target_ms;
+    if (bytes_newly_acked > 0) {
+      const double delta = cfg_.gain * off_target *
+                           static_cast<double>(bytes_newly_acked) *
+                           static_cast<double>(cfg_.mss_bytes) /
+                           static_cast<double>(cwnd_);
+      const double new_cwnd = static_cast<double>(cwnd_) + delta;
+      cwnd_ = static_cast<std::size_t>(
+          std::max(static_cast<double>(cfg_.min_cwnd_bytes), new_cwnd));
+    }
+    maybe_loss_event(now);
+    const auto cwnd_floor = static_cast<std::size_t>(
+        cfg_.min_rate_bps * (srtt_ms_ / 1e3) / 8.0);
+    cwnd_ = std::max(cwnd_, std::max(cfg_.min_cwnd_bytes, cwnd_floor));
+    update_rate(now);
+  }
+
+  void on_tick(TimePoint now) {
+    while (!flights_.empty()) {
+      const auto it = flights_.begin();
+      if (now - it->second.send_time < cfg_.flight_timeout) break;
+      declare_lost(it->first, now);
+    }
+  }
+
+  void on_feedback_timeout(TimePoint now, double factor) {
+    cwnd_ = std::max(cfg_.min_cwnd_bytes,
+                     static_cast<std::size_t>(static_cast<double>(cwnd_) * factor));
+    rate_bps_ = std::max(cfg_.min_rate_bps, rate_bps_ * factor);
+    last_rate_update_ = now;
+  }
+
+  void on_send_queue_delay(double ms) { rtp_queue_delay_ms_ = ms; }
+  void on_queue_discard() {
+    rate_bps_ = std::max(cfg_.min_rate_bps, rate_bps_ * cfg_.queue_discard_rate_factor);
+    rtp_queue_delay_ms_ = 0.0;
+  }
+
+  [[nodiscard]] double target_bitrate_bps() const { return rate_bps_; }
+  [[nodiscard]] std::size_t cwnd_bytes() const { return cwnd_; }
+  [[nodiscard]] std::size_t bytes_in_flight() const { return bytes_in_flight_; }
+  [[nodiscard]] std::uint64_t packets_declared_lost() const { return declared_lost_; }
+  [[nodiscard]] std::uint64_t loss_events() const { return loss_events_; }
+
+ private:
+  struct Flight {
+    std::size_t size_bytes = 0;
+    TimePoint send_time;
+  };
+
+  void declare_lost(std::int64_t seq, TimePoint now) {
+    const auto it = flights_.find(seq);
+    if (it == flights_.end()) return;
+    bytes_in_flight_ -= std::min(bytes_in_flight_, it->second.size_bytes);
+    flights_.erase(it);
+    ++declared_lost_;
+    pending_loss_ = true;
+    maybe_loss_event(now);
+  }
+
+  void maybe_loss_event(TimePoint now) {
+    if (!pending_loss_) return;
+    if (!last_loss_event_.is_never() &&
+        now - last_loss_event_ < cfg_.loss_event_guard) {
+      pending_loss_ = false;
+      return;
+    }
+    last_loss_event_ = now;
+    pending_loss_ = false;
+    ++loss_events_;
+    cwnd_ = std::max(cfg_.min_cwnd_bytes,
+                     static_cast<std::size_t>(static_cast<double>(cwnd_) *
+                                              cfg_.loss_beta_cwnd));
+    rate_bps_ = std::max(cfg_.min_rate_bps, rate_bps_ * cfg_.loss_beta_rate);
+  }
+
+  void update_rate(TimePoint now) {
+    double dt = 0.1;
+    if (!last_rate_update_.is_never()) {
+      dt = std::clamp((now - last_rate_update_).sec(), 0.0, 0.5);
+    }
+    last_rate_update_ = now;
+    const double cwnd_rate =
+        static_cast<double>(cwnd_) * 8.0 / std::max(srtt_ms_ / 1e3, 1e-3);
+    const bool queue_ok = rtp_queue_delay_ms_ < cfg_.queue_hold_ms;
+    const bool qdelay_ok = last_qdelay_ms_ < 0.75 * cfg_.qdelay_target_ms;
+    if (queue_ok && qdelay_ok) {
+      const double scale = std::max(1.0, rate_bps_ / 6e6);
+      rate_bps_ += cfg_.ramp_up_bps_per_sec * scale * dt;
+    } else if (last_qdelay_ms_ > cfg_.qdelay_target_ms) {
+      rate_bps_ *= (1.0 - 0.5 * dt);
+    }
+    rate_bps_ = std::min(rate_bps_, cwnd_rate);
+    rate_bps_ = std::clamp(rate_bps_, cfg_.min_rate_bps, cfg_.max_rate_bps);
+  }
+
+  cc::scream::ScreamConfig cfg_;
+  double rate_bps_;
+  std::size_t cwnd_;
+  std::size_t bytes_in_flight_ = 0;
+  std::map<std::int64_t, Flight> flights_;
+  rtp::SeqUnwrapper unwrapper_;
+  std::uint16_t last_sent_seq_ = 0;
+  double base_owd_ms_ = 1e9;
+  double window_min_owd_ms_ = 1e9;
+  TimePoint base_window_start_ = TimePoint::origin();
+  double last_qdelay_ms_ = 0.0;
+  double srtt_ms_ = 50.0;
+  double rtp_queue_delay_ms_ = 0.0;
+  bool pending_loss_ = false;
+  TimePoint last_loss_event_ = TimePoint::never();
+  TimePoint last_rate_update_ = TimePoint::never();
+  std::uint64_t loss_events_ = 0;
+  std::uint64_t declared_lost_ = 0;
+};
+
+// Random send / ack / loss / timeout sequences, including sends of old seqs
+// that land below the flight window's head.
+TEST_P(ScreamFeedbackFuzz, MatchesMapReference) {
+  sim::Rng rng{GetParam()};
+  cc::scream::ScreamController flat;
+  MapScreamController ref;
+  std::uint16_t next = 65000;  // crosses the 16-bit wrap
+  double t_ms = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.5) {
+      t_ms += rng.uniform(0.1, 3.0);
+      std::uint16_t seq = next;
+      if (rng.chance(0.05)) {
+        seq = static_cast<std::uint16_t>(next - rng.uniform_int(1, 300));
+      } else {
+        ++next;
+      }
+      const cc::SentPacket p{
+          seq, static_cast<std::size_t>(rng.uniform_int(200, 1240)), at_ms(t_ms)};
+      flat.on_packet_sent(p);
+      ref.on_packet_sent(p);
+    } else if (op < 0.8) {
+      // A report over a random window ending near the newest seq; an empty
+      // one stands for feedback carrying only a keyframe request.
+      rtp::FeedbackReport report;
+      report.keyframe_request = rng.chance(0.05);
+      const auto len = rng.uniform_int(0, 300);
+      const auto end = static_cast<std::uint16_t>(next - rng.uniform_int(0, 20));
+      for (auto k = len; k > 0; --k) {
+        report.results.push_back({static_cast<std::uint16_t>(end - k),
+                                  rng.chance(0.9),
+                                  at_ms(t_ms + rng.uniform(-20.0, 80.0))});
+      }
+      const auto now = at_ms(t_ms + rng.uniform(0.0, 60.0));
+      flat.on_feedback(report, now);
+      ref.on_feedback(report, now);
+    } else if (op < 0.93) {
+      if (rng.chance(0.1)) t_ms += rng.uniform(500.0, 3000.0);  // past the flight timeout
+      flat.on_tick(at_ms(t_ms));
+      ref.on_tick(at_ms(t_ms));
+    } else if (op < 0.96) {
+      flat.on_feedback_timeout(at_ms(t_ms), 0.8);
+      ref.on_feedback_timeout(at_ms(t_ms), 0.8);
+    } else if (op < 0.98) {
+      flat.on_queue_discard(at_ms(t_ms));
+      ref.on_queue_discard();
+    } else {
+      const double ms = rng.uniform(0.0, 80.0);
+      flat.on_send_queue_delay(ms);
+      ref.on_send_queue_delay(ms);
+    }
+    ASSERT_EQ(flat.bytes_in_flight(), ref.bytes_in_flight()) << "step " << step;
+    ASSERT_EQ(flat.packets_declared_lost(), ref.packets_declared_lost())
+        << "step " << step;
+    ASSERT_EQ(flat.loss_events(), ref.loss_events()) << "step " << step;
+    ASSERT_EQ(flat.cwnd_bytes(), ref.cwnd_bytes()) << "step " << step;
+    ASSERT_EQ(flat.target_bitrate_bps(), ref.target_bitrate_bps())
+        << "step " << step;
+  }
+  EXPECT_GT(ref.packets_declared_lost(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ScreamFeedbackFuzz,
                          ::testing::Values(201, 202, 203, 204, 205));
+
+bool same_report(const rtp::FeedbackReport& a, const rtp::FeedbackReport& b) {
+  if (a.generated != b.generated || a.keyframe_request != b.keyframe_request ||
+      a.results.size() != b.results.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const auto& x = a.results[i];
+    const auto& y = b.results[i];
+    if (x.transport_seq != y.transport_seq || x.received != y.received ||
+        x.arrival != y.arrival) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class Rfc8888CollectorFuzz
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+// Seeded arrival streams with drop bursts, duplicates, reordering up to
+// 3 * window, sparse stretches that leave few seqs retained, packets late
+// around and past the trim point highest - 4 * window, and the 16-bit wrap.
+TEST_P(Rfc8888CollectorFuzz, ReportsMatchMapReference) {
+  const auto [window, seed] = GetParam();
+  sim::Rng rng{seed};
+  rtp::Rfc8888Collector flat{window};
+  MapRfc8888Collector ref{window};
+  std::int64_t next = 65536 - rng.uniform_int(1, 40 * window + 100);
+  std::int64_t top = next;  // highest seq delivered so far
+  double t_ms = 0.0;
+  auto deliver = [&](std::int64_t seq) {
+    t_ms += rng.uniform(0.0, 0.5);
+    const auto wire = static_cast<std::uint16_t>(seq & 0xFFFF);
+    flat.on_packet(wire, at_ms(t_ms));
+    ref.on_packet(wire, at_ms(t_ms));
+  };
+  std::size_t reports = 0;
+  for (int batch = 0; batch < 80; ++batch) {
+    std::vector<std::pair<double, std::int64_t>> arrivals;  // (order key, seq)
+    const bool sparse = rng.chance(0.3);
+    const auto n = rng.uniform_int(1, 4 * window + 16);
+    for (std::int64_t i = 0; i < n; ++i, ++next) {
+      if (sparse) {
+        next += rng.uniform_int(0, 2 * window);
+      } else if (rng.chance(0.03)) {
+        next += rng.uniform_int(1, 2 * window);  // drop burst
+      }
+      if (rng.chance(0.05)) continue;  // single loss
+      const double key = static_cast<double>(i) +
+                         (rng.chance(0.3) ? rng.uniform(0.0, 3.0 * window) : 0.0);
+      arrivals.emplace_back(key, next);
+      if (rng.chance(0.03)) arrivals.emplace_back(key + rng.uniform(0.0, 8.0), next);
+    }
+    if (rng.chance(0.3)) {
+      arrivals.emplace_back(rng.uniform(0.0, static_cast<double>(n)),
+                            next - 4 * window - rng.uniform_int(1, window + 1));
+    }
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [key, seq] : arrivals) {
+      deliver(seq);
+      top = std::max(top, seq);
+      if (rng.chance(0.05)) deliver(top - 4 * window + rng.uniform_int(-2, 1));
+      if (rng.chance(16.0 / window)) {
+        ASSERT_TRUE(same_report(flat.build_report(at_ms(t_ms)),
+                                ref.build_report(at_ms(t_ms))))
+            << "batch " << batch << " seq " << seq;
+        ++reports;
+      }
+    }
+    ASSERT_TRUE(same_report(flat.build_report(at_ms(t_ms)),
+                            ref.build_report(at_ms(t_ms))))
+        << "batch " << batch;
+    ++reports;
+  }
+  EXPECT_GT(next, 65536 + 4 * window);  // the stream wrapped
+  EXPECT_GE(reports, 80u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowsAndSeeds, Rfc8888CollectorFuzz,
+    ::testing::Combine(::testing::Values(1, 4, 64, 256),
+                       ::testing::Values(std::uint64_t{401}, std::uint64_t{402},
+                                         std::uint64_t{403})));
+
+class SeqWindowFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Random inserts anywhere near a sliding centre (negative seqs included),
+// erases and range trims against std::map.
+TEST_P(SeqWindowFuzz, MatchesStdMap) {
+  sim::Rng rng{GetParam()};
+  rtp::SeqWindow<int> flat;
+  std::map<std::int64_t, int> ref;
+  std::int64_t centre = rng.uniform_int(-5000, 5000);
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t seq = centre + rng.uniform_int(-300, 300);
+    const double op = rng.uniform();
+    if (op < 0.5) {
+      ASSERT_EQ(flat.insert(seq, step), ref.emplace(seq, step).second);
+    } else if (op < 0.9) {
+      flat.erase(seq);
+      ref.erase(seq);
+    } else {
+      flat.erase_below(seq - 200);
+      ref.erase(ref.begin(), ref.lower_bound(seq - 200));
+    }
+    centre += rng.uniform_int(0, 2);
+    ASSERT_EQ(flat.size(), ref.size()) << "step " << step;
+    if (!ref.empty()) {
+      ASSERT_EQ(flat.front(), ref.begin()->first) << "step " << step;
+      ASSERT_EQ(flat.back(), ref.rbegin()->first) << "step " << step;
+    }
+    const std::int64_t probe = centre + rng.uniform_int(-400, 400);
+    const int* found = flat.find(probe);
+    const auto it = ref.find(probe);
+    ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step;
+    if (found != nullptr) ASSERT_EQ(*found, it->second);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeqWindowFuzz, ::testing::Values(501, 502, 503));
 
 // --- Jitter buffer: releases are always frame-ordered, any loss pattern ---
 

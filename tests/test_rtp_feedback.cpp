@@ -1,5 +1,7 @@
 #include "rtp/feedback.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 namespace rpv::rtp {
@@ -175,6 +177,52 @@ TEST(Rfc8888, SurvivesWrap) {
   const auto r = c.build_report(at_ms(100));
   ASSERT_EQ(r.results.size(), 8u);
   for (const auto& pr : r.results) EXPECT_TRUE(pr.received);
+}
+
+TEST(Rfc8888, RejectsWindowBelowOne) {
+  EXPECT_THROW(Rfc8888Collector{0}, std::invalid_argument);
+  EXPECT_THROW(Rfc8888Collector{-1}, std::invalid_argument);
+}
+
+TEST(Rfc8888, RingAllocatedOnFirstPacketOnly) {
+  // A receiver that never sees an RFC 8888 packet (every TWCC session)
+  // holds no ring; after the first packet the ring never regrows.
+  Rfc8888Collector c{64};
+  EXPECT_EQ(c.ring_slots(), 0u);
+  c.on_packet(65000, at_ms(0));
+  const auto slots = c.ring_slots();
+  EXPECT_GE(slots, 4u * 64u + 1u);
+  std::uint16_t s = 65000;
+  for (int i = 1; i < 5000; ++i) {
+    s = static_cast<std::uint16_t>(s + (i % 50 == 0 ? 300 : 1));  // gaps, wrap
+    c.on_packet(s, at_ms(i));
+  }
+  EXPECT_EQ(c.ring_slots(), slots);
+}
+
+TEST(Rfc8888, LatePacketBehindRetainedStateIsDropped) {
+  Rfc8888Collector c{4};  // retains seqs from highest - 16 up
+  c.on_packet(100, at_ms(0));
+  c.on_packet(130, at_ms(1));  // trims 100
+  c.on_packet(110, at_ms(2));  // late: below 130 - 16, never retained
+  EXPECT_EQ(c.build_report(at_ms(10)).results.size(), 1u);
+  // A retained older arrival opens the full window below the highest seq.
+  c.on_packet(120, at_ms(3));
+  const auto r = c.build_report(at_ms(20));
+  ASSERT_EQ(r.results.size(), 4u);
+  EXPECT_EQ(r.results.front().transport_seq, 127);
+  EXPECT_FALSE(r.results.front().received);
+  EXPECT_TRUE(r.results.back().received);
+}
+
+TEST(Rfc8888, FirstArrivalWinsForDuplicates) {
+  Rfc8888Collector c{8};
+  c.on_packet(0, at_ms(1));
+  c.on_packet(1, at_ms(2));
+  c.on_packet(1, at_ms(9));
+  const auto r = c.build_report(at_ms(10));
+  ASSERT_EQ(r.results.size(), 2u);
+  EXPECT_EQ(r.results[1].arrival, at_ms(2));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rtp/seq_window.hpp"
+
 namespace rpv::rtp {
 namespace {
 
@@ -94,6 +96,72 @@ TEST(SeqUnwrapper, StartedFlag) {
   u.unwrap(5);
   EXPECT_TRUE(u.started());
   EXPECT_EQ(u.highest(), 5);
+}
+
+// --- SeqWindow ---
+
+TEST(SeqWindow, FirstInsertWinsAndFindsBySeq) {
+  SeqWindow<int> w;
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.find(5), nullptr);
+  EXPECT_TRUE(w.insert(5, 50));
+  EXPECT_FALSE(w.insert(5, 51));
+  ASSERT_NE(w.find(5), nullptr);
+  EXPECT_EQ(*w.find(5), 50);
+  EXPECT_EQ(w.find(6), nullptr);
+  EXPECT_EQ(w.size(), 1u);
+}
+
+TEST(SeqWindow, FrontAndBackStayLive) {
+  SeqWindow<int> w;
+  for (std::int64_t s = 10; s < 20; ++s) w.insert(s, 0);
+  w.erase(11);
+  w.erase(10);  // the front skips the erased 11
+  EXPECT_EQ(w.front(), 12);
+  w.erase(19);
+  w.erase(18);
+  EXPECT_EQ(w.back(), 17);
+  w.erase_below(15);
+  EXPECT_EQ(w.front(), 15);
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.find(14), nullptr);
+}
+
+TEST(SeqWindow, InsertBelowTheFrontAndNegativeSeqs) {
+  SeqWindow<int> w;
+  w.insert(3, 3);
+  w.insert(-2, -2);
+  EXPECT_EQ(w.front(), -2);
+  EXPECT_EQ(w.back(), 3);
+  w.erase(-2);
+  EXPECT_EQ(w.front(), 3);
+  w.erase(3);
+  EXPECT_TRUE(w.empty());
+  // A far-away insert after emptying needs no shared span.
+  w.insert(1'000'000, 7);
+  EXPECT_EQ(w.front(), 1'000'000);
+  EXPECT_EQ(*w.find(1'000'000), 7);
+}
+
+TEST(SeqWindow, GrowsToFitTheSpanKeepingEntries) {
+  SeqWindow<int> w;
+  w.insert(0, 0);
+  w.insert(5000, 5000);  // forces the ring past its minimum size
+  EXPECT_GE(w.capacity(), 5001u);
+  EXPECT_EQ(*w.find(0), 0);
+  EXPECT_EQ(*w.find(5000), 5000);
+  EXPECT_EQ(w.find(4096), nullptr);
+}
+
+TEST(SeqWindow, SlidingBoundedSpanNeverReallocates) {
+  SeqWindow<int> w;
+  w.reserve(257);
+  const auto slots = w.capacity();
+  for (std::int64_t s = 0; s < 100'000; ++s) {
+    w.erase_below(s - 256);
+    if (s % 5 != 0) w.insert(s, 0);
+  }
+  EXPECT_EQ(w.capacity(), slots);
 }
 
 }  // namespace
