@@ -6,10 +6,14 @@
 // side by side (see EXPERIMENTS.md for the paper-vs-measured record).
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "exec/campaign_engine.hpp"
@@ -40,47 +44,42 @@ inline Options& options() {
   return opts;
 }
 
+// Whole-string value of a number flag, at least `min`: no trailing junk
+// ("3e6" or "2x" for a count), no sign on an unsigned value, nothing out of
+// range or non-finite — where std::stoull reads "3e6" as 3 and wraps "-5"
+// to 2^64-5. Throws std::invalid_argument naming the flag, so a bench exits
+// 2 with its usage text instead of running a size nobody asked for. These
+// are rpv_campaign's rules too.
+template <class T>
+[[nodiscard]] T parse_number(const std::string& flag, const std::string& text,
+                             T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto r = std::from_chars(text.data(), end, value);
+  validate(!text.empty() && r.ec == std::errc{} && r.ptr == end &&
+               value >= min && std::isfinite(static_cast<double>(value)),
+           "bad value for " + flag + ": '" + text + "'");
+  return value;
+}
+
 // Testable core of the CLI parser: consumes argv (minus the program name) and
 // returns the parsed options, throwing std::invalid_argument via rpv::validate
-// on malformed, unknown, or out-of-range flags. Negative counts and seeds are
-// rejected here explicitly — std::stoull would otherwise wrap "--seed -5" to
-// 18446744073709551611 and run a campaign nobody asked for.
+// on malformed, unknown, or out-of-range flags. --runs must be positive;
+// --seed and --jobs (0 = one worker per hardware thread) non-negative.
 [[nodiscard]] inline Options parse_options(const std::vector<std::string>& args) {
   Options opts;
   auto value_of = [&](std::size_t& i, const std::string& flag) -> std::string {
     validate(i + 1 < args.size(), flag + " needs a value");
     return args[++i];
   };
-  auto to_i64 = [](const std::string& flag,
-                   const std::string& text) -> std::int64_t {
-    std::size_t used = 0;
-    std::int64_t value = 0;
-    try {
-      value = std::stoll(text, &used);
-    } catch (const std::exception&) {
-      throw std::invalid_argument{"bad value for " + flag + ": '" + text + "'"};
-    }
-    validate(used == text.size() && !text.empty(),
-             "bad value for " + flag + ": '" + text + "'");
-    return value;
-  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--runs") {
-      const auto runs = to_i64(arg, value_of(i, arg));
-      validate(runs > 0, "--runs must be > 0 (got " + std::to_string(runs) + ")");
-      opts.runs = static_cast<int>(runs);
+      opts.runs = parse_number(arg, value_of(i, arg), 1);
     } else if (arg == "--seed") {
-      const auto seed = to_i64(arg, value_of(i, arg));
-      validate(seed >= 0,
-               "--seed must be >= 0 (got " + std::to_string(seed) + ")");
-      opts.seed = static_cast<std::uint64_t>(seed);
+      opts.seed = parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
     } else if (arg == "--jobs") {
-      const auto jobs = to_i64(arg, value_of(i, arg));
-      validate(jobs >= 0,
-               "--jobs must be >= 0 (got " + std::to_string(jobs) +
-                   "; 0 = one per hardware thread)");
-      opts.jobs = static_cast<int>(jobs);
+      opts.jobs = parse_number(arg, value_of(i, arg), 0);
     } else {
       validate(false, "unknown argument: " + arg + " (try --help)");
     }

@@ -1,16 +1,19 @@
 // Core engine microbench: raw sim::EventQueue throughput, isolated from any
-// scenario logic, so the perf gate can tell "the calendar queue regressed"
-// apart from "a handler got slower".
+// scenario logic, so the perf gate can tell "the event queue regressed"
+// apart from "a handler got slower". K outstanding timers is a far larger
+// heap than a session keeps (a few dozen events), so these rates price the
+// queue's O(log n) operations, not its in-situ cache footprint.
 //
 // Three workloads, each a pattern the simulator actually produces:
 //   steady    self-clocking timer population — K outstanding timers, every
 //             handler re-arms itself 0.1–50 ms ahead (pacing/pump/service
-//             timers). Lives almost entirely in the calendar wheel.
+//             timers).
 //   cancel    retransmit-timer churn — schedule two, cancel one, fire one;
-//             half the scheduled events die as generation-checked tombstones.
-//   overflow  far-horizon timers 0.1–10 s ahead (watchdogs, keyframe guards,
-//             mission epochs) — exercises the overflow heap and the window
-//             rebase/migration path instead of the wheel fast path.
+//             half the scheduled events die as generation-checked tombstones
+//             that the heap drops at the top or in a rebuild.
+//   overflow  far-horizon timers 0.3–10 s ahead (watchdogs, keyframe guards,
+//             mission epochs). The name dates from the calendar queue's
+//             overflow heap; the workload is kept so results stay comparable.
 //
 // Exit status encodes the acceptance verdict: 0 when a mixed 200k-event run
 // pops in exactly the (timestamp, FIFO seq) order of a std::priority_queue
@@ -30,13 +33,13 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bench_host.hpp"
 #include "json/json.hpp"
 #include "metrics/text_table.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "sim/validate.hpp"
 
 namespace {
 
@@ -59,9 +62,7 @@ struct WorkloadResult {
   double wall_seconds = 0.0;
 };
 
-// K self-rescheduling timers, delays uniform in [100 us, 50 ms] — inside the
-// 262 ms calendar window, so this is the wheel fast path plus cursor
-// advances across mostly-empty buckets.
+// K self-rescheduling timers, delays uniform in [100 us, 50 ms].
 WorkloadResult run_steady(std::uint64_t target, std::size_t outstanding,
                           std::uint64_t seed) {
   sim::EventQueue q;
@@ -96,8 +97,8 @@ WorkloadResult run_steady(std::uint64_t target, std::size_t outstanding,
 }
 
 // Each fired event schedules two successors and cancels one of them, so half
-// the schedule() calls become tombstones the calendar must skip lazily —
-// the retransmit/watchdog pattern where most timers never fire.
+// the schedule() calls become tombstones the queue must drop lazily — the
+// retransmit/watchdog pattern where most timers never fire.
 WorkloadResult run_cancel(std::uint64_t target, std::size_t outstanding,
                           std::uint64_t seed) {
   sim::EventQueue q;
@@ -133,9 +134,8 @@ WorkloadResult run_cancel(std::uint64_t target, std::size_t outstanding,
   return {executed, wall};
 }
 
-// Far-horizon timers: every delay lands beyond the 1024-bucket window, so
-// each event takes the overflow-heap path and the wheel is refilled through
-// rebase migrations once the window drains.
+// Far-horizon timers: every delay is 0.3–10 s, so the pending set spans a
+// wide time range with few timestamp ties.
 WorkloadResult run_overflow(std::uint64_t target, std::size_t outstanding,
                             std::uint64_t seed) {
   sim::EventQueue q;
@@ -189,7 +189,7 @@ bool reference_order_check(std::uint64_t events, std::uint64_t seed) {
     // Mix of short, long, and deliberately colliding timestamps.
     std::int64_t at = base + rng.uniform_int(0, 400'000);
     if (rng.chance(0.1)) at = base;                        // FIFO collision
-    if (rng.chance(0.05)) at = base + 5'000'000;           // overflow path
+    if (rng.chance(0.05)) at = base + 5'000'000;           // far future
     const std::uint64_t id = i;
     q.schedule(sim::TimePoint::from_us(at),
                [&order, id] { order.push_back(id); });
@@ -237,12 +237,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
-      if (arg == "--events") events = std::stoull(value_of(i, arg));
-      else if (arg == "--outstanding")
-        outstanding = std::stoull(value_of(i, arg));
-      else if (arg == "--seed") seed = std::stoull(value_of(i, arg));
-      else if (arg == "--bench-json") bench_json = value_of(i, arg);
-      else if (arg == "--help" || arg == "-h") {
+      if (arg == "--events") {
+        events = bench::parse_number<std::uint64_t>(arg, value_of(i, arg), 1);
+      } else if (arg == "--outstanding") {
+        outstanding =
+            bench::parse_number<std::size_t>(arg, value_of(i, arg), 1);
+      } else if (arg == "--seed") {
+        seed = bench::parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
+      } else if (arg == "--bench-json") {
+        bench_json = value_of(i, arg);
+      } else if (arg == "--help" || arg == "-h") {
         print_usage(argv[0]);
         return 0;
       } else {
@@ -251,13 +255,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } catch (const std::exception& e) {
-      std::cerr << "bad value for " << arg << ": " << e.what() << "\n\n";
+      std::cerr << e.what() << "\n\n";
       print_usage(argv[0]);
       return 2;
     }
   }
-  rpv::validate(events > 0, "--events must be positive");
-  rpv::validate(outstanding > 0, "--outstanding must be positive");
 
   std::cout
       << "==============================================================\n"

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "bench_host.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "json/json.hpp"
@@ -50,9 +51,7 @@ std::vector<int> parse_sizes(const std::string& csv) {
     const auto token = csv.substr(pos, comma == std::string::npos
                                            ? std::string::npos
                                            : comma - pos);
-    const int v = std::stoi(token);
-    rpv::validate(v > 0, "--sizes entries must be positive");
-    sizes.push_back(v);
+    sizes.push_back(rpv::bench::parse_number("--sizes", token, 1));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -110,10 +109,15 @@ int main(int argc, char** argv) {
         env_name = value_of(i, arg);
         (void)parse_env(env_name);  // reject typos here, with usage, not later
       }
-      else if (arg == "--horizon") horizon_sec = std::stod(value_of(i, arg));
-      else if (arg == "--epoch") epoch_sec = std::stod(value_of(i, arg));
-      else if (arg == "--seed") seed = std::stoull(value_of(i, arg));
-      else if (arg == "--jobs") jobs = std::stoi(value_of(i, arg));
+      else if (arg == "--horizon")
+        horizon_sec = bench::parse_number(arg, value_of(i, arg), 0.0);
+      else if (arg == "--epoch") {
+        epoch_sec = bench::parse_number(arg, value_of(i, arg), 0.0);
+        rpv::validate(epoch_sec > 0.0, "--epoch must be > 0");
+      } else if (arg == "--seed")
+        seed = bench::parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
+      else if (arg == "--jobs")
+        jobs = bench::parse_number(arg, value_of(i, arg), 0);
       else if (arg == "--bench-json") bench_json = value_of(i, arg);
       else if (arg == "--help" || arg == "-h") {
         print_usage(argv[0]);
@@ -124,7 +128,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } catch (const std::exception& e) {
-      std::cerr << "bad value for " << arg << ": " << e.what() << "\n\n";
+      std::cerr << e.what() << "\n\n";
       print_usage(argv[0]);
       return 2;
     }

@@ -1,112 +1,16 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-
 namespace rpv::sim {
 
-void EventQueue::insert_sorted_tail(Bucket& b, const Entry& e) {
-  const auto it = std::upper_bound(
-      b.v.begin() + static_cast<std::ptrdiff_t>(b.pos), b.v.end(), e,
-      EntryBefore{});
-  b.v.insert(it, e);
-}
-
-void EventQueue::push_front_heap(const Entry& e) {
-  front_.push_back(e);
-  std::push_heap(front_.begin(), front_.end(), EntryAfter{});
-}
-
-void EventQueue::push_overflow_heap(const Entry& e) {
-  overflow_.push_back(e);
-  std::push_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
-}
-
-EventQueue::Entry* EventQueue::peek_live() {
-  for (;;) {
-    // Pre-window staging heap: always strictly earlier than the wheel.
-    while (!front_.empty()) {
-      if (live_entry(front_.front())) return front_.data();
-      std::pop_heap(front_.begin(), front_.end(), EntryAfter{});
-      front_.pop_back();
-    }
-    // Scan the wheel from the cursor.
-    while (wheel_count_ > 0) {
-      Bucket& b = buckets_[cur_granule_ & kMask];
-      if (b.pos < b.v.size()) {
-        if (!b.sorted) {
-          std::sort(b.v.begin() + static_cast<std::ptrdiff_t>(b.pos),
-                    b.v.end(), EntryBefore{});
-          b.sorted = true;
-        }
-        while (b.pos < b.v.size() && !live_entry(b.v[b.pos])) {
-          ++b.pos;
-          --wheel_count_;
-        }
-        if (b.pos < b.v.size()) return &b.v[b.pos];
-      }
-      b.v.clear();
-      b.pos = 0;
-      b.sorted = true;
-      clear_occupied(cur_granule_);
-      if (wheel_count_ > 0) {
-        advance_cursor();
-        continue;
-      }
-      if (++cur_granule_ == base_granule_ + kBuckets) break;
-    }
-    // Wheel drained: rebase the window onto the earliest overflow event and
-    // migrate the in-window prefix of the heap (heap pops ascend in
-    // (at, seq), so per-bucket appends arrive in order and stay sorted).
-    while (!overflow_.empty() && !live_entry(overflow_.front())) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
-      overflow_.pop_back();
-    }
-    if (overflow_.empty()) return nullptr;
-    const std::uint64_t nb = granule(overflow_.front().at_us);
-    base_granule_ = cur_granule_ = nb;
-    while (!overflow_.empty()) {
-      const Entry top = overflow_.front();
-      if (live_entry(top) && granule(top.at_us) >= nb + kBuckets) break;
-      std::pop_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
-      overflow_.pop_back();
-      if (live_entry(top)) push_bucket(top, granule(top.at_us));
-    }
+void EventQueue::compact() {
+  std::erase_if(heap_,
+                [this](const Entry& e) { return gens_[e.slot] != e.gen; });
+  root_taken_ = false;
+  if (heap_.size() < 2) return;
+  // Floyd's bottom-up heapify: sift every internal node, deepest first.
+  for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+    sift_down(i, heap_[i]);
   }
-}
-
-TimePoint EventQueue::next_time() {
-  const Entry* e = peek_live();
-  return e == nullptr ? TimePoint::never() : TimePoint::from_us(e->at_us);
-}
-
-void EventQueue::detach(const Entry* e, std::uint32_t* slot,
-                        std::int64_t* at_us) {
-  *slot = e->slot;
-  *at_us = e->at_us;
-  if (!front_.empty() && e == front_.data()) {
-    std::pop_heap(front_.begin(), front_.end(), EntryAfter{});
-    front_.pop_back();
-  } else {
-    Bucket& b = buckets_[cur_granule_ & kMask];
-    ++b.pos;
-    --wheel_count_;
-    if (b.pos == b.v.size()) {
-      b.v.clear();
-      b.pos = 0;
-      b.sorted = true;
-      clear_occupied(cur_granule_);
-    }
-  }
-  ++gens_[*slot];
-  --live_;
-}
-
-bool EventQueue::extract_slow(std::int64_t limit_us, std::uint32_t* slot,
-                              std::int64_t* at_us) {
-  const Entry* e = peek_live();
-  if (e == nullptr || e->at_us > limit_us) return false;
-  detach(e, slot, at_us);
-  return true;
 }
 
 }  // namespace rpv::sim

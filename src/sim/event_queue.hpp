@@ -1,4 +1,4 @@
-// Calendar event queue for the discrete-event core.
+// Event queue for the discrete-event core.
 //
 // EventQueue is a standalone priority queue of timed callables with these
 // documented semantics:
@@ -7,22 +7,20 @@
 //     events with equal timestamps pop in schedule (FIFO) order. The total
 //     order is (timestamp, schedule sequence number) — deterministic and
 //     independent of the internal container layout.
-//   * schedule() is O(1) amortized and performs no per-event heap
-//     allocation: callables up to EventFn::kInlineBytes are stored inline in
-//     a pooled slot (sim::Pool), larger ones fall back to one heap box.
-//   * cancel() is O(1): it releases the slot immediately (generation-checked
-//     Handle, so stale handles are harmless no-ops) and leaves a tombstone
-//     in the calendar that pop() skips lazily.
+//   * schedule() is O(log n) and performs no per-event heap allocation:
+//     callables up to EventFn::kInlineBytes are stored inline in a pooled
+//     slot (sim::Pool), larger ones fall back to one heap box.
+//   * cancel() is O(1) amortized: it releases the slot immediately
+//     (generation-checked Handle, so stale handles are harmless no-ops) and
+//     leaves a tombstone in the heap that pop() drops when it reaches the top.
 //
-// Internally this is a two-tier calendar: a 1024-bucket time wheel at 256 µs
-// granularity (~262 ms of near future) absorbs the hot short-horizon timers
-// (pacing, service, propagation), and a binary min-heap holds the far
-// future. When the wheel drains, its window rebases onto the earliest
-// overflow event and the in-window prefix of the heap migrates into buckets.
-// Events scheduled before the current window (possible after a rebase across
-// an idle gap) go to a small "front" staging heap that is always strictly
-// earlier than the wheel. Buckets are sorted lazily when the cursor reaches
-// them; appends that keep a bucket ordered never trigger a sort.
+// Internally the pending entries are one flat 4-ary min-heap of 24-byte
+// {timestamp, seq, slot, generation} records. A session keeps only a few
+// dozen events pending, so the whole heap spans a few cache lines — which is
+// what matters when a fleet swaps dozens of sessions through one core. An
+// entry whose generation no longer matches its slot is a tombstone; cancel()
+// rebuilds the heap from its live entries once tombstones outnumber them, so
+// re-armed timers cannot grow it without bound.
 //
 // Timer is the RAII scheduling handle used by Simulator's public API: it
 // cancels its event on destruction (unless fired, released, or re-armed)
@@ -142,7 +140,15 @@ class EventQueue {
     std::uint32_t gen = 0;
   };
 
-  EventQueue() : buckets_(kBuckets) {}
+  // One heap record: live while `gen` matches its slot's generation.
+  struct Entry {
+    std::int64_t at_us;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -150,43 +156,32 @@ class EventQueue {
   // policy). Returns a handle valid until the event fires or is cancelled.
   // Takes an rvalue so the callable relocates exactly once, into its slot.
   Handle schedule(TimePoint at, EventFn&& fn) {
-    const std::int64_t at_us = at.us();
     const std::uint32_t slot = pool_.acquire(std::move(fn));
     if (slot >= gens_.size()) gens_.resize(slot + 1, 0);
-    const Entry e{at_us, seq_++, slot, gens_[slot]};
-    ++live_;
-    const std::uint64_t g = granule(at_us);
-    if (live_ == 1 && wheel_count_ == 0) {
-      // The queue held no live events and the wheel is physically empty:
-      // drop any tombstones left in the staging heaps and re-anchor the
-      // window, so an idle gap never forces events through the overflow
-      // heap.
-      front_.clear();
-      overflow_.clear();
-      base_granule_ = cur_granule_ = g;
-    }
-    if (g < base_granule_) {
-      // Before the wheel window (the window rebased across a gap): the
-      // event is strictly earlier than everything in the wheel and
-      // overflow.
-      push_front_heap(e);
-    } else if (g < base_granule_ + kBuckets) {
-      push_bucket(e, g);
+    const Entry e{at.us(), seq_++, slot, gens_[slot]};
+    if (root_taken_) {
+      // The event just taken still holds the root: overwrite it, so a
+      // handler that re-arms itself costs one sift instead of pop + push.
+      root_taken_ = false;
+      sift_down(0, e);
     } else {
-      push_overflow_heap(e);
+      heap_.push_back(e);
+      sift_up(heap_.size() - 1);
     }
+    ++live_;
     return Handle{slot, gens_[slot]};
   }
 
-  // Cancel a pending event in O(1). Returns whether it was still pending;
-  // stale handles (fired, already cancelled, default-constructed) are no-ops.
+  // Cancel a pending event. Returns whether it was still pending; stale
+  // handles (fired, already cancelled, default-constructed) are no-ops.
   bool cancel(Handle h) {
     if (!pending(h)) return false;
-    // Release the slot now; the calendar entry stays behind as a tombstone
-    // (its gen no longer matches) and is skipped when the cursor reaches it.
+    // Release the slot now; the heap entry stays behind as a tombstone (its
+    // gen no longer matches) until it reaches the top or a rebuild.
     pool_.release(h.slot);
     ++gens_[h.slot];
     --live_;
+    if (heap_.size() - live_ > live_) compact();
     return true;
   }
 
@@ -198,9 +193,14 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
+  // The physical heap, tombstones included (for tests and diagnostics).
+  [[nodiscard]] const std::vector<Entry>& entries() const { return heap_; }
+
   // Timestamp of the earliest pending event, or TimePoint::never() if empty.
-  // Non-const: advances the wheel cursor past tombstones.
-  [[nodiscard]] TimePoint next_time();
+  // Non-const: drops tombstones off the top of the heap.
+  [[nodiscard]] TimePoint next_time() {
+    return live_top() ? TimePoint::from_us(heap_[0].at_us) : TimePoint::never();
+  }
 
   // Pop the earliest pending event ((timestamp, FIFO seq) order) into
   // *at / *fn. Returns false when the queue is empty.
@@ -210,16 +210,10 @@ class EventQueue {
   }
 
   // As pop(), but leaves the queue untouched (and returns false) when the
-  // earliest pending event is after `limit`. One cursor scan instead of the
-  // next_time()-then-pop() pair.
+  // earliest pending event is after `limit`.
   bool pop_until(TimePoint limit, TimePoint* at, EventFn* fn) {
     std::uint32_t slot;
-    std::int64_t at_us;
-    if (!extract_fast(limit.us(), &slot, &at_us) &&
-        !extract_slow(limit.us(), &slot, &at_us)) {
-      return false;
-    }
-    *at = TimePoint::from_us(at_us);
+    if (!take(limit.us(), &slot, at)) return false;
     *fn = std::move(pool_[slot]);
     pool_.release(slot);
     return true;
@@ -234,172 +228,98 @@ class EventQueue {
   // calls from inside the handler cannot clobber the running callable.
   bool run_one(TimePoint limit, TimePoint* clock) {
     std::uint32_t slot;
-    std::int64_t at_us;
-    if (!extract_fast(limit.us(), &slot, &at_us) &&
-        !extract_slow(limit.us(), &slot, &at_us)) {
-      return false;
-    }
-    *clock = TimePoint::from_us(at_us);
+    if (!take(limit.us(), &slot, clock)) return false;
     pool_[slot]();
     pool_.release(slot);
     return true;
   }
 
  private:
-  // 1024 buckets x 256 us granule = ~262 ms near-future window.
-  static constexpr int kGranuleShift = 8;
-  static constexpr std::uint64_t kBuckets = 1024;
-  static constexpr std::uint64_t kMask = kBuckets - 1;
+  static constexpr std::size_t kArity = 4;
 
-  struct Entry {
-    std::int64_t at_us;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct EntryBefore {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at_us != b.at_us) return a.at_us < b.at_us;
-      return a.seq < b.seq;
-    }
-  };
-  // Heap comparator for a min-heap via std::push_heap/pop_heap.
-  struct EntryAfter {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at_us != b.at_us) return a.at_us > b.at_us;
-      return a.seq > b.seq;
-    }
-  };
-  struct Bucket {
-    std::vector<Entry> v;
-    std::size_t pos = 0;  // entries before pos are consumed
-    bool sorted = true;
-  };
-
-  static constexpr std::uint64_t granule(std::int64_t at_us) {
-    return static_cast<std::uint64_t>(at_us) >> kGranuleShift;
+  // (at_us, seq) compared as one 128-bit key: a branch-free compare, which
+  // keeps the unpredictable child pick in sift_down() off the branch
+  // predictor (GCC/Clang __int128).
+  static bool before(const Entry& a, const Entry& b) {
+    using Key = __int128;
+    return ((Key{a.at_us} << 64) | a.seq) < ((Key{b.at_us} << 64) | b.seq);
   }
 
-  [[nodiscard]] bool live_entry(const Entry& e) const {
-    return gens_[e.slot] == e.gen;
-  }
-  void push_bucket(const Entry& e, std::uint64_t g) {
-    Bucket& b = buckets_[g & kMask];
-    if (!b.v.empty() && b.sorted && EntryBefore{}(e, b.v.back())) {
-      if (g == cur_granule_) {
-        // Out-of-order append into the bucket being drained: keep it sorted
-        // by inserting into the unconsumed tail. Correct because e postdates
-        // every consumed entry (its time is >= now and its FIFO seq is the
-        // newest), and it keeps the pop fast path hot.
-        insert_sorted_tail(b, e);
-        ++wheel_count_;
-        return;
-      }
-      b.sorted = false;
+  // Drop tombstones off the top; false when no entry is left.
+  bool live_top() {
+    while (!heap_.empty()) {
+      if (gens_[heap_[0].slot] == heap_[0].gen) return true;
+      pop_top();
     }
-    b.v.push_back(e);
-    ++wheel_count_;
-    set_occupied(g);
-    // The cursor may already have scanned past this granule (peeking a
-    // later event advances it); rewind so the new event is not skipped.
-    // Safe: every bucket between g and the old cursor has been drained.
-    if (g < cur_granule_) cur_granule_ = g;
-  }
-  // Outlined pieces of push_bucket/schedule that need <algorithm>.
-  void insert_sorted_tail(Bucket& b, const Entry& e);
-  void push_front_heap(const Entry& e);
-  void push_overflow_heap(const Entry& e);
-  // Position the cursor on the earliest live entry (front staging first,
-  // then the wheel, rebasing from overflow as needed) and return it;
-  // nullptr when the queue is empty.
-  Entry* peek_live();
-  // Remove `e` (the current peek_live() result) from the calendar and retire
-  // its slot; the caller consumes pool_[slot] and then releases it.
-  void detach(const Entry* e, std::uint32_t* slot, std::int64_t* at_us);
-  // Outlined general extraction path: scans past tombstones, sorts buckets
-  // lazily, rebases from the staging heaps. extract_fast() handles the
-  // common case.
-  bool extract_slow(std::int64_t limit_us, std::uint32_t* slot,
-                    std::int64_t* at_us);
-
-  // Occupancy bitmap over bucket indices: bit (g & kMask) is set while the
-  // bucket physically holds entries, so advancing the cursor across empty
-  // buckets is a find-next-set instead of a walk (most buckets hold at most
-  // one event at typical loads).
-  void set_occupied(std::uint64_t g) {
-    occ_[(g & kMask) >> 6] |= 1ull << (g & 63);
-  }
-  void clear_occupied(std::uint64_t g) {
-    occ_[(g & kMask) >> 6] &= ~(1ull << (g & 63));
-  }
-  // Move cur_granule_ forward to the next occupied bucket. Pre: some bucket
-  // is occupied (wheel_count_ > 0), and all occupied buckets are at
-  // granules >= cur_granule_ within the window, so the circular scan's first
-  // hit is the right one.
-  void advance_cursor() {
-    const std::uint64_t start = cur_granule_ & kMask;
-    std::size_t w = start >> 6;
-    std::uint64_t word = occ_[w] & (~0ull << (start & 63));
-    for (;;) {
-      if (word != 0) {
-        const std::uint64_t bit =
-            (static_cast<std::uint64_t>(w) << 6) +
-            static_cast<std::uint64_t>(__builtin_ctzll(word));
-        cur_granule_ += (bit - start) & kMask;
-        return;
-      }
-      w = (w + 1) & (kWords - 1);
-      word = occ_[w];
-    }
+    return false;
   }
 
-  // Inline fast path: no pre-window staging, cursor on (or one bitmap hop
-  // from) a sorted bucket whose head entry is live. Detaches the entry and
-  // retires its slot (generation bump) but does NOT recycle the slot — the
-  // caller moves the callable out or runs it in place, then releases.
-  // Everything else falls through to extract_slow().
-  bool extract_fast(std::int64_t limit_us, std::uint32_t* slot,
-                    std::int64_t* at_us) {
-    if (!front_.empty() || wheel_count_ == 0) return false;
-    Bucket* b = &buckets_[cur_granule_ & kMask];
-    if (b->pos >= b->v.size()) {
-      // The cursor's bucket is drained: hop straight to the next occupied
-      // one via the occupancy bitmap (wheel_count_ > 0 guarantees a hit).
-      advance_cursor();
-      b = &buckets_[cur_granule_ & kMask];
-    }
-    if (!b->sorted) return false;
-    const Entry& e = b->v[b->pos];
-    if (gens_[e.slot] != e.gen) return false;  // tombstone: slow path skips
-    if (e.at_us > limit_us) return false;      // also "nothing due yet"
-    *slot = e.slot;
-    *at_us = e.at_us;
-    ++b->pos;
-    --wheel_count_;
-    if (b->pos == b->v.size()) {
-      b->v.clear();
-      b->pos = 0;
-      b->sorted = true;
-      clear_occupied(cur_granule_);
-    }
-    ++gens_[e.slot];
+  // Retire the earliest pending event if it is due by `limit_us`: bump its
+  // slot's generation but do NOT recycle the slot — the caller moves the
+  // callable out or runs it in place, then releases. The retired entry stays
+  // at the root as a tombstone: the next schedule() overwrites it, or the
+  // next take() drops it.
+  bool take(std::int64_t limit_us, std::uint32_t* slot, TimePoint* at) {
+    if (!live_top() || heap_[0].at_us > limit_us) return false;
+    *slot = heap_[0].slot;
+    *at = TimePoint::from_us(heap_[0].at_us);
+    ++gens_[*slot];
     --live_;
+    root_taken_ = true;
     return true;
   }
 
-  static constexpr std::size_t kWords = kBuckets / 64;
+  void pop_top() {
+    root_taken_ = false;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  void sift_up(std::size_t i) {
+    const Entry e = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  // Fill the hole at `i` with `e`, moving smaller children up past it.
+  void sift_down(std::size_t i, Entry e) {
+    Entry* h = heap_.data();
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t c = kArity * i + 1;
+      if (c + kArity <= n) {  // four children: a two-round tournament
+        const std::size_t a = c + before(h[c + 1], h[c]);
+        const std::size_t b = c + 2 + before(h[c + 3], h[c + 2]);
+        c = before(h[b], h[a]) ? b : a;
+      } else if (c < n) {
+        for (std::size_t k = c + 1; k < n; ++k) {
+          if (before(h[k], h[c])) c = k;
+        }
+      } else {
+        break;
+      }
+      if (!before(h[c], e)) break;
+      h[i] = h[c];
+      i = c;
+    }
+    h[i] = e;
+  }
+
+  // Rebuild the heap from its live entries (outlined cold path of cancel).
+  void compact();
 
   Pool<EventFn> pool_;              // slot storage; index == Handle::slot
   std::vector<std::uint32_t> gens_;  // parallel to pool slots; bump on free
-  std::vector<Bucket> buckets_;
-  std::uint64_t occ_[kWords] = {};  // per-bucket occupancy bits
-  std::vector<Entry> overflow_;  // min-heap: events beyond the wheel window
-  std::vector<Entry> front_;     // min-heap: events before the wheel window
-  std::uint64_t base_granule_ = 0;  // wheel window is [base, base + kBuckets)
-  std::uint64_t cur_granule_ = 0;   // scan cursor within the window
-  std::size_t wheel_count_ = 0;     // physical entries in buckets (incl. tombstones)
+  std::vector<Entry> heap_;          // 4-ary min-heap on (at_us, seq)
   std::uint64_t seq_ = 0;
   std::size_t live_ = 0;
+  bool root_taken_ = false;  // heap_[0] is the tombstone of the last take()
 };
 
 // RAII handle to a scheduled event, returned by Simulator::schedule_timer_*.

@@ -1,9 +1,9 @@
 // Discrete-event simulation engine.
 //
-// A Simulator is a thin virtual clock over sim::EventQueue (the calendar
-// queue in event_queue.hpp): it clamps past timestamps to now, pops events
-// in (timestamp, FIFO seq) order, and advances the clock to each event's
-// time. Two scheduling flavours:
+// A Simulator is a thin virtual clock over sim::EventQueue (the 4-ary heap
+// in event_queue.hpp): it clamps past timestamps to now, pops events in
+// (timestamp, FIFO seq) order, and advances the clock to each event's time.
+// Two scheduling flavours:
 //
 //   * schedule_at / schedule_in — fire-and-forget; nothing to store.
 //   * schedule_timer_at / schedule_timer_in — return a sim::Timer, the RAII
@@ -57,8 +57,6 @@ class Simulator {
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
-
-  [[nodiscard]] EventQueue& queue() { return queue_; }
 
  private:
   EventQueue::Handle schedule_handle(TimePoint at, EventFn&& fn) {

@@ -1,7 +1,9 @@
-// Unit tests for the calendar event queue (sim/event_queue.hpp) and its
-// supporting pieces: sim::Pool, EventFn, Timer. The stress tests replay the
-// same schedule/cancel trace through a reference binary heap and require the
-// calendar to produce the identical (timestamp, FIFO seq) pop order.
+// Unit tests for the event queue (sim/event_queue.hpp) and its supporting
+// pieces: sim::Pool, EventFn, Timer. The stress tests replay the same
+// schedule/cancel trace through a reference binary heap and require the
+// 4-ary heap to produce the identical (timestamp, FIFO seq) pop order. The
+// wheel/overflow boundary cases were written for the calendar queue the heap
+// replaced; they stay as regression inputs.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -366,6 +368,65 @@ TEST(EventQueue, CancelReleasesSlotImmediately) {
   TimePoint at;
   EventFn fn;
   EXPECT_FALSE(q.pop(&at, &fn));
+}
+
+TEST(EventQueue, CancelChurnKeepsTheHeapBounded) {
+  // The jitter buffer arms a timer per frame and cancels it when the frame
+  // releases early; bench_core_queue's cancel workload schedules two events,
+  // cancels one and fires one. Tombstones must not pile up: the physical
+  // heap stays within a fixed bound of the live count.
+  EventQueue q;
+  std::mt19937_64 rng{11};
+  const auto delay = [&rng](std::uint64_t span_us) {
+    return Duration::micros(100 + static_cast<std::int64_t>(rng() % span_us));
+  };
+  TimePoint clock = TimePoint::origin();
+  for (int i = 0; i < 64; ++i) q.schedule(clock + delay(50'000), [] {});
+  std::size_t peak = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    q.schedule(clock + delay(50'000), [] {});
+    const auto doomed = q.schedule(clock + delay(150'000), [] {
+      ADD_FAILURE() << "cancelled event fired";
+    });
+    ASSERT_TRUE(q.cancel(doomed));
+    ASSERT_TRUE(q.run_one(TimePoint::never(), &clock));
+    ASSERT_LE(q.entries().size(), 2 * q.size() + 64);
+    peak = std::max(peak, q.entries().size());
+  }
+  EXPECT_EQ(q.size(), 64u);
+  EXPECT_GT(peak, q.size());  // tombstones did occur; the rebuild bounded them
+}
+
+TEST(EventQueue, RebuildAfterMassCancelKeepsPopOrder) {
+  // Cancelling most of a large queue forces several heap rebuilds; the
+  // survivors must still pop in (timestamp, FIFO seq) order, ties included.
+  EventQueue q;
+  std::mt19937_64 rng{5};
+  std::vector<std::pair<std::int64_t, int>> expected;
+  std::vector<int> got;
+  for (int i = 0; i < 10'000; ++i) {
+    const auto at = static_cast<std::int64_t>(rng() % 2'000) * 100;
+    const auto h =
+        q.schedule(TimePoint::from_us(at), [&got, i] { got.push_back(i); });
+    if (rng() % 4 == 0) {
+      expected.emplace_back(at, i);
+    } else {
+      ASSERT_TRUE(q.cancel(h));
+    }
+    ASSERT_LE(q.entries().size(), 2 * q.size() + 1);
+  }
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(q.size(), expected.size());
+  TimePoint clock;
+  while (q.run_one(TimePoint::never(), &clock)) {
+    ASSERT_EQ(clock.us(), expected[got.size() - 1].first);
+  }
+  std::vector<int> want;
+  for (const auto& e : expected) want.push_back(e.second);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(q.entries().empty());
 }
 
 // --- EventQueue: stress vs reference heap ---

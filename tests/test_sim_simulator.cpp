@@ -144,6 +144,25 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(s.now().us(), 500);
 }
 
+TEST(Simulator, RunUntilDoesNotRunPastACancelledHead) {
+  // A cancelled timer heading the queue must not let run_until() execute the
+  // next live event beyond its limit.
+  Simulator s;
+  bool ran = false;
+  s.schedule_at(TimePoint::from_us(900), [&ran] { ran = true; });
+  Timer doomed = s.schedule_timer_at(TimePoint::from_us(100), [] {
+    ADD_FAILURE() << "cancelled event fired";
+  });
+  EXPECT_TRUE(doomed.cancel());
+  s.run_until(TimePoint::from_us(500));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(s.now().us(), 500);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run_all();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(s.now().us(), 900);
+}
+
 TEST(Simulator, RunUntilAdvancesClockEvenWithoutEvents) {
   Simulator s;
   s.run_until(TimePoint::from_us(777));
