@@ -6,14 +6,11 @@
 // side by side (see EXPERIMENTS.md for the paper-vs-measured record).
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "exec/campaign_engine.hpp"
@@ -42,24 +39,6 @@ struct Options {
 inline Options& options() {
   static Options opts;
   return opts;
-}
-
-// Whole-string value of a number flag, at least `min`: no trailing junk
-// ("3e6" or "2x" for a count), no sign on an unsigned value, nothing out of
-// range or non-finite — where std::stoull reads "3e6" as 3 and wraps "-5"
-// to 2^64-5. Throws std::invalid_argument naming the flag, so a bench exits
-// 2 with its usage text instead of running a size nobody asked for. These
-// are rpv_campaign's rules too.
-template <class T>
-[[nodiscard]] T parse_number(const std::string& flag, const std::string& text,
-                             T min) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto r = std::from_chars(text.data(), end, value);
-  validate(!text.empty() && r.ec == std::errc{} && r.ptr == end &&
-               value >= min && std::isfinite(static_cast<double>(value)),
-           "bad value for " + flag + ": '" + text + "'");
-  return value;
 }
 
 // Testable core of the CLI parser: consumes argv (minus the program name) and

@@ -20,22 +20,17 @@
 // reference fed the same schedule, 1 otherwise.
 //
 //   bench_core_queue [--events N] [--outstanding K] [--seed S]
-//                    [--bench-json PATH]
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_host.hpp"
-#include "json/json.hpp"
 #include "metrics/text_table.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -211,12 +206,9 @@ bool reference_order_check(std::uint64_t events, std::uint64_t seed) {
 void print_usage(const char* prog) {
   std::cout << "usage: " << prog
             << " [--events N] [--outstanding K] [--seed S]\n"
-               "                 [--bench-json PATH]\n"
                "  --events N        events per workload (default 4000000)\n"
                "  --outstanding K   concurrent timers (default 4096)\n"
-               "  --seed S          rng seed (default 42)\n"
-               "  --bench-json PATH write the perf baseline rows as "
-               "canonical JSON\n";
+               "  --seed S          rng seed (default 42)\n";
 }
 
 }  // namespace
@@ -225,7 +217,6 @@ int main(int argc, char** argv) {
   std::uint64_t events = 4'000'000;
   std::size_t outstanding = 4096;
   std::uint64_t seed = 42;
-  std::optional<std::string> bench_json;
 
   auto value_of = [&](int& i, const std::string& flag) -> std::string {
     if (i + 1 >= argc) {
@@ -238,14 +229,11 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--events") {
-        events = bench::parse_number<std::uint64_t>(arg, value_of(i, arg), 1);
+        events = parse_number<std::uint64_t>(arg, value_of(i, arg), 1);
       } else if (arg == "--outstanding") {
-        outstanding =
-            bench::parse_number<std::size_t>(arg, value_of(i, arg), 1);
+        outstanding = parse_number<std::size_t>(arg, value_of(i, arg), 1);
       } else if (arg == "--seed") {
-        seed = bench::parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
-      } else if (arg == "--bench-json") {
-        bench_json = value_of(i, arg);
+        seed = parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
       } else if (arg == "--help" || arg == "-h") {
         print_usage(argv[0]);
         return 0;
@@ -270,7 +258,6 @@ int main(int argc, char** argv) {
 
   metrics::TextTable table{
       {"workload", "events", "wall (s)", "events/s", "RSS (MB)"}};
-  json::Value rows = json::Value::array();
 
   struct Case {
     const char* name;
@@ -285,18 +272,10 @@ int main(int argc, char** argv) {
         r.wall_seconds > 0.0
             ? static_cast<double>(r.executed) / r.wall_seconds
             : 0.0;
-    const double rss = peak_rss_mb();
     table.add_row({c.name, std::to_string(r.executed),
                    metrics::TextTable::num(r.wall_seconds, 2),
                    metrics::TextTable::num(rate, 0),
-                   metrics::TextTable::num(rss, 0)});
-    json::Value row = json::Value::object();
-    row.set("workload", std::string{c.name})
-        .set("events", r.executed)
-        .set("wall_seconds", r.wall_seconds)
-        .set("events_per_second", rate)
-        .set("peak_rss_mb", rss);
-    rows.push_back(std::move(row));
+                   metrics::TextTable::num(peak_rss_mb(), 0)});
   }
 
   std::cout << table.render();
@@ -305,19 +284,5 @@ int main(int argc, char** argv) {
   std::cout << "\nreference pop-order check (200k mixed events vs binary "
                "heap): "
             << (order_ok ? "IDENTICAL" : "MISMATCH") << "\n";
-
-  if (bench_json) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", std::string{"core_queue"})
-        .set("host", bench::host_json(1))  // the queue runs on one thread
-        .set("events", events)
-        .set("outstanding", std::uint64_t{outstanding})
-        .set("seed", seed)
-        .set("rows", std::move(rows));
-    std::ofstream out{*bench_json};
-    out << doc.dump(2) << "\n";
-    std::cout << "\nperf baseline written to " << *bench_json << "\n";
-  }
-
   return order_ok ? 0 : 1;
 }

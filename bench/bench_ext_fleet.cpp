@@ -15,20 +15,16 @@
 // is below the fleet-of-one value. 1 otherwise.
 //
 //   bench_ext_fleet [--sizes CSV] [--env E] [--horizon SEC] [--epoch SEC]
-//                   [--seed S] [--jobs J] [--bench-json PATH]
+//                   [--seed S] [--jobs J]
 #include <sys/resource.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_host.hpp"
 #include "fleet/fleet_engine.hpp"
-#include "json/json.hpp"
 #include "metrics/text_table.hpp"
 #include "pipeline/report_json.hpp"
 #include "sim/validate.hpp"
@@ -51,7 +47,7 @@ std::vector<int> parse_sizes(const std::string& csv) {
     const auto token = csv.substr(pos, comma == std::string::npos
                                            ? std::string::npos
                                            : comma - pos);
-    sizes.push_back(rpv::bench::parse_number("--sizes", token, 1));
+    sizes.push_back(rpv::parse_number("--sizes", token, 1));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -71,16 +67,14 @@ void print_usage(const char* prog) {
   std::cout
       << "usage: " << prog
       << " [--sizes CSV] [--env E] [--horizon SEC] [--epoch SEC]\n"
-         "                [--seed S] [--jobs J] [--bench-json PATH]\n"
+         "                [--seed S] [--jobs J]\n"
          "  --sizes CSV       fleet sizes to sweep (default "
          "1,4,16,64,256,1000)\n"
          "  --env E           urban | rural-p1 | rural-p2 (default urban)\n"
          "  --horizon SEC     mission length per UAV (default 60)\n"
          "  --epoch SEC       cell-load exchange tick (default 1)\n"
          "  --seed S          fleet base seed (default 42000)\n"
-         "  --jobs J          worker threads (default 0 = all hardware)\n"
-         "  --bench-json PATH write the perf baseline rows as canonical "
-         "JSON\n";
+         "  --jobs J          worker threads (default 0 = all hardware)\n";
 }
 
 }  // namespace
@@ -92,7 +86,6 @@ int main(int argc, char** argv) {
   double epoch_sec = 1.0;
   std::uint64_t seed = 42000;
   int jobs = 0;
-  std::optional<std::string> bench_json;
 
   auto value_of = [&](int& i, const std::string& flag) -> std::string {
     if (i + 1 >= argc) {
@@ -110,15 +103,14 @@ int main(int argc, char** argv) {
         (void)parse_env(env_name);  // reject typos here, with usage, not later
       }
       else if (arg == "--horizon")
-        horizon_sec = bench::parse_number(arg, value_of(i, arg), 0.0);
+        horizon_sec = parse_number(arg, value_of(i, arg), 0.0);
       else if (arg == "--epoch") {
-        epoch_sec = bench::parse_number(arg, value_of(i, arg), 0.0);
+        epoch_sec = parse_number(arg, value_of(i, arg), 0.0);
         rpv::validate(epoch_sec > 0.0, "--epoch must be > 0");
       } else if (arg == "--seed")
-        seed = bench::parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
+        seed = parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
       else if (arg == "--jobs")
-        jobs = bench::parse_number(arg, value_of(i, arg), 0);
-      else if (arg == "--bench-json") bench_json = value_of(i, arg);
+        jobs = parse_number(arg, value_of(i, arg), 0);
       else if (arg == "--help" || arg == "-h") {
         print_usage(argv[0]);
         return 0;
@@ -155,7 +147,6 @@ int main(int argc, char** argv) {
   base.horizon_sec = horizon_sec;
   base.epoch_sec = epoch_sec;
 
-  json::Value rows = json::Value::array();
   double goodput_at_one = -1.0;
   double goodput_at_max = -1.0;
   int max_size = 0;
@@ -193,7 +184,6 @@ int main(int argc, char** argv) {
         result.wall_seconds > 0.0
             ? static_cast<double>(size) * horizon_sec / result.wall_seconds
             : 0.0;
-    const double rss = peak_rss_mb();
     table.add_row({"n=" + std::to_string(size),
                    metrics::TextTable::num(rep.mean_goodput_mbps, 2),
                    metrics::TextTable::num(rep.min_goodput_mbps, 2),
@@ -204,36 +194,10 @@ int main(int argc, char** argv) {
                    metrics::TextTable::num(result.wall_seconds, 1),
                    metrics::TextTable::num(events_per_s, 0),
                    metrics::TextTable::num(realtime, 1),
-                   metrics::TextTable::num(rss, 0)});
-
-    json::Value row = json::Value::object();
-    row.set("sessions", std::int64_t{size})
-        .set("total_events", rep.total_events)
-        .set("wall_seconds", result.wall_seconds)
-        .set("events_per_second", events_per_s)
-        .set("realtime_factor", realtime)
-        .set("peak_rss_mb", rss)
-        .set("mean_goodput_mbps", rep.mean_goodput_mbps)
-        .set("mean_stall_ms_per_session", rep.mean_stall_ms_per_session)
-        .set("peak_cell_load", std::uint64_t{rep.peak_cell_load});
-    rows.push_back(std::move(row));
+                   metrics::TextTable::num(peak_rss_mb(), 0)});
   }
 
   std::cout << table.render();
-
-  if (bench_json) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", std::string{"fleet"})
-        .set("host", bench::host_json(jobs))
-        .set("env", env_name)
-        .set("horizon_sec", horizon_sec)
-        .set("epoch_sec", epoch_sec)
-        .set("seed", seed)
-        .set("rows", std::move(rows));
-    std::ofstream out{*bench_json};
-    out << doc.dump(2) << "\n";
-    std::cout << "\nperf baseline written to " << *bench_json << "\n";
-  }
 
   const bool contention_visible =
       goodput_at_one < 0.0 || max_size <= 1 || goodput_at_max < goodput_at_one;

@@ -9,16 +9,11 @@
 // while the satellite outage process is active (pass handovers + obstruction
 // windows observed), 1 otherwise.
 //
-//   bench_ext_sat [--runs N] [--seed S] [--jobs J] [--bench-json FILE]
+//   bench_ext_sat [--runs N] [--seed S] [--jobs J]
 #include <chrono>
-#include <fstream>
-#include <optional>
 
 #include "bench_common.hpp"
-#include "bench_host.hpp"
-
 #include "experiment/scenario.hpp"
-#include "json/json.hpp"
 
 namespace {
 
@@ -32,40 +27,10 @@ struct Arm {
   double sat_outages = 0.0;       // obstruction/rain-fade windows, mean per run
 };
 
-void print_usage(const char* prog) {
-  std::cout << "usage: " << prog
-            << " [--runs N] [--seed S] [--jobs J] [--bench-json FILE]\n"
-               "  --runs N          campaign size per arm (default 4)\n"
-               "  --seed S          base seed (default 17000)\n"
-               "  --jobs J          worker threads (0 = all hardware threads)\n"
-               "  --bench-json FILE write machine-readable rows (perf gate)\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<std::string> bench_json;
-  {
-    // Peel off --bench-json, hand the rest to the shared bench parser.
-    std::vector<char*> rest{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--bench-json") {
-        if (i + 1 >= argc) {
-          std::cerr << "--bench-json needs a value\n\n";
-          print_usage(argv[0]);
-          return 2;
-        }
-        bench_json = argv[++i];
-      } else if (arg == "--help" || arg == "-h") {
-        print_usage(argv[0]);
-        return 0;
-      } else {
-        rest.push_back(argv[i]);
-      }
-    }
-    bench::parse_args(static_cast<int>(rest.size()), rest.data());
-  }
+  bench::parse_args(argc, argv);
   bench::print_header(
       "Extension — 2-path operator bonding vs 3-way (+LEO satellite)",
       "rpv::sat; IMC'22 Section 5 multi-connectivity outlook, ROADMAP item 4");
@@ -84,7 +49,6 @@ int main(int argc, char** argv) {
       {experiment::PathSet::kThreeWay, "3-way"},
   };
 
-  json::Value rows = json::Value::array();
   Arm hr_two, hr_three;
   for (const auto& [path_set, ps_label] : path_sets) {
     for (const auto& [multipath, label] : policies) {
@@ -144,18 +108,6 @@ int main(int argc, char** argv) {
            metrics::TextTable::num(arm.sat_outages, 1),
            metrics::TextTable::num(events_per_s, 0)});
 
-      json::Value row = json::Value::object();
-      row.set("multipath", experiment::multipath_name(multipath))
-          .set("path_set", experiment::path_set_name(path_set))
-          .set("stall_ms_per_run", arm.stall_ms_per_run)
-          .set("airtime_mb_per_run", arm.airtime_mb)
-          .set("sat_share_pct", arm.sat_share_pct)
-          .set("sat_pass_handovers", arm.sat_hos)
-          .set("sat_obstructions", arm.sat_outages)
-          .set("wall_seconds", wall)
-          .set("events_per_second", events_per_s);
-      rows.push_back(std::move(row));
-
       if (multipath == experiment::Multipath::kBondHighReliability) {
         if (path_set == experiment::PathSet::kOperatorPair) hr_two = arm;
         if (path_set == experiment::PathSet::kThreeWay) hr_three = arm;
@@ -164,19 +116,6 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n" << table.render();
-
-  if (bench_json) {
-    json::Value doc = json::Value::object();
-    doc.set("bench", std::string{"sat"})
-        .set("host", bench::host_json(bench::options().jobs))
-        .set("env", std::string{"rural-p1"})
-        .set("fault_preset", std::string{"rlf-storm"})
-        .set("seed", bench::seed_or(17000))
-        .set("rows", std::move(rows));
-    std::ofstream out{*bench_json};
-    out << doc.dump(2) << "\n";
-    std::cout << "\nperf baseline written to " << *bench_json << "\n";
-  }
 
   const bool less_stall = hr_three.stall_ms_per_run < hr_two.stall_ms_per_run;
   const bool sat_active = hr_three.sat_hos > 0.0 && hr_three.sat_outages > 0.0;

@@ -111,6 +111,7 @@ double static_bitrate_bps(Environment env) {
 pipeline::SessionConfig make_session_config(const Scenario& s) {
   pipeline::SessionConfig cfg;
   cfg.cc = s.cc;
+  pipeline::apply_cc_settings(cfg);
   cfg.seed = s.seed;
   cfg.static_bitrate_bps = static_bitrate_bps(s.env);
   cfg.receiver.rfc8888_ack_window = s.rfc8888_ack_window;

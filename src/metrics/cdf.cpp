@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 namespace rpv::metrics {
 
@@ -51,22 +50,6 @@ double Cdf::fraction_at_least(double x) const {
   const auto it = std::lower_bound(samples_.begin(), samples_.end(), x);
   return static_cast<double>(samples_.end() - it) /
          static_cast<double>(samples_.size());
-}
-
-std::vector<double> Cdf::evaluate(const std::vector<double>& xs) const {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (const double x : xs) out.push_back(fraction_below(x));
-  return out;
-}
-
-std::string Cdf::to_rows(int points) const {
-  std::ostringstream os;
-  for (int i = 0; i <= points; ++i) {
-    const double q = static_cast<double>(i) / points;
-    os << quantile(q) << " " << q << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace rpv::metrics

@@ -1,10 +1,9 @@
 // Empirical CDF accumulator.
 //
-// Collects samples and answers quantile / fraction-below queries, and can
-// render the same CDF series the paper plots (Figs. 5, 7, 12, 13).
+// Collects samples and answers quantile / fraction-below queries: the CDF
+// series the paper plots (Figs. 5, 7, 12, 13).
 #pragma once
 
-#include <string>
 #include <vector>
 
 namespace rpv::metrics {
@@ -29,13 +28,11 @@ class Cdf {
   // Fraction of samples >= x.
   [[nodiscard]] double fraction_at_least(double x) const;
 
-  // Evaluate the CDF at each of `xs`; returns F(x) per point.
-  [[nodiscard]] std::vector<double> evaluate(const std::vector<double>& xs) const;
-
-  // Render "x f(x)" rows at `points` evenly spaced quantiles, for plotting.
-  [[nodiscard]] std::string to_rows(int points = 20) const;
-
-  [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
+  // The samples in ascending order.
+  [[nodiscard]] const std::vector<double>& samples() const {
+    ensure_sorted();
+    return samples_;
+  }
 
  private:
   void ensure_sorted() const;

@@ -1,37 +1,25 @@
 #include "metrics/summary.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <sstream>
 
+#include "metrics/cdf.hpp"
+
 namespace rpv::metrics {
-namespace {
-
-double quantile_sorted(const std::vector<double>& s, double q) {
-  if (s.empty()) return 0.0;
-  const double idx = q * static_cast<double>(s.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(idx));
-  const auto hi = static_cast<std::size_t>(std::ceil(idx));
-  if (lo == hi) return s[lo];
-  const double f = idx - static_cast<double>(lo);
-  return s[lo] * (1.0 - f) + s[hi] * f;
-}
-
-}  // namespace
 
 Summary Summary::of(const std::vector<double>& samples) {
   Summary out;
   if (samples.empty()) return out;
-  std::vector<double> s = samples;
-  std::sort(s.begin(), s.end());
+  Cdf cdf;
+  cdf.add_all(samples);
+  const auto& s = cdf.samples();
   out.n = s.size();
   out.min = s.front();
   out.max = s.back();
-  out.q1 = quantile_sorted(s, 0.25);
-  out.median = quantile_sorted(s, 0.5);
-  out.q3 = quantile_sorted(s, 0.75);
-  out.mean = std::accumulate(s.begin(), s.end(), 0.0) / static_cast<double>(s.size());
+  out.q1 = cdf.quantile(0.25);
+  out.median = cdf.median();
+  out.q3 = cdf.quantile(0.75);
+  out.mean = cdf.mean();
   const double iqr = out.q3 - out.q1;
   const double lo_fence = out.q1 - 1.5 * iqr;
   const double hi_fence = out.q3 + 1.5 * iqr;

@@ -59,6 +59,25 @@ std::string cc_name(CcKind kind) {
   return "?";
 }
 
+void apply_cc_settings(SessionConfig& cfg) {
+  switch (cfg.cc) {
+    case CcKind::kGcc:
+      cfg.receiver.feedback = FeedbackKind::kTwcc;
+      cfg.sender.discard_queue = sim::Duration::millis(-1);
+      break;
+    case CcKind::kScream:
+      cfg.receiver.feedback = FeedbackKind::kRfc8888;
+      cfg.sender.discard_queue = sim::Duration::millis(100);
+      break;
+    case CcKind::kStatic:
+      cfg.receiver.feedback = FeedbackKind::kNone;
+      cfg.sender.discard_queue = sim::Duration::millis(-1);
+      break;
+    case CcKind::kNone:
+      break;
+  }
+}
+
 void SessionConfig::validate() const {
   rpv::validate(sender.frame_interval > sim::Duration::zero(),
                 "SessionConfig: sender.frame_interval must be positive");
@@ -172,25 +191,8 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
     cfg_.receiver.resilience.enabled = true;
   }
 
+  apply_cc_settings(cfg_);
   if (cfg_.cc != CcKind::kNone) {
-    // Receiver feedback kind and sender queue discard follow the CC choice.
-    switch (cfg_.cc) {
-      case CcKind::kGcc:
-        cfg_.receiver.feedback = FeedbackKind::kTwcc;
-        cfg_.sender.discard_queue = sim::Duration::millis(-1);
-        break;
-      case CcKind::kScream:
-        cfg_.receiver.feedback = FeedbackKind::kRfc8888;
-        cfg_.sender.discard_queue = sim::Duration::millis(100);  // the Ericsson library's flush
-        break;
-      case CcKind::kStatic:
-        cfg_.receiver.feedback = FeedbackKind::kNone;
-        cfg_.sender.discard_queue = sim::Duration::millis(-1);
-        break;
-      case CcKind::kNone:
-        break;
-    }
-
     std::shared_ptr<rtp::FecGroupTable> fec_table;
     if (bonding && bond::uses_fec(policy_)) {
       // The adaptive controller owns the group size.

@@ -124,6 +124,13 @@ struct SessionConfig {
   void validate() const;
 };
 
+// Sets the receiver feedback and sender queue discard `cfg.cc` runs with:
+// TWCC for GCC, RFC 8888 plus the Ericsson library's 100 ms queue flush for
+// SCReAM, no feedback for static; probe-only (kNone) leaves both as they
+// are. Session's constructor applies it, and experiment::make_session_config
+// too, so a config read before its session is built holds the same values.
+void apply_cc_settings(SessionConfig& cfg);
+
 class Session {
  public:
   // Single-path session over one operator layout. `layout` is copied;

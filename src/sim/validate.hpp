@@ -7,13 +7,34 @@
 // time rather than corrupting a multi-minute simulation.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace rpv {
 
 inline void validate(bool condition, const std::string& message) {
   if (!condition) throw std::invalid_argument(message);
+}
+
+// Whole-string value of a number flag, at least `min`: no trailing junk
+// ("3e6" or "2x" for a count), no sign ("-0" included; std::stoull wraps
+// "-5" to 2^64 - 5), nothing out of range or non-finite. Throws
+// std::invalid_argument naming the flag, so a CLI exits with its usage text
+// instead of running a size nobody asked for.
+template <class T>
+[[nodiscard]] T parse_number(const std::string& flag, const std::string& text,
+                             T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto r = std::from_chars(text.data(), end, value);
+  validate(!text.empty() && text[0] != '-' && r.ec == std::errc{} &&
+               r.ptr == end && value >= min &&
+               std::isfinite(static_cast<double>(value)),
+           "bad value for " + flag + ": '" + text + "'");
+  return value;
 }
 
 }  // namespace rpv

@@ -714,35 +714,36 @@ TEST(BenchOptions, RejectsMalformedAndUnknownArguments) {
 }
 
 TEST(BenchOptions, ParseNumberTakesOnlyWholeValuesAtOrAboveTheMinimum) {
-  EXPECT_EQ(bench::parse_number<std::uint64_t>("--events", "4000000", 1),
+  EXPECT_EQ(parse_number<std::uint64_t>("--events", "4000000", 1),
             4'000'000u);
-  EXPECT_EQ(bench::parse_number<std::uint64_t>("--seed", "0", 0), 0u);
-  EXPECT_EQ(bench::parse_number("--sizes", "64", 1), 64);
-  EXPECT_DOUBLE_EQ(bench::parse_number("--horizon", "0.5", 0.0),
-                   0.5);
+  EXPECT_EQ(parse_number<std::uint64_t>("--seed", "0", 0), 0u);
+  EXPECT_EQ(parse_number("--sizes", "64", 1), 64);
+  EXPECT_DOUBLE_EQ(parse_number("--horizon", "0.5", 0.0), 0.5);
   // A prefix is not a number: stoull would read "3e6" as 3 and "2x" as 2.
   for (const char* bad : {"3e6", "2x", "", " 5", "+5", "five", "0x10", "1.5",
                           "99999999999999999999"}) {
-    EXPECT_THROW((void)bench::parse_number<std::uint64_t>("--events", bad, 1),
+    EXPECT_THROW((void)parse_number<std::uint64_t>("--events", bad, 1),
                  std::invalid_argument)
         << bad;
   }
   // Counts must be positive and seeds non-negative; a sign never wraps.
-  EXPECT_THROW((void)bench::parse_number<std::uint64_t>("--events", "0", 1),
+  EXPECT_THROW((void)parse_number<std::uint64_t>("--events", "0", 1),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_number<std::uint64_t>("--events", "-5", 1),
+  EXPECT_THROW((void)parse_number<std::uint64_t>("--events", "-5", 1),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_number<std::uint64_t>("--seed", "-5", 0),
+  EXPECT_THROW((void)parse_number<std::uint64_t>("--seed", "-5", 0),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_number("--sizes", "-2", 1),
+  EXPECT_THROW((void)parse_number("--sizes", "-2", 1),
                std::invalid_argument);
-  for (const char* bad : {"60s", "-1", "nan", "inf", ""}) {
-    EXPECT_THROW((void)bench::parse_number("--horizon", bad, 0.0),
+  // "-0" is at least 0 as a value, but a sign is rejected as text.
+  EXPECT_THROW((void)parse_number("--jobs", "-0", 0), std::invalid_argument);
+  for (const char* bad : {"60s", "-1", "-0", "nan", "inf", ""}) {
+    EXPECT_THROW((void)parse_number("--horizon", bad, 0.0),
                  std::invalid_argument)
         << bad;
   }
   try {
-    (void)bench::parse_number("--sizes", "2x", 1);
+    (void)parse_number("--sizes", "2x", 1);
     ADD_FAILURE() << "2x parsed";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string{e.what()}.find("--sizes"), std::string::npos);

@@ -47,6 +47,29 @@ TEST(Scenario, AckWindowOverrideReachesReceiver) {
   EXPECT_EQ(make_session_config(s).receiver.rfc8888_ack_window, 64);
 }
 
+// The config a scenario maps to holds the feedback and queue discard its
+// session runs with, so readers need not build the session to see them.
+TEST(Scenario, SessionConfigCarriesTheCcSettingsItsSessionRuns) {
+  using pipeline::CcKind;
+  using pipeline::FeedbackKind;
+  struct Want {
+    CcKind cc;
+    FeedbackKind feedback;
+    std::int64_t discard_ms;
+  };
+  for (const Want w : {Want{CcKind::kGcc, FeedbackKind::kTwcc, -1},
+                       Want{CcKind::kScream, FeedbackKind::kRfc8888, 100},
+                       Want{CcKind::kStatic, FeedbackKind::kNone, -1},
+                       Want{CcKind::kNone, FeedbackKind::kTwcc, -1}}) {
+    Scenario s;
+    s.cc = w.cc;
+    const auto cfg = make_session_config(s);
+    EXPECT_EQ(cfg.receiver.feedback, w.feedback) << pipeline::cc_name(w.cc);
+    EXPECT_EQ(cfg.sender.discard_queue, sim::Duration::millis(w.discard_ms))
+        << pipeline::cc_name(w.cc);
+  }
+}
+
 TEST(Scenario, TrajectoryMatchesMobility) {
   sim::Rng rng{1};
   Scenario air;

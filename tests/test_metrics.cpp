@@ -54,22 +54,6 @@ TEST(Cdf, InterleavedAddAndQuery) {
   EXPECT_EQ(c.median(), 5.0);  // re-sorts after new samples
 }
 
-TEST(Cdf, EvaluateVector) {
-  Cdf c;
-  c.add_all({1, 2, 3, 4});
-  const auto f = c.evaluate({0.0, 2.0, 10.0});
-  EXPECT_DOUBLE_EQ(f[0], 0.0);
-  EXPECT_DOUBLE_EQ(f[1], 0.5);
-  EXPECT_DOUBLE_EQ(f[2], 1.0);
-}
-
-TEST(Cdf, ToRowsHasRequestedPoints) {
-  Cdf c;
-  c.add_all({1, 2, 3});
-  const auto rows = c.to_rows(4);
-  EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'), 5);
-}
-
 TEST(Cdf, QuantileClampsArgument) {
   Cdf c;
   c.add_all({1, 2, 3});

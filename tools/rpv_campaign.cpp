@@ -23,8 +23,6 @@
 //              environment, then {reactive, proactive, planned} x
 //              {urban, rural-p1} with the map attached; with --out the maps
 //              are stored as campaign artifacts (maps/<env>.map.json)
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -40,6 +38,7 @@
 #include "fleet/fleet_engine.hpp"
 #include "metrics/cdf.hpp"
 #include "metrics/text_table.hpp"
+#include "sim/validate.hpp"
 
 namespace {
 
@@ -172,21 +171,6 @@ void print_usage() {
          "plan grid: builds a warm-up survey radio map per environment, then\n"
          "  runs {reactive, proactive, planned} x {urban, rural-p1} with the\n"
          "  map attached; with --out, maps land in DIR/<name>/maps/\n";
-}
-
-// A whole-token decimal >= `min`, by the rules of bench::parse_options: no
-// trailing junk ("1x"), no sign (std::stoull wraps "-5" to 2^64 - 5) and no
-// out-of-range or non-finite value.
-template <class T>
-T parse_number(const std::string& flag, const std::string& text, T min) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto r = std::from_chars(text.data(), end, value);
-  if (text.empty() || text[0] == '-' || r.ec != std::errc{} || r.ptr != end ||
-      !(value >= min) || !std::isfinite(static_cast<double>(value))) {
-    throw std::invalid_argument{"bad value for " + flag + ": '" + text + "'"};
-  }
-  return value;
 }
 
 experiment::Environment parse_env_name(const std::string& name) {
