@@ -9,10 +9,10 @@
 namespace rpv::bond {
 namespace {
 
-// Bound on the duplicate-suppression set; generous versus the few hundred
-// packets in flight, tiny versus a full run.
-constexpr std::size_t kSeenCap = 60000;
-constexpr std::size_t kSeenPrune = 20000;
+// Bound on the duplicate filter; generous versus the few hundred packets in
+// flight, tiny versus a full run.
+constexpr std::uint64_t kSeenCap = 60000;
+constexpr std::uint64_t kSeenPrune = 20000;
 
 }  // namespace
 
@@ -89,17 +89,13 @@ void ReorderWindow::on_packet(net::Packet p, int path) {
 
   // Duplicate suppression: exactly one copy of each logical packet passes.
   const std::uint64_t key = dedup_key(p);
-  if (!seen_.insert(key).second) {
+  Seen& seen = seen_[p.transport_seq];
+  if (seen.key == key && seen.stamp > forgotten_) {
     ++duplicates_suppressed_;
     return;
   }
-  seen_order_.push_back(key);
-  if (seen_order_.size() > kSeenCap) {
-    for (std::size_t i = 0; i < kSeenPrune; ++i) {
-      seen_.erase(seen_order_.front());
-      seen_order_.pop_front();
-    }
-  }
+  seen = {key, ++accepted_};
+  if (accepted_ - forgotten_ > kSeenCap) forgotten_ += kSeenPrune;
 
   const std::int64_t seq = unwrapper_.unwrap(p.transport_seq);
   if (!started_) {
@@ -107,49 +103,53 @@ void ReorderWindow::on_packet(net::Packet p, int path) {
     next_expected_ = seq;
   }
 
-  if (seq < next_expected_) {
-    // Its gap was already flushed past; release immediately rather than
-    // re-order backwards (downstream jitter buffering absorbs it).
+  if (seq < next_expected_ || buffer_.find(seq) != nullptr) {
+    // Its gap was already flushed past, or another packet holds its seq:
+    // release it now (downstream jitter buffering absorbs the reorder).
     ++late_;
     ++delivered_;
     deliver_(std::move(p), path);
     return;
   }
 
-  buffer_.emplace(seq, Held{std::move(p), now, path});
+  buffer_.insert(seq, Held{std::move(p), path});
+  arrivals_.push_back({now, seq});
   drain_in_order();
   if (buffer_.size() >= cfg_.max_packets) {
     // Overflow: the missing packet is not coming (or the window is too small
     // for the current skew) — release everything rather than grow unbounded.
-    const auto released = static_cast<std::uint32_t>(buffer_.size());
-    release(buffer_.end());
+    const auto released = release_through(buffer_.back());
     ++flushes_;
     publish_flush(released, 1, hold_window().ms());
   }
   arm_timer();
 }
 
-void ReorderWindow::drain_in_order() {
-  auto it = buffer_.begin();
-  while (it != buffer_.end() && it->first == next_expected_) {
-    ++next_expected_;
-    ++delivered_;
-    deliver_(std::move(it->second.packet), it->second.path);
-    it = buffer_.erase(it);
-  }
+void ReorderWindow::deliver_front() {
+  Held held = buffer_.take(buffer_.front());
+  ++delivered_;
+  deliver_(std::move(held.packet), held.path);
 }
 
-void ReorderWindow::release(std::map<std::int64_t, Held>::iterator end_it) {
-  // Release buffered packets in sequence order up to (not including) end_it,
+void ReorderWindow::drain_in_order() {
+  while (!buffer_.empty() && buffer_.front() == next_expected_) {
+    ++next_expected_;
+    deliver_front();
+  }
+  if (buffer_.empty()) arrivals_.clear();
+}
+
+std::uint32_t ReorderWindow::release_through(std::int64_t last) {
+  // Release buffered packets in sequence order up to and including `last`,
   // skipping the gaps that never arrived.
-  auto it = buffer_.begin();
-  while (it != end_it) {
-    next_expected_ = it->first + 1;
-    ++delivered_;
-    deliver_(std::move(it->second.packet), it->second.path);
-    it = buffer_.erase(it);
+  std::uint32_t released = 0;
+  while (!buffer_.empty() && buffer_.front() <= last) {
+    next_expected_ = buffer_.front() + 1;
+    deliver_front();
+    ++released;
   }
   drain_in_order();
+  return released;
 }
 
 void ReorderWindow::flush_expired() {
@@ -159,18 +159,15 @@ void ReorderWindow::flush_expired() {
   const auto hold = hold_window();
   // Everything up to and including the newest expired packet is released:
   // packets with smaller sequence numbers than an expired one must precede it
-  // regardless of their own age.
-  auto end_it = buffer_.begin();
-  std::uint32_t released = 0;
-  for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
-    if (it->second.arrived + hold <= now) {
-      end_it = std::next(it);
-      released = static_cast<std::uint32_t>(
-          std::distance(buffer_.begin(), end_it));
-    }
+  // regardless of their own age. Arrivals are in time order, so the expired
+  // ones are a prefix.
+  std::int64_t last = next_expected_ - 1;
+  for (const auto& a : arrivals_) {
+    if (a.at + hold > now) break;
+    last = std::max(last, a.seq);
   }
+  const auto released = release_through(last);
   if (released > 0) {
-    release(end_it);
     ++flushes_;
     publish_flush(released, 0, hold.ms());
   }
@@ -178,17 +175,16 @@ void ReorderWindow::flush_expired() {
 }
 
 void ReorderWindow::arm_timer() {
+  while (!arrivals_.empty() && arrivals_.front().seq < next_expected_) {
+    arrivals_.pop_front();
+  }
   if (buffer_.empty()) {
     timer_.cancel();
     timer_deadline_ = sim::TimePoint::never();
     return;
   }
   // The next deadline is the oldest arrival plus the hold window.
-  sim::TimePoint oldest = sim::TimePoint::never();
-  for (const auto& [seq, held] : buffer_) {
-    oldest = std::min(oldest, held.arrived);
-  }
-  const auto deadline = oldest + hold_window();
+  const auto deadline = arrivals_.front().at + hold_window();
   if (timer_.pending() && deadline >= timer_deadline_) return;
   timer_deadline_ = deadline;
   // Re-arming cancels the previous deadline.
@@ -199,8 +195,7 @@ void ReorderWindow::flush_all() {
   timer_.cancel();
   timer_deadline_ = sim::TimePoint::never();
   if (buffer_.empty()) return;
-  const auto released = static_cast<std::uint32_t>(buffer_.size());
-  release(buffer_.end());
+  const auto released = release_through(buffer_.back());
   ++flushes_;
   publish_flush(released, 2, hold_window().ms());
 }

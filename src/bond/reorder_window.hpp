@@ -9,6 +9,11 @@
 // duplication or FEC cross-delivery) are suppressed here, exactly once per
 // logical packet.
 //
+// The duplicate filter remembers the last 40,001-60,000 accepted packets:
+// past 60,000 it forgets the oldest 20,000 at once. It keeps one entry per
+// 16-bit transport seq, so it also forgets a packet once a newer one takes
+// its seq, 65,536 seqs on; copies trail by seconds, a few thousand seqs.
+//
 // All state is deterministic: hold timers run on the simulation clock, and
 // identical arrival streams release identical output streams.
 #pragma once
@@ -16,12 +21,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "obs/event_sink.hpp"
+#include "rtp/seq_window.hpp"
 #include "rtp/sequence.hpp"
 #include "sim/simulator.hpp"
 
@@ -52,6 +56,8 @@ class ReorderWindow {
   void attach_observer(obs::EventBus* bus) { bus_ = bus; }
 
   // Feed one arriving copy. May release zero or more packets downstream.
+  // Every copy is delivered or counted a duplicate: one whose gap was
+  // flushed past, or whose seq another packet holds, is released late.
   void on_packet(net::Packet p, int path);
 
   // End-of-run drain: release everything still held, in order.
@@ -70,13 +76,22 @@ class ReorderWindow {
  private:
   struct Held {
     net::Packet packet;
-    sim::TimePoint arrived;
     int path = 0;
+  };
+  struct Arrival {
+    sim::TimePoint at;
+    std::int64_t seq = 0;
+  };
+  // The key last accepted at a transport seq and its acceptance count then.
+  struct Seen {
+    std::uint64_t key = 0;
+    std::uint64_t stamp = 0;
   };
 
   [[nodiscard]] sim::Duration hold_window() const;
   [[nodiscard]] static std::uint64_t dedup_key(const net::Packet& p);
-  void release(std::map<std::int64_t, Held>::iterator end_it);
+  void deliver_front();
+  std::uint32_t release_through(std::int64_t last);
   void drain_in_order();
   void flush_expired();
   void arm_timer();
@@ -89,14 +104,18 @@ class ReorderWindow {
   obs::EventBus* bus_ = nullptr;
 
   rtp::SeqUnwrapper unwrapper_;
-  std::map<std::int64_t, Held> buffer_;  // keyed by unwrapped transport seq
+  rtp::SeqWindow<Held> buffer_;  // keyed by unwrapped transport seq
+  // Held packets in arrival order, for the oldest arrival's deadline; an
+  // entry below next_expected_ was released already.
+  std::deque<Arrival> arrivals_;
   bool started_ = false;
   std::int64_t next_expected_ = 0;
 
-  // Duplicate suppression: logical identity of every packet released so far,
-  // FIFO-bounded (duplicate copies trail the original by at most seconds).
-  std::unordered_set<std::uint64_t> seen_;
-  std::deque<std::uint64_t> seen_order_;
+  // Duplicate suppression (see the header comment): a stamp above
+  // forgotten_ marks one of the remembered accepted packets.
+  std::vector<Seen> seen_ = std::vector<Seen>(std::size_t{1} << 16);
+  std::uint64_t accepted_ = 0;
+  std::uint64_t forgotten_ = 0;
 
   // Per-path one-way latency EWMAs feeding the skew estimate.
   std::vector<double> path_latency_ms_;

@@ -2,14 +2,28 @@
 
 #include <algorithm>
 
+#include "sim/validate.hpp"
+
 namespace rpv::rtp {
+
+FecEncoder::FecEncoder(FecConfig cfg, std::shared_ptr<FecGroupTable> table)
+    : cfg_{cfg}, table_{std::move(table)} {
+  rpv::validate(cfg_.group_size >= 1 && cfg_.interleave_depth >= 1,
+                "FecEncoder: group_size and interleave_depth must be >= 1");
+  rpv::validate(table_ != nullptr, "FecEncoder: group table required");
+  slots_.resize(static_cast<std::size_t>(cfg_.interleave_depth));
+}
+
+FecDecoder::FecDecoder(std::shared_ptr<FecGroupTable> table)
+    : table_{std::move(table)} {
+  rpv::validate(table_ != nullptr, "FecDecoder: group table required");
+}
 
 void FecEncoder::set_group_size(int n) {
   cfg_.group_size = n < 2 ? 2 : n;
 }
 
 std::optional<net::Packet> FecEncoder::on_media_packet(net::Packet& media) {
-  if (slots_.empty()) slots_.resize(static_cast<std::size_t>(cfg_.interleave_depth));
   Slot& slot = slots_[next_slot_];
   next_slot_ = (next_slot_ + 1) % slots_.size();
 
@@ -34,24 +48,28 @@ std::optional<net::Packet> FecEncoder::on_media_packet(net::Packet& media) {
 std::optional<net::Packet> FecDecoder::on_media_packet(const net::Packet& p,
                                                         sim::TimePoint now) {
   if (p.fec_group < 0) return std::nullopt;
-  auto& st = states_[p.fec_group];
-  st.seen_transport_seqs.push_back(p.transport_seq);
-  // Bound state.
-  while (states_.size() > 512) states_.erase(states_.begin());
-  return try_repair(p.fec_group, now);
+  state(p.fec_group).seen_transport_seqs.push_back(p.transport_seq);
+  // Bound state; this may drop the group just fed, which then starts afresh.
+  while (states_.size() > 512) states_.erase(states_.front());
+  return try_repair(p.fec_group, state(p.fec_group), now);
 }
 
 std::optional<net::Packet> FecDecoder::on_parity_packet(const net::Packet& parity,
                                                         sim::TimePoint now) {
   if (parity.fec_group < 0) return std::nullopt;
-  auto& st = states_[parity.fec_group];
+  auto& st = state(parity.fec_group);
   st.parity_seen = true;
-  return try_repair(parity.fec_group, now);
+  return try_repair(parity.fec_group, st, now);
+}
+
+FecDecoder::GroupState& FecDecoder::state(std::int32_t group) {
+  states_.insert(group, GroupState{});  // a no-op when the group is live
+  return *states_.find(group);
 }
 
 std::optional<net::Packet> FecDecoder::try_repair(std::int32_t group,
+                                                  GroupState& st,
                                                   sim::TimePoint now) {
-  auto& st = states_[group];
   if (!st.parity_seen || st.repaired) return std::nullopt;
   const auto* members = table_->get(group);
   if (members == nullptr) return std::nullopt;

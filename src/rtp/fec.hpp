@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "rtp/seq_window.hpp"
 #include "sim/time.hpp"
 
 namespace rpv::rtp {
@@ -36,23 +36,22 @@ struct FecConfig {
 class FecGroupTable {
  public:
   void put(std::int32_t group, std::vector<net::Packet> members) {
-    groups_[group] = std::move(members);
+    groups_.erase(group);
+    groups_.insert(group, std::move(members));
     // Bound state: groups far behind can no longer be repaired.
-    while (groups_.size() > 512) groups_.erase(groups_.begin());
+    while (groups_.size() > 512) groups_.erase(groups_.front());
   }
   [[nodiscard]] const std::vector<net::Packet>* get(std::int32_t group) const {
-    const auto it = groups_.find(group);
-    return it == groups_.end() ? nullptr : &it->second;
+    return groups_.find(group);
   }
 
  private:
-  std::map<std::int32_t, std::vector<net::Packet>> groups_;
+  SeqWindow<std::vector<net::Packet>> groups_;
 };
 
 class FecEncoder {
  public:
-  FecEncoder(FecConfig cfg, std::shared_ptr<FecGroupTable> table)
-      : cfg_{cfg}, table_{std::move(table)} {}
+  FecEncoder(FecConfig cfg, std::shared_ptr<FecGroupTable> table);
 
   // Tag the media packet with its group and, when the group completes,
   // return the parity packet to transmit after it.
@@ -84,8 +83,7 @@ class FecEncoder {
 
 class FecDecoder {
  public:
-  explicit FecDecoder(std::shared_ptr<FecGroupTable> table)
-      : table_{std::move(table)} {}
+  explicit FecDecoder(std::shared_ptr<FecGroupTable> table);
 
   // Feed an arriving media packet. May complete a repair for a group whose
   // parity arrived before this (reordered) member.
@@ -104,10 +102,12 @@ class FecDecoder {
     bool parity_seen = false;
     bool repaired = false;
   };
-  std::optional<net::Packet> try_repair(std::int32_t group, sim::TimePoint now);
+  GroupState& state(std::int32_t group);
+  std::optional<net::Packet> try_repair(std::int32_t group, GroupState& st,
+                                        sim::TimePoint now);
 
   std::shared_ptr<FecGroupTable> table_;
-  std::map<std::int32_t, GroupState> states_;
+  SeqWindow<GroupState> states_;  // keyed by group id
   std::uint64_t recovered_ = 0;
 };
 

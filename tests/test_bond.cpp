@@ -140,6 +140,26 @@ TEST(ReorderWindow, ParityAndMediaKeysDoNotCollide) {
   EXPECT_EQ(f.window->duplicates_suppressed(), 0u);
 }
 
+TEST(ReorderWindow, PacketWhoseSeqIsAlreadyHeldIsReleasedAtOnce) {
+  WindowFixture f;
+  f.window->on_packet(media(5, 5, f.sim.now()), 0);
+  f.window->on_packet(media(7, 7, f.sim.now()), 0);  // held behind seq 6
+  net::Packet parity;
+  parity.id = 70;
+  parity.kind = net::PacketKind::kFecParity;
+  parity.transport_seq = 7;  // numbered like the held media packet
+  parity.fec_group = 0;
+  parity.sent = f.sim.now();
+  f.window->on_packet(parity, 1);
+  ASSERT_EQ(f.out.size(), 2u);
+  EXPECT_EQ(f.out[1], (std::pair<std::uint16_t, int>{7, 1}));
+  EXPECT_EQ(f.window->late_packets(), 1u);
+  EXPECT_EQ(f.window->duplicates_suppressed(), 0u);
+  EXPECT_EQ(f.window->held(), 1u);
+  f.window->flush_all();
+  EXPECT_EQ(f.window->delivered() + f.window->duplicates_suppressed(), 3u);
+}
+
 TEST(ReorderWindow, FlushAllDrainsAroundGaps) {
   WindowFixture f;
   f.window->on_packet(media(1, 1, f.sim.now()), 0);

@@ -1,10 +1,14 @@
-// Golden pins for single-path sessions: the FNV-1a digest of the canonical
-// report JSON of five unobserved flights, and of the events.jsonl stream of
-// one observed flight. Together they cover every single-path feature the
-// session wiring touches (GCC, SCReAM at both ack windows, probe-only, C2,
-// faults, resilience, FEC, observability), so any refactor of the session
-// layer that changes a single byte of a single-path artifact fails here. See
-// docs/TESTING.md ("Refreshing golden pins") before touching a constant.
+// Golden pins for sessions end to end: the FNV-1a digest of the canonical
+// report JSON of five unobserved single-path flights, and of the
+// events.jsonl stream of one observed flight. Together they cover every
+// single-path feature the session wiring touches (GCC, SCReAM at both ack
+// windows, probe-only, C2, faults, resilience, FEC, observability). Two
+// bonded flights through an RLF storm on both operators pin the receive path
+// of multipath delivery (reorder window, duplicate filter, adaptive FEC):
+// the report on the operator pair, and the report and events.jsonl stream
+// with a LEO path added. Any refactor of the session layer that changes a
+// single byte of one of these artifacts fails here. See docs/TESTING.md
+// ("Refreshing golden pins") before touching a constant.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -107,6 +111,39 @@ TEST(GoldenPins, ObservedUrbanAirGccEventStream) {
   ASSERT_FALSE(r.events.empty());
   const auto digest = fnv1a(obs::to_jsonl(r.events));
   EXPECT_EQ(digest, 0x4532c203a428dcb6ull) << "actual " << hex(digest);
+}
+
+// A bonded flight: the reorder window, duplicate filter and FEC group state
+// on the receive path of an RLF storm hitting both operators.
+experiment::Scenario bonded_storm(experiment::PathSet paths,
+                                  std::uint64_t seed) {
+  auto s = flight(experiment::Environment::kRuralP1, experiment::Mobility::kAir,
+                  pipeline::CcKind::kStatic, seed);
+  s.c2 = true;
+  s.multipath = experiment::Multipath::kBondHighReliability;
+  s.path_set = paths;
+  s.fault_preset = experiment::FaultPreset::kRlfStorm;
+  s.faults_on_both_operators = true;
+  return s;
+}
+
+TEST(GoldenPins, RuralP1BondedOperatorPairRlfStormReport) {
+  const auto r = expect_report_pin(
+      bonded_storm(experiment::PathSet::kOperatorPair, 2107),
+      0xdd1c4845bc8edac2ull);
+  EXPECT_GT(r.bond_reorder_flushes, 0u);
+  EXPECT_GT(r.bond_fec_recovered, 0u);
+}
+
+TEST(GoldenPins, ObservedRuralP1BondedThreeWayRlfStormReportAndEventStream) {
+  auto s = bonded_storm(experiment::PathSet::kThreeWay, 2108);
+  s.observe = true;
+  const auto r = expect_report_pin(s, 0xa2f5aad2a21725f6ull);
+  EXPECT_GT(r.bond_reorder_flushes, 0u);
+  EXPECT_GT(r.bond_fec_recovered, 0u);
+  ASSERT_FALSE(r.events.empty());
+  const auto digest = fnv1a(obs::to_jsonl(r.events));
+  EXPECT_EQ(digest, 0xfd5240e5e7bb0301ull) << "actual " << hex(digest);
 }
 
 }  // namespace

@@ -1,18 +1,28 @@
 // Property-style parameterized sweeps across seeds, rates, and module
 // configurations: invariants that must hold for any input in the domain.
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <limits>
 #include <map>
+#include <memory>
+#include <optional>
+#include <set>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bond/reorder_window.hpp"
 #include "cc/gcc/gcc_controller.hpp"
 #include "cc/scream/scream_controller.hpp"
 #include "cellular/link_queue.hpp"
 #include "cellular/loss_model.hpp"
 #include "radiomap/radio_map.hpp"
+#include "obs/event_sink.hpp"
+#include "rtp/fec.hpp"
 #include "rtp/feedback.hpp"
 #include "rtp/jitter_buffer.hpp"
 #include "rtp/packetizer.hpp"
@@ -645,6 +655,574 @@ TEST_P(SeqWindowFuzz, MatchesStdMap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeqWindowFuzz, ::testing::Values(501, 502, 503));
+
+// --- Bonded receive path: flat tables against the std::map originals ---
+//
+// MapReorderWindow, MapFecGroupTable and MapFecDecoder are the bonded
+// receive path as it was written over std::map, std::unordered_set and a
+// FIFO deque of dedup keys. One change is carried over from the flat
+// window: a packet whose unwrapped seq another packet already holds is
+// released at once and counted late (the original dropped it). The fuzzers
+// drive each pair side by side and compare after every call.
+
+class MapReorderWindow {
+ public:
+  MapReorderWindow(Simulator& sim, bond::ReorderWindowConfig cfg,
+                   bond::ReorderWindow::DeliverFn deliver)
+      : sim_{sim}, cfg_{cfg}, deliver_{std::move(deliver)} {}
+
+  void attach_observer(obs::EventBus* bus) { bus_ = bus; }
+
+  void on_packet(net::Packet p, int path) {
+    const auto now = sim_.now();
+    if (path >= 0) {
+      const auto idx = static_cast<std::size_t>(path);
+      if (idx >= path_latency_ms_.size()) {
+        path_latency_ms_.resize(idx + 1, 0.0);
+        path_seen_.resize(idx + 1, false);
+      }
+      const double owd_ms = (now - p.sent).ms();
+      if (!path_seen_[idx]) {
+        path_latency_ms_[idx] = owd_ms;
+        path_seen_[idx] = true;
+      } else {
+        path_latency_ms_[idx] += cfg_.skew_alpha * (owd_ms - path_latency_ms_[idx]);
+      }
+    }
+    const std::uint64_t key = dedup_key(p);
+    if (!seen_.insert(key).second) {
+      ++duplicates_suppressed_;
+      return;
+    }
+    seen_order_.push_back(key);
+    if (seen_order_.size() > 60000) {
+      for (int i = 0; i < 20000; ++i) {
+        seen_.erase(seen_order_.front());
+        seen_order_.pop_front();
+      }
+    }
+    const std::int64_t seq = unwrapper_.unwrap(p.transport_seq);
+    if (!started_) {
+      started_ = true;
+      next_expected_ = seq;
+    }
+    if (seq < next_expected_ || buffer_.count(seq) != 0) {
+      ++late_;
+      ++delivered_;
+      deliver_(std::move(p), path);
+      return;
+    }
+    buffer_.emplace(seq, Held{std::move(p), now, path});
+    drain_in_order();
+    if (buffer_.size() >= cfg_.max_packets) {
+      const auto released = static_cast<std::uint32_t>(buffer_.size());
+      release(buffer_.end());
+      ++flushes_;
+      publish_flush(released, 1, hold_window().ms());
+    }
+    arm_timer();
+  }
+
+  void flush_all() {
+    timer_.cancel();
+    timer_deadline_ = TimePoint::never();
+    if (buffer_.empty()) return;
+    const auto released = static_cast<std::uint32_t>(buffer_.size());
+    release(buffer_.end());
+    ++flushes_;
+    publish_flush(released, 2, hold_window().ms());
+  }
+
+  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
+  std::uint64_t flushes() const { return flushes_; }
+  std::uint64_t late_packets() const { return late_; }
+  std::size_t held() const { return buffer_.size(); }
+  // How many accepted keys the duplicate filter remembers.
+  std::size_t remembered() const { return seen_order_.size(); }
+
+  double skew_ms() const {
+    double lo = 0.0;
+    double hi = 0.0;
+    bool any = false;
+    for (std::size_t i = 0; i < path_latency_ms_.size(); ++i) {
+      if (!path_seen_[i]) continue;
+      if (!any) {
+        lo = hi = path_latency_ms_[i];
+        any = true;
+      } else {
+        lo = std::min(lo, path_latency_ms_[i]);
+        hi = std::max(hi, path_latency_ms_[i]);
+      }
+    }
+    return any ? hi - lo : 0.0;
+  }
+
+ private:
+  struct Held {
+    net::Packet packet;
+    TimePoint arrived;
+    int path = 0;
+  };
+  using Buffer = std::map<std::int64_t, Held>;
+
+  static std::uint64_t dedup_key(const net::Packet& p) {
+    if (p.kind == net::PacketKind::kFecParity) {
+      return (1ULL << 48) |
+             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.fec_group))
+              << 16) |
+             p.transport_seq;
+    }
+    return (static_cast<std::uint64_t>(p.frame_id) << 16) | p.transport_seq;
+  }
+
+  Duration hold_window() const {
+    const auto skew = Duration::seconds(skew_ms() * 1.5 / 1e3);
+    return std::clamp(skew, cfg_.base_hold, cfg_.max_hold);
+  }
+
+  void drain_in_order() {
+    auto it = buffer_.begin();
+    while (it != buffer_.end() && it->first == next_expected_) {
+      ++next_expected_;
+      ++delivered_;
+      deliver_(std::move(it->second.packet), it->second.path);
+      it = buffer_.erase(it);
+    }
+  }
+
+  void release(Buffer::iterator end_it) {
+    auto it = buffer_.begin();
+    while (it != end_it) {
+      next_expected_ = it->first + 1;
+      ++delivered_;
+      deliver_(std::move(it->second.packet), it->second.path);
+      it = buffer_.erase(it);
+    }
+    drain_in_order();
+  }
+
+  void flush_expired() {
+    timer_deadline_ = TimePoint::never();
+    if (buffer_.empty()) return;
+    const auto now = sim_.now();
+    const auto hold = hold_window();
+    auto end_it = buffer_.begin();
+    std::uint32_t released = 0;
+    for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
+      if (it->second.arrived + hold <= now) {
+        end_it = std::next(it);
+        released = static_cast<std::uint32_t>(std::distance(buffer_.begin(), end_it));
+      }
+    }
+    if (released > 0) {
+      release(end_it);
+      ++flushes_;
+      publish_flush(released, 0, hold.ms());
+    }
+    arm_timer();
+  }
+
+  void arm_timer() {
+    if (buffer_.empty()) {
+      timer_.cancel();
+      timer_deadline_ = TimePoint::never();
+      return;
+    }
+    TimePoint oldest = TimePoint::never();
+    for (const auto& [seq, held] : buffer_) oldest = std::min(oldest, held.arrived);
+    const auto deadline = oldest + hold_window();
+    if (timer_.pending() && deadline >= timer_deadline_) return;
+    timer_deadline_ = deadline;
+    timer_ = sim_.schedule_timer_at(deadline, [this] { flush_expired(); });
+  }
+
+  void publish_flush(std::uint32_t released, std::uint8_t reason, double hold_ms) {
+    if (bus_ == nullptr || !bus_->wants(obs::EventKind::kReorderFlush)) return;
+    bus_->publish(obs::Component::kBond, obs::EventKind::kReorderFlush, sim_.now(),
+                  obs::ReorderFlushPayload{released, reason, hold_ms});
+  }
+
+  Simulator& sim_;
+  bond::ReorderWindowConfig cfg_;
+  bond::ReorderWindow::DeliverFn deliver_;
+  obs::EventBus* bus_ = nullptr;
+  rtp::SeqUnwrapper unwrapper_;
+  Buffer buffer_;
+  bool started_ = false;
+  std::int64_t next_expected_ = 0;
+  std::unordered_set<std::uint64_t> seen_;
+  std::deque<std::uint64_t> seen_order_;
+  std::vector<double> path_latency_ms_;
+  std::vector<bool> path_seen_;
+  TimePoint timer_deadline_ = TimePoint::never();
+  sim::Timer timer_;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t duplicates_suppressed_ = 0;
+  std::uint64_t flushes_ = 0;
+  std::uint64_t late_ = 0;
+};
+
+class MapFecGroupTable {
+ public:
+  void put(std::int32_t group, std::vector<net::Packet> members) {
+    groups_[group] = std::move(members);
+    while (groups_.size() > 512) groups_.erase(groups_.begin());
+  }
+  const std::vector<net::Packet>* get(std::int32_t group) const {
+    const auto it = groups_.find(group);
+    return it == groups_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  std::map<std::int32_t, std::vector<net::Packet>> groups_;
+};
+
+class MapFecDecoder {
+ public:
+  explicit MapFecDecoder(const MapFecGroupTable& table) : table_{table} {}
+
+  std::optional<net::Packet> on_media_packet(const net::Packet& p, TimePoint now) {
+    if (p.fec_group < 0) return std::nullopt;
+    auto& st = states_[p.fec_group];
+    st.seen_transport_seqs.push_back(p.transport_seq);
+    while (states_.size() > 512) states_.erase(states_.begin());
+    return try_repair(p.fec_group, now);
+  }
+
+  std::optional<net::Packet> on_parity_packet(const net::Packet& parity,
+                                              TimePoint now) {
+    if (parity.fec_group < 0) return std::nullopt;
+    states_[parity.fec_group].parity_seen = true;
+    return try_repair(parity.fec_group, now);
+  }
+
+  std::uint64_t recovered_packets() const { return recovered_; }
+
+ private:
+  struct GroupState {
+    std::vector<std::uint16_t> seen_transport_seqs;
+    bool parity_seen = false;
+    bool repaired = false;
+  };
+
+  std::optional<net::Packet> try_repair(std::int32_t group, TimePoint now) {
+    auto& st = states_[group];
+    if (!st.parity_seen || st.repaired) return std::nullopt;
+    const auto* members = table_.get(group);
+    if (members == nullptr) return std::nullopt;
+    const net::Packet* missing = nullptr;
+    int missing_count = 0;
+    for (const auto& m : *members) {
+      if (std::find(st.seen_transport_seqs.begin(), st.seen_transport_seqs.end(),
+                    m.transport_seq) == st.seen_transport_seqs.end()) {
+        ++missing_count;
+        missing = &m;
+      }
+    }
+    if (missing_count != 1) return std::nullopt;
+    st.repaired = true;
+    ++recovered_;
+    net::Packet rebuilt = *missing;
+    rebuilt.received = now;
+    return rebuilt;
+  }
+
+  const MapFecGroupTable& table_;
+  std::map<std::int32_t, GroupState> states_;
+  std::uint64_t recovered_ = 0;
+};
+
+// One side of the reorder-window fuzz: a window on its own simulator, with
+// every release and every flush event logged.
+template <class Window>
+struct WindowRun {
+  Simulator sim;
+  std::vector<std::pair<std::uint64_t, int>> released;  // (packet id, path)
+  std::vector<std::pair<TimePoint, obs::ReorderFlushPayload>> flush_events;
+  obs::EventBus bus;
+  obs::FunctionSink sink{obs::kind_bit(obs::EventKind::kReorderFlush),
+                         [this](const obs::Event& e) {
+                           flush_events.emplace_back(
+                               e.t, std::get<obs::ReorderFlushPayload>(e.payload));
+                         }};
+  Window window;
+
+  explicit WindowRun(bond::ReorderWindowConfig cfg)
+      : window{sim, cfg, [this](net::Packet p, int path) {
+                 released.emplace_back(p.id, path);
+               }} {
+    bus.subscribe(&sink);
+    window.attach_observer(&bus);
+  }
+};
+
+// Compares the logs past `checked` (then advances it) and every counter.
+::testing::AssertionResult same_window(const WindowRun<bond::ReorderWindow>& flat,
+                                       const WindowRun<MapReorderWindow>& ref,
+                                       std::pair<std::size_t, std::size_t>& checked) {
+  auto& [releases, flushes] = checked;
+  if (flat.released.size() != ref.released.size()) {
+    return ::testing::AssertionFailure() << "released " << flat.released.size()
+                                         << " vs " << ref.released.size();
+  }
+  for (; releases < flat.released.size(); ++releases) {
+    if (flat.released[releases] != ref.released[releases]) {
+      return ::testing::AssertionFailure() << "release #" << releases << ": id "
+                                           << flat.released[releases].first << " vs "
+                                           << ref.released[releases].first;
+    }
+  }
+  if (flat.flush_events.size() != ref.flush_events.size()) {
+    return ::testing::AssertionFailure() << "flush events " << flat.flush_events.size()
+                                         << " vs " << ref.flush_events.size();
+  }
+  for (; flushes < flat.flush_events.size(); ++flushes) {
+    if (flat.flush_events[flushes] != ref.flush_events[flushes]) {
+      return ::testing::AssertionFailure() << "flush event #" << flushes;
+    }
+  }
+  const auto& a = flat.window;
+  const auto& b = ref.window;
+  if (a.delivered() != b.delivered() ||
+      a.duplicates_suppressed() != b.duplicates_suppressed() ||
+      a.flushes() != b.flushes() || a.late_packets() != b.late_packets() ||
+      a.held() != b.held() || a.skew_ms() != b.skew_ms()) {
+    return ::testing::AssertionFailure()
+           << "counters delivered " << a.delivered() << "/" << b.delivered()
+           << " duplicates " << a.duplicates_suppressed() << "/"
+           << b.duplicates_suppressed() << " flushes " << a.flushes() << "/"
+           << b.flushes() << " late " << a.late_packets() << "/" << b.late_packets()
+           << " held " << a.held() << "/" << b.held();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class ReorderWindowFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Seeded arrival streams over 1-4 paths of unequal latency and jitter:
+// duplicated copies, media and parity packets, gaps (copies lost on every
+// path), latency spikes that outlive the hold, overflow of a small
+// max_packets, the 16-bit wrap, and late copies trailing their original by
+// up to 60k packets. Past 60,000 accepted packets, copies of the oldest
+// packet the reference still remembers and of the newest it forgot probe
+// the duplicate filter's bound. Each logical packet owns its transport seq,
+// as the sender guarantees.
+TEST_P(ReorderWindowFuzz, MatchesMapReference) {
+  sim::Rng rng{GetParam()};
+  const auto paths = static_cast<int>(rng.uniform_int(1, 4));
+  bond::ReorderWindowConfig cfg;
+  if (rng.chance(0.5)) cfg.max_packets = static_cast<std::size_t>(rng.uniform_int(4, 48));
+  const int n = 88'000;
+  const double gap_ms = rng.uniform(0.2, 1.0);
+  const auto seq0 = static_cast<std::uint16_t>(65536 - rng.uniform_int(1, 3000));
+
+  std::vector<net::Packet> logical(n);
+  for (int i = 0; i < n; ++i) {
+    auto& p = logical[static_cast<std::size_t>(i)];
+    p.transport_seq = static_cast<std::uint16_t>(seq0 + i);
+    p.sent = at_ms(i * gap_ms);
+    if (rng.chance(0.15)) {
+      p.kind = net::PacketKind::kFecParity;
+      p.fec_group = i / 10;
+    } else {
+      p.frame_id = static_cast<std::uint32_t>(i / 6);
+    }
+  }
+  // Each packet is sprayed onto one path (lost there now and then) and
+  // duplicated onto each other path with that path's probability.
+  std::vector<double> base_ms(4);
+  std::vector<double> jitter_ms(4);
+  std::vector<double> dup_p(4);
+  for (int k = 0; k < paths; ++k) {
+    base_ms[k] = rng.uniform(5.0, 120.0);
+    jitter_ms[k] = rng.uniform(0.5, 15.0);
+    dup_p[k] = rng.uniform(0.05, 0.6);
+  }
+  const double loss_p = rng.uniform(0.0, 0.05);
+  struct Copy {
+    double at_ms;
+    int index;
+    int path;
+  };
+  std::vector<Copy> copies;
+  for (int i = 0; i < n; ++i) {
+    const double sent = i * gap_ms;
+    const auto sprayed = rng.uniform_int(0, paths - 1);
+    for (int k = 0; k < paths; ++k) {
+      if (!rng.chance(k == sprayed ? 1.0 - loss_p : dup_p[k])) continue;
+      double owd = base_ms[k] + rng.exponential(jitter_ms[k]);
+      if (rng.chance(0.002)) owd += rng.uniform(50.0, 400.0);  // outlives the hold
+      copies.push_back({sent + owd, i, k});
+    }
+    if (rng.chance(0.001)) {
+      const double trail = static_cast<double>(rng.uniform_int(1, 60'000)) * gap_ms;
+      copies.push_back({sent + trail + base_ms[0],
+                        i, static_cast<int>(rng.uniform_int(0, paths - 1))});
+    }
+  }
+  std::stable_sort(copies.begin(), copies.end(),
+                   [](const Copy& a, const Copy& b) { return a.at_ms < b.at_ms; });
+
+  WindowRun<bond::ReorderWindow> flat{cfg};
+  WindowRun<MapReorderWindow> ref{cfg};
+  std::pair<std::size_t, std::size_t> checked{0, 0};
+  std::vector<int> accepted;  // logical index of each accepted copy, in order
+  std::uint64_t fed = 0;
+  int newest = 0;
+  auto feed = [&](int i, int path) {
+    net::Packet p = logical[static_cast<std::size_t>(i)];
+    p.id = fed * 8 + static_cast<std::uint64_t>(path);  // a fresh id per copy
+    ++fed;
+    const auto dups = ref.window.duplicates_suppressed();
+    flat.window.on_packet(p, path);
+    ref.window.on_packet(p, path);
+    if (ref.window.duplicates_suppressed() == dups) accepted.push_back(i);
+  };
+  std::set<std::size_t> probed;
+  for (const auto& c : copies) {
+    flat.sim.run_until(at_ms(c.at_ms));
+    ref.sim.run_until(at_ms(c.at_ms));
+    ASSERT_TRUE(same_window(flat, ref, checked)) << "timers before copy " << fed;
+    feed(c.index, c.path);
+    newest = std::max(newest, c.index);
+    ASSERT_TRUE(same_window(flat, ref, checked)) << "copy " << fed;
+    ASSERT_EQ(flat.window.delivered() + flat.window.duplicates_suppressed() +
+                  flat.window.held(),
+              fed);
+    const std::size_t count = accepted.size();
+    if (count >= 60'000 && (count - 60'000) % 20'000 <= 1 && probed.insert(count).second) {
+      const std::size_t forgotten = count - ref.window.remembered();
+      for (std::size_t back = 0; back <= 1 && back <= forgotten; ++back) {
+        const int i = accepted[forgotten - back];
+        if (newest - i >= 65'000) continue;  // the table forgets past 65,536 seqs
+        feed(i, 0);
+        ASSERT_TRUE(same_window(flat, ref, checked)) << "probe " << fed;
+      }
+    }
+  }
+  flat.window.flush_all();
+  ref.window.flush_all();
+  ASSERT_TRUE(same_window(flat, ref, checked)) << "final flush";
+  EXPECT_EQ(flat.window.delivered() + flat.window.duplicates_suppressed(), fed);
+  const auto& r = ref.window;
+  EXPECT_GT(r.flushes(), 0u);
+  EXPECT_GT(r.late_packets(), 0u);
+  if (paths > 1) {
+    EXPECT_GT(r.duplicates_suppressed(), 0u);
+  }
+  EXPECT_GE(probed.size(), 2u);  // the duplicate filter's bound was probed
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReorderWindowFuzz,
+                         ::testing::Values(601, 602, 603, 604));
+
+class FecDecoderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// A FecEncoder (random group size, interleave depth and mid-stream retunes)
+// fills both tables while its media and parity reach the decoders lost,
+// duplicated, reordered behind a delivery lag that changes now and then,
+// and some of them late. A late packet of group g arrives just as the
+// decoders first see group g + 512 - k, or just as the encoder completes
+// that group, for small k: so both bounds of 512 groups are probed at their
+// edge. Transport seqs wrap.
+TEST_P(FecDecoderFuzz, MatchesMapReference) {
+  sim::Rng rng{GetParam()};
+  rtp::FecConfig cfg;
+  cfg.group_size = static_cast<int>(rng.uniform_int(2, 12));
+  cfg.interleave_depth = static_cast<int>(rng.uniform_int(1, 24));
+  auto table = std::make_shared<rtp::FecGroupTable>();
+  rtp::FecEncoder encoder{cfg, table};
+  rtp::FecDecoder flat{table};
+  MapFecGroupTable ref_table;
+  MapFecDecoder ref{ref_table};
+
+  std::multimap<double, net::Packet> in_flight;  // by delivery key
+  // Late packets, by the group whose first sight (at the decoders) or
+  // completion (at the encoder) releases them.
+  std::multimap<std::int32_t, net::Packet> late_at_decoder;
+  std::multimap<std::int32_t, net::Packet> late_at_encoder;
+  std::int32_t newest_seen = -1;
+  std::size_t fed = 0;
+  auto same = [](const std::optional<net::Packet>& a,
+                 const std::optional<net::Packet>& b) {
+    return a.has_value() == b.has_value() &&
+           (!a || (a->id == b->id && a->transport_seq == b->transport_seq &&
+                   a->fec_group == b->fec_group && a->received == b->received));
+  };
+  auto release = [](std::multimap<std::int32_t, net::Packet>& late, std::int32_t upto) {
+    std::vector<net::Packet> out;
+    while (!late.empty() && late.begin()->first <= upto) {
+      out.push_back(late.begin()->second);
+      late.erase(late.begin());
+    }
+    return out;
+  };
+  std::function<void(const net::Packet&)> deliver = [&](const net::Packet& p) {
+    const auto now = TimePoint::from_us(static_cast<std::int64_t>(fed++));
+    const bool parity = p.kind == net::PacketKind::kFecParity;
+    const auto a = parity ? flat.on_parity_packet(p, now) : flat.on_media_packet(p, now);
+    const auto b = parity ? ref.on_parity_packet(p, now) : ref.on_media_packet(p, now);
+    ASSERT_TRUE(same(a, b)) << "packet " << fed << " group " << p.fec_group;
+    ASSERT_EQ(flat.recovered_packets(), ref.recovered_packets()) << "packet " << fed;
+    if (!parity && p.fec_group > newest_seen) {
+      newest_seen = p.fec_group;
+      for (const auto& q : release(late_at_decoder, newest_seen)) deliver(q);
+    }
+  };
+
+  double lag = 0.0;
+  double jitter = 0.0;
+  double pos = 0.0;  // send position
+  auto send = [&](const net::Packet& p) {
+    pos += 1.0;
+    if (rng.chance(0.06)) return;  // lost
+    if (rng.chance(0.04)) {
+      const auto edge = p.fec_group + 512 - static_cast<std::int32_t>(rng.uniform_int(-2, 3));
+      (rng.chance(0.5) ? late_at_decoder : late_at_encoder).emplace(edge, p);
+      return;
+    }
+    const double key = pos + lag + rng.uniform(0.0, jitter);
+    in_flight.emplace(key, p);
+    if (rng.chance(0.02)) in_flight.emplace(key + rng.uniform(0.0, 30.0), p);
+  };
+  std::uint16_t tseq = static_cast<std::uint16_t>(65536 - rng.uniform_int(1, 2000));
+  for (int i = 0; i < 40'000; ++i) {
+    if (i % 4000 == 0) {
+      lag = rng.chance(0.5) ? rng.uniform(0.0, 30.0) : rng.uniform(600.0, 3000.0);
+      jitter = rng.uniform(0.0, 40.0);
+    }
+    if (rng.chance(0.002)) encoder.set_group_size(static_cast<int>(rng.uniform_int(2, 12)));
+    net::Packet m;
+    m.id = static_cast<std::uint64_t>(i) + 1;
+    m.transport_seq = tseq++;
+    m.size_bytes = static_cast<std::size_t>(rng.uniform_int(200, 1240));
+    auto parity = encoder.on_media_packet(m);
+    send(m);
+    if (parity) {
+      parity->transport_seq = tseq++;
+      ref_table.put(parity->fec_group, *table->get(parity->fec_group));
+      send(*parity);
+      for (const auto& q : release(late_at_encoder, parity->fec_group)) deliver(q);
+      if (HasFatalFailure()) return;
+    }
+    while (!in_flight.empty() && in_flight.begin()->first <= pos) {
+      deliver(in_flight.begin()->second);
+      in_flight.erase(in_flight.begin());
+      if (HasFatalFailure()) return;
+    }
+  }
+  for (const auto& [key, p] : in_flight) deliver(p);
+  for (auto* late : {&late_at_decoder, &late_at_encoder}) {
+    for (const auto& p : release(*late, std::numeric_limits<std::int32_t>::max())) {
+      deliver(p);
+    }
+  }
+  EXPECT_GT(ref.recovered_packets(), 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FecDecoderFuzz,
+                         ::testing::Values(701, 702, 703, 704, 705, 706));
 
 // --- Jitter buffer: releases are always frame-ordered, any loss pattern ---
 

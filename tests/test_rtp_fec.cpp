@@ -1,5 +1,8 @@
 #include "rtp/fec.hpp"
 
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace rpv::rtp {
@@ -166,6 +169,41 @@ TEST(Fec, UnprotectedPacketIgnoredByDecoder) {
   net::Packet p = media(0);
   p.fec_group = -1;
   EXPECT_FALSE(f.dec.on_media_packet(p, TimePoint::from_us(0)).has_value());
+}
+
+TEST(Fec, ConstructorsRejectDegenerateConfigs) {
+  const auto table = std::make_shared<FecGroupTable>();
+  EXPECT_THROW((FecEncoder{{.group_size = 4, .interleave_depth = 0}, table}),
+               std::invalid_argument);
+  EXPECT_THROW((FecEncoder{{.group_size = 4, .interleave_depth = -1}, table}),
+               std::invalid_argument);
+  EXPECT_THROW((FecEncoder{{.group_size = 0, .interleave_depth = 1}, table}),
+               std::invalid_argument);
+  EXPECT_THROW((FecEncoder{FecConfig{}, nullptr}), std::invalid_argument);
+  EXPECT_THROW(FecDecoder{nullptr}, std::invalid_argument);
+  // The smallest valid encoder emits one parity per media packet.
+  FecEncoder enc{{.group_size = 1, .interleave_depth = 1}, table};
+  auto m = media(0);
+  EXPECT_TRUE(enc.on_media_packet(m).has_value());
+}
+
+TEST(Fec, TableAndDecoderKeepTheNewest512Groups) {
+  Fec f{{.group_size = 2, .interleave_depth = 1}};
+  std::vector<net::Packet> sent;
+  std::vector<net::Packet> parities;
+  for (std::uint16_t i = 0; i < 2 * 600; ++i) {
+    auto m = media(i);
+    if (auto parity = f.enc.on_media_packet(m)) parities.push_back(*parity);
+    sent.push_back(m);
+  }
+  ASSERT_EQ(parities.size(), 600u);
+  // Groups 0..87 fell out of the table; 88..599 are still repairable.
+  EXPECT_FALSE(f.dec.on_media_packet(sent[2 * 87], TimePoint::from_us(0)).has_value());
+  EXPECT_FALSE(f.dec.on_parity_packet(parities[87], TimePoint::from_us(1)).has_value());
+  EXPECT_FALSE(f.dec.on_media_packet(sent[2 * 88], TimePoint::from_us(2)).has_value());
+  const auto rebuilt = f.dec.on_parity_packet(parities[88], TimePoint::from_us(3));
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(rebuilt->transport_seq, 2 * 88 + 1);
 }
 
 }  // namespace

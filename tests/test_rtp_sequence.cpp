@@ -1,5 +1,7 @@
 #include "rtp/sequence.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rtp/seq_window.hpp"
@@ -162,6 +164,23 @@ TEST(SeqWindow, SlidingBoundedSpanNeverReallocates) {
     if (s % 5 != 0) w.insert(s, 0);
   }
   EXPECT_EQ(w.capacity(), slots);
+}
+
+TEST(SeqWindow, MoveInsertFindAndTakeOwnTheValue) {
+  SeqWindow<std::vector<int>> w;
+  std::vector<int> a{1, 2, 3};
+  EXPECT_TRUE(w.insert(7, std::move(a)));
+  std::vector<int> b{9};
+  EXPECT_FALSE(w.insert(7, std::move(b)));
+  EXPECT_EQ(b, std::vector<int>{9});  // not inserted, so not moved from
+  ASSERT_NE(w.find(7), nullptr);
+  w.find(7)->push_back(4);  // the mutable find edits in place
+  w.insert(9, {5});
+  const auto taken = w.take(7);
+  EXPECT_EQ(taken, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(w.find(7), nullptr);
+  EXPECT_EQ(w.size(), 1u);
+  EXPECT_EQ(w.front(), 9);
 }
 
 }  // namespace
