@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     for (const auto& r : bench::run_scenarios(scenarios)) {
       command.add_all(r.command_latency_ms);
       telemetry.add_all(r.telemetry_latency_ms);
-      video_owd.add_all(r.owd_trace_ms.values());
+      video_owd.merge(r.owd_ms);
     }
     const std::string path = bonded ? "bond-hr" : "single";
     auto add = [&](const std::string& name, const metrics::Cdf& c) {

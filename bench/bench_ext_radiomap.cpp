@@ -30,14 +30,6 @@ namespace {
 
 using namespace rpv;
 
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(xs.size() - 1) + 0.5);
-  return xs[std::min(idx, xs.size() - 1)];
-}
-
 struct ArmResult {
   double stall_ms_per_run = 0.0;  // mean total frozen time per flight
   double stalls_per_min = 0.0;
@@ -67,14 +59,14 @@ ArmResult run_arm(experiment::Environment env, experiment::Policy policy,
   }
 
   ArmResult a;
-  std::vector<double> owd_ms;
+  metrics::Cdf owd_ms;
   std::vector<double> lead_ms;
   std::uint64_t tp = 0, fp = 0, missed = 0;
   for (const auto& r : bench::run_scenarios(scenarios)) {
     double stall_sum = 0.0;
     for (const double x : r.stall_duration_ms) stall_sum += x;
     a.stall_ms_per_run += stall_sum;
-    for (const auto& s : r.owd_trace_ms.samples()) owd_ms.push_back(s.value);
+    owd_ms.merge(r.owd_ms);
     lead_ms.insert(lead_ms.end(), r.prediction.ho_lead_time_ms.begin(),
                    r.prediction.ho_lead_time_ms.end());
     a.stalls_per_min += r.stalls_per_minute;
@@ -91,7 +83,7 @@ ArmResult run_arm(experiment::Environment env, experiment::Policy policy,
   a.stalls_per_min /= n;
   a.goodput_mbps /= n;
   a.deviation_m /= n;
-  a.p95_owd_ms = percentile(owd_ms, 0.95);
+  a.p95_owd_ms = owd_ms.quantile(0.95);
   a.precision = (tp + fp) == 0
                     ? 1.0
                     : static_cast<double>(tp) / static_cast<double>(tp + fp);

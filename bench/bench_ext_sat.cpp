@@ -1,6 +1,6 @@
 // Extension (rpv::sat): 2-path operator bonding vs 3-way multi-connectivity
 // with the LEO satellite path, under the rlf-storm fault schedule. The table
-// answers the ROADMAP item 4 question — what the high-latency, high-capacity
+// answers the multi-connectivity question — what the high-latency, high-capacity
 // satellite path buys when both cellular operators degrade at once, and what
 // it costs in airtime (every sat byte rides a ~27 ms propagation floor).
 //
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   bench::parse_args(argc, argv);
   bench::print_header(
       "Extension — 2-path operator bonding vs 3-way (+LEO satellite)",
-      "rpv::sat; IMC'22 Section 5 multi-connectivity outlook, ROADMAP item 4");
+      "rpv::sat; IMC'22 Section 5 multi-connectivity outlook");
 
   metrics::TextTable table{{"paths", "policy", "stall ms/run", "stalls/min",
                             "airtime (MB/run)", "sat share (%)", "sat HO",

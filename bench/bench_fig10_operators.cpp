@@ -19,8 +19,12 @@ int main(int argc, char** argv) {
     // Throughput: what SCReAM (the best rural utilizer) extracts.
     const auto video = experiment::run_campaign(
         bench::video_campaign(env, pipeline::CcKind::kScream, 5));
-    bench::add_summary_row(tp_table, op + " (rural)",
-                           experiment::pool_goodput(video).samples());
+    std::vector<double> goodput;
+    for (const auto& r : video) {
+      goodput.insert(goodput.end(), r.goodput_mbps_windows.begin(),
+                     r.goodput_mbps_windows.end());
+    }
+    bench::add_summary_row(tp_table, op + " (rural)", goodput);
     // HO frequency from dedicated probe flights.
     const auto probes = experiment::run_campaign(
         bench::probe_campaign(env, experiment::Mobility::kAir, 8));

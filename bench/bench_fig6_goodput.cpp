@@ -17,11 +17,15 @@ int main(int argc, char** argv) {
                           pipeline::CcKind::kStatic}) {
       const auto reports =
           experiment::run_campaign(bench::video_campaign(env, cc, 5));
-      const auto goodput = experiment::pool_goodput(reports);
+      std::vector<double> goodput;
+      for (const auto& r : reports) {
+        goodput.insert(goodput.end(), r.goodput_mbps_windows.begin(),
+                       r.goodput_mbps_windows.end());
+      }
       bench::add_summary_row(table,
                              experiment::environment_name(env) + " " +
                                  pipeline::cc_name(cc),
-                             goodput.samples());
+                             goodput);
     }
   }
   std::cout << "\n" << table.render();

@@ -21,11 +21,12 @@ int main(int argc, char** argv) {
   // 1-second resolution timeline rows.
   std::cout << "\ntime(s)\tnet_lat_ms\tplay_lat_ms\thandover\tlosses\n";
   const auto end = r.duration;
-  for (double t = 0.0; t < end.sec(); t += 1.0) {
+  std::size_t second = 0;
+  for (double t = 0.0; t < end.sec(); t += 1.0, ++second) {
     const auto from = sim::TimePoint::origin() + sim::Duration::seconds(t);
     const auto to = from + sim::Duration::seconds(1.0);
-    const auto net = r.owd_trace_ms.mean_in(from, to);
-    const auto play = r.playback_latency_trace_ms.mean_in(from, to);
+    const auto net = r.owd_per_second_ms.mean(second);
+    const auto play = r.playback_latency_per_second_ms.mean(second);
     int hos = 0;
     for (const auto& ev : r.handovers.events()) {
       if (ev.start >= from && ev.start < to) ++hos;
@@ -41,13 +42,13 @@ int main(int argc, char** argv) {
   }
 
   // Quantify the pre-HO spike the zoomed panel (a) shows.
+  // The max over [start - 1 s, start] against the min over
+  // [start - 3 s, start - 1 s].
   int spiking = 0;
-  for (const auto& ev : r.handovers.events()) {
-    const auto before = r.owd_trace_ms.max_in(ev.start - sim::Duration::seconds(1.0),
-                                              ev.start);
-    const auto baseline = r.owd_trace_ms.min_in(
-        ev.start - sim::Duration::seconds(3.0), ev.start - sim::Duration::seconds(1.0));
-    if (before && baseline && *before > 2.0 * *baseline) ++spiking;
+  for (const auto& w : r.handover_owd_ms) {
+    if (w.before.n > 0 && w.lead.n > 0 && w.before.max > 2.0 * w.lead.min) {
+      ++spiking;
+    }
   }
   std::cout << "\nHandovers preceded by a >2x network-latency spike: " << spiking
             << "/" << r.handovers.count() << "\n";

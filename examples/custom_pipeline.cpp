@@ -55,9 +55,8 @@ int main() {
   pipeline::Session session{cfg, layout, &mission, "suburban-ring/custom"};
   const auto report = session.run();
 
-  metrics::Cdf latency, ssim;
-  latency.add_all(report.playback_latency_trace_ms.values());
-  ssim.add_all(report.ssim_samples);
+  const auto& latency = report.playback_latency_ms;
+  const auto& ssim = report.ssim;
 
   metrics::TextTable t({"metric", "value"});
   t.add_row({"frames played", std::to_string(report.frames_played)});

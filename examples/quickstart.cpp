@@ -37,12 +37,11 @@ int main(int argc, char** argv) {
 
   const auto report = experiment::run_scenario(s);
 
-  metrics::Cdf owd, fps, ssim, latency, goodput;
-  owd.add_all(report.owd_trace_ms.values());
+  const auto& owd = report.owd_ms;
+  const auto& ssim = report.ssim;
+  const auto& latency = report.playback_latency_ms;
+  metrics::Cdf fps;
   fps.add_all(report.fps_windows);
-  ssim.add_all(report.ssim_samples);
-  latency.add_all(report.playback_latency_trace_ms.values());
-  goodput.add_all(report.goodput_mbps_windows);
 
   metrics::TextTable t({"metric", "value"});
   t.add_row({"flight duration (s)", metrics::TextTable::num(report.duration.sec(), 0)});

@@ -2,7 +2,7 @@
 //
 // The LinkManager originally scheduled across exactly two cellular operator
 // links; 3-way multi-connectivity (cellular + cellular + LEO satellite or
-// aerial mesh, ROADMAP item 4) needs one abstraction the scheduler can rank
+// aerial mesh) needs one abstraction the scheduler can rank
 // heterogeneous paths through. A path exposes exactly what the routing
 // policies consume: liveness, capacity, standing queue delay, and a fixed
 // propagation floor — plus the async send interface the session drives.

@@ -97,11 +97,31 @@ void ReorderWindow::on_packet(net::Packet p, int path) {
   seen = {key, ++accepted_};
   if (accepted_ - forgotten_ > kSeenCap) forgotten_ += kSeenPrune;
 
-  const std::int64_t seq = unwrapper_.unwrap(p.transport_seq);
   if (!started_) {
     started_ = true;
+    next_expected_ = p.transport_seq;
+  }
+  const std::int64_t seq =
+      next_expected_ +
+      rtp::seq_diff(p.transport_seq, static_cast<std::uint16_t>(next_expected_));
+  if (seq - next_expected_ >= kMaxJump) {
+    if (seq != jump_successor_) {
+      // A copy trailing the stream by more than half the seq space.
+      jump_successor_ = seq + 1;
+      ++late_;
+      ++delivered_;
+      deliver_(std::move(p), path);
+      return;
+    }
+    // Its predecessor was no stray copy: the stream jumped.
+    if (!buffer_.empty()) {
+      const auto released = release_through(buffer_.back());
+      ++flushes_;
+      publish_flush(released, 2, hold_window().ms());
+    }
     next_expected_ = seq;
   }
+  jump_successor_ = -1;
 
   if (seq < next_expected_ || buffer_.find(seq) != nullptr) {
     // Its gap was already flushed past, or another packet holds its seq:

@@ -9,6 +9,14 @@
 // duplication or FEC cross-delivery) are suppressed here, exactly once per
 // logical packet.
 //
+// A transport seq is placed within half the seq space of next_expected_. A
+// packet that lands kMaxJump or more seqs ahead of it is a copy trailing the
+// stream by more than half the space (its original lost or forgotten): it is
+// released at once and counted late, and leaves the window as it was. Only
+// when the next packet to pass the duplicate filter is its successor did the
+// stream itself jump ahead: the window then releases what it holds and
+// follows the stream from there.
+//
 // The duplicate filter remembers the last 40,001-60,000 accepted packets:
 // past 60,000 it forgets the oldest 20,000 at once. It keeps one entry per
 // 16-bit transport seq, so it also forgets a packet once a newer one takes
@@ -72,6 +80,15 @@ class ReorderWindow {
   // Current |fastest - slowest| one-way estimate across paths, in ms.
   [[nodiscard]] double skew_ms() const;
   [[nodiscard]] std::size_t held() const { return buffer_.size(); }
+  // Seq the in-order stream waits for (unwrapped; the first packet's seq
+  // before any arrival moves it).
+  [[nodiscard]] std::int64_t next_expected() const { return next_expected_; }
+  // Slots of the held-packet ring.
+  [[nodiscard]] std::size_t ring_slots() const { return buffer_.capacity(); }
+
+  // Seqs ahead of next_expected() at which an arrival stops being placed
+  // ahead of the stream (see the header comment).
+  static constexpr std::int64_t kMaxJump = 4096;
 
  private:
   struct Held {
@@ -103,13 +120,15 @@ class ReorderWindow {
   DeliverFn deliver_;
   obs::EventBus* bus_ = nullptr;
 
-  rtp::SeqUnwrapper unwrapper_;
   rtp::SeqWindow<Held> buffer_;  // keyed by unwrapped transport seq
   // Held packets in arrival order, for the oldest arrival's deadline; an
   // entry below next_expected_ was released already.
   std::deque<Arrival> arrivals_;
   bool started_ = false;
   std::int64_t next_expected_ = 0;
+  // Successor of the last packet that landed kMaxJump or more ahead, while
+  // no packet in range has passed since; -1 otherwise.
+  std::int64_t jump_successor_ = -1;
 
   // Duplicate suppression (see the header comment): a stamp above
   // forgotten_ marks one of the remembered accepted packets.

@@ -44,9 +44,12 @@ std::string path_set_suffix(experiment::PathSet p) {
 }
 
 std::string fault_preset_suffix(experiment::FaultPreset p) {
-  return p == experiment::FaultPreset::kNone
-             ? ""
-             : "-" + experiment::fault_preset_name(p);
+  std::string suffix;
+  if (p != experiment::FaultPreset::kNone) {
+    suffix = '-';
+    suffix += experiment::fault_preset_name(p);
+  }
+  return suffix;
 }
 
 double elapsed_seconds(std::chrono::steady_clock::time_point since) {

@@ -18,6 +18,15 @@ std::vector<pipeline::SessionReport> run_campaign(const Campaign& c) {
 }
 
 namespace {
+// Folds one per-report distribution over the runs.
+template <typename Getter>
+metrics::Cdf fold(const std::vector<pipeline::SessionReport>& rs, Getter get) {
+  metrics::Cdf cdf;
+  for (const auto& r : rs) cdf.merge(get(r));
+  return cdf;
+}
+
+// Bins one per-report sample vector of every run.
 template <typename Getter>
 metrics::Cdf pool(const std::vector<pipeline::SessionReport>& rs, Getter get) {
   metrics::Cdf cdf;
@@ -27,25 +36,27 @@ metrics::Cdf pool(const std::vector<pipeline::SessionReport>& rs, Getter get) {
 }  // namespace
 
 metrics::Cdf pool_owd(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) { return r.owd_trace_ms.values(); });
+  return fold(rs, [](const auto& r) -> const metrics::Cdf& { return r.owd_ms; });
 }
 
 metrics::Cdf pool_fps(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) { return r.fps_windows; });
+  return pool(rs, [](const auto& r) -> const auto& { return r.fps_windows; });
 }
 
 metrics::Cdf pool_ssim(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) { return r.ssim_samples; });
+  return fold(rs, [](const auto& r) -> const metrics::Cdf& { return r.ssim; });
 }
 
 metrics::Cdf pool_playback_latency(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) {
-    return r.playback_latency_trace_ms.values();
+  return fold(rs, [](const auto& r) -> const metrics::Cdf& {
+    return r.playback_latency_ms;
   });
 }
 
 metrics::Cdf pool_goodput(const std::vector<pipeline::SessionReport>& rs) {
-  return pool(rs, [](const auto& r) { return r.goodput_mbps_windows; });
+  return pool(rs, [](const auto& r) -> const auto& {
+    return r.goodput_mbps_windows;
+  });
 }
 
 std::vector<double> pool_het(const std::vector<pipeline::SessionReport>& rs) {
@@ -68,7 +79,7 @@ std::vector<double> pool_latency_ratio_before(
     const std::vector<pipeline::SessionReport>& rs) {
   std::vector<double> out;
   for (const auto& r : rs) {
-    for (const auto& lr : r.handovers.latency_ratios(r.owd_trace_ms)) {
+    for (const auto& lr : metrics::latency_ratios(r.handover_owd_ms)) {
       out.push_back(lr.before);
     }
   }
@@ -79,7 +90,7 @@ std::vector<double> pool_latency_ratio_after(
     const std::vector<pipeline::SessionReport>& rs) {
   std::vector<double> out;
   for (const auto& r : rs) {
-    for (const auto& lr : r.handovers.latency_ratios(r.owd_trace_ms)) {
+    for (const auto& lr : metrics::latency_ratios(r.handover_owd_ms)) {
       out.push_back(lr.after);
     }
   }

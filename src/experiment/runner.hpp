@@ -1,6 +1,6 @@
 // Campaign runner: repeats a scenario across seeds (the paper aggregates 130
 // measurement runs over ~90 flights) and pools the per-run reports into the
-// sample sets the figures plot.
+// distributions and sample sets the figures plot.
 #pragma once
 
 #include <vector>
@@ -26,7 +26,10 @@ struct Campaign {
 // exactly. Throws std::invalid_argument when campaign.runs <= 0.
 [[nodiscard]] std::vector<pipeline::SessionReport> run_campaign(const Campaign& c);
 
-// --- Pooling helpers: concatenate a per-run sample set across runs. ---
+// --- Pooling helpers ---
+// The distributions fold the reports' bin counts (owd, ssim, playback
+// latency) or bin their per-window samples (fps, goodput); the vectors
+// concatenate per-run values.
 [[nodiscard]] metrics::Cdf pool_owd(const std::vector<pipeline::SessionReport>& rs);
 [[nodiscard]] metrics::Cdf pool_fps(const std::vector<pipeline::SessionReport>& rs);
 [[nodiscard]] metrics::Cdf pool_ssim(const std::vector<pipeline::SessionReport>& rs);

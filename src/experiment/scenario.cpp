@@ -288,7 +288,8 @@ pipeline::SessionReport run_scenario(const Scenario& s,
       case Environment::kUrban: break;  // second urban layout, fresh draw
     }
     layouts.push_back(make_layout(other, rng));
-    env_label += "+" + environment_name(other.env);
+    env_label += '+';
+    env_label += environment_name(other.env);
     if (s.path_set == PathSet::kThreeWay) env_label += "+sat";
     if (s.path_set == PathSet::kThreeWayMesh) env_label += "+sat+mesh";
   }

@@ -35,8 +35,8 @@ enum class AccessTech { kLte, k5gSa };
 // after the fact); proactive turns on the rpv::predict HO-aware adapter
 // (pre-HO bitrate dip, keyframe deferral, post-HO flush); planned
 // additionally replans the flight trajectory through the scenario's radio
-// map (rpv::uav) before takeoff — the closed perception→planning loop of
-// ROADMAP item 5. kPlanned without a radio_map behaves like kProactive.
+// map (rpv::uav) before takeoff — the closed perception→planning loop.
+// kPlanned without a radio_map behaves like kProactive.
 enum class Policy { kReactive, kProactive, kPlanned };
 
 // Multi-operator bonding (rpv::bond). kNone runs one operator; everything
@@ -55,10 +55,10 @@ enum class Multipath {
 // name a fault pattern instead of hand-building a schedule per run.
 enum class FaultPreset { kNone, kRlfStorm, kCapacityDips, kWanOutage, kChaos };
 
-// Which bonded paths a multipath scenario attaches (rpv::sat, ROADMAP item
-// 4). kOperatorPair is the historical two cellular operators; kThreeWay adds
-// the LEO satellite path; kThreeWayMesh additionally chains in the aerial
-// mesh relay. Ignored when multipath == kNone.
+// Which bonded paths a multipath scenario attaches (rpv::sat). kOperatorPair
+// is the historical two cellular operators; kThreeWay adds the LEO satellite
+// path; kThreeWayMesh additionally chains in the aerial mesh relay. Ignored
+// when multipath == kNone.
 enum class PathSet { kOperatorPair, kThreeWay, kThreeWayMesh };
 
 [[nodiscard]] std::string environment_name(Environment env);

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "json/binder.hpp"
-#include "pipeline/report_json.hpp"
 
 namespace rpv::fleet {
 
@@ -23,7 +22,7 @@ void fields(IO& io, CellLoadPeak& c) {
 
 template <class IO>
 void fields(IO& io, FleetReport& r) {
-  json::schema(io, pipeline::kReportSchemaVersion, "fleet_report_json");
+  json::schema(io, kFleetSchemaVersion, "fleet_report_json");
   std::string kind = "fleet";
   io.field("kind", kind);
   if (kind != "fleet") {

@@ -7,8 +7,9 @@
 // contention-attributed histograms (samples split by whether the serving
 // cell hosted more than one active user when they were observed).
 //
-// Serialized under the session-report schema version (since v5) with
-// "kind": "fleet". The format is one field list per record (FleetReport,
+// Serialized with "kind": "fleet" under kFleetSchemaVersion, which followed
+// the session-report schema from v5 to v8 and stayed at 8 when report
+// schema 9 changed only session documents. The format is one field list per record (FleetReport,
 // CellLoadPeak) in fleet_report.cpp, walked by both directions of
 // json/binder.hpp. Nothing host- or wall-clock-dependent is written, so two
 // runs of the same fleet scenario dump byte-identical JSON for any --jobs.
@@ -22,6 +23,8 @@
 #include "obs/metrics_registry.hpp"
 
 namespace rpv::fleet {
+
+inline constexpr int kFleetSchemaVersion = 8;
 
 // The histogram layouts the contention attribution uses — identical edges
 // to the MetricsRegistry owd_ms / stall_ms histograms so the clean and

@@ -1,25 +1,37 @@
 #include "metrics/summary.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <sstream>
 
-#include "metrics/cdf.hpp"
-
 namespace rpv::metrics {
+namespace {
 
-Summary Summary::of(const std::vector<double>& samples) {
+// Linear interpolation between order statistics of sorted `s`.
+double quantile_of_sorted(const std::vector<double>& s, double q) {
+  const double idx = q * static_cast<double>(s.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(idx));
+  const auto hi = static_cast<std::size_t>(std::ceil(idx));
+  if (lo == hi) return s[lo];
+  const double f = idx - static_cast<double>(lo);
+  return s[lo] * (1.0 - f) + s[hi] * f;
+}
+
+}  // namespace
+
+Summary Summary::of(std::vector<double> s) {
   Summary out;
-  if (samples.empty()) return out;
-  Cdf cdf;
-  cdf.add_all(samples);
-  const auto& s = cdf.samples();
+  if (s.empty()) return out;
+  std::sort(s.begin(), s.end());
   out.n = s.size();
   out.min = s.front();
   out.max = s.back();
-  out.q1 = cdf.quantile(0.25);
-  out.median = cdf.median();
-  out.q3 = cdf.quantile(0.75);
-  out.mean = cdf.mean();
+  out.q1 = quantile_of_sorted(s, 0.25);
+  out.median = quantile_of_sorted(s, 0.5);
+  out.q3 = quantile_of_sorted(s, 0.75);
+  out.mean =
+      std::accumulate(s.begin(), s.end(), 0.0) / static_cast<double>(s.size());
   const double iqr = out.q3 - out.q1;
   const double lo_fence = out.q1 - 1.5 * iqr;
   const double hi_fence = out.q3 + 1.5 * iqr;

@@ -42,4 +42,25 @@ std::vector<double> TimeSeries::values() const {
   return out;
 }
 
+void PerSecond::add_to(std::size_t k, double value) {
+  if (k >= rows_.size()) rows_.resize(k + 1);
+  ++rows_[k].n;
+  rows_[k].sum += value;
+}
+
+void PerSecond::add(sim::TimePoint t, double value) {
+  constexpr std::int64_t kSecondUs = 1'000'000;
+  if (t.us() < 0) return;
+  const auto k = static_cast<std::size_t>(t.us() / kSecondUs);
+  // A whole second closes window k - 1 (last in its time order) before it
+  // opens window k.
+  if (k > 0 && t.us() % kSecondUs == 0) add_to(k - 1, value);
+  add_to(k, value);
+}
+
+std::optional<double> PerSecond::mean(std::size_t k) const {
+  if (k >= rows_.size() || rows_[k].n == 0) return std::nullopt;
+  return rows_[k].sum / static_cast<double>(rows_[k].n);
+}
+
 }  // namespace rpv::metrics

@@ -208,7 +208,7 @@ struct FecRatePayload {
 
 // kReorderFlush — the receive-side reorder window released packets without
 // waiting for the gap to fill. `reason`: 0 = hold timeout, 1 = overflow,
-// 2 = end-of-run drain.
+// 2 = drain (end of run, or the stream jumped past everything held).
 struct ReorderFlushPayload {
   std::uint32_t released = 0;
   std::uint8_t reason = 0;

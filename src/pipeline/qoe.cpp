@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "metrics/cdf.hpp"
-
 namespace rpv::pipeline {
 
 QoeBreakdown score_qoe(const SessionReport& report) {
   QoeBreakdown q;
 
-  metrics::Cdf ssim;
-  ssim.add_all(report.ssim_samples);
-  metrics::Cdf latency;
-  latency.add_all(report.playback_latency_trace_ms.values());
+  const auto& ssim = report.ssim;
+  const auto& latency = report.playback_latency_ms;
   if (ssim.empty() || latency.empty()) return q;
 
   // Visual: being above the RP threshold is necessary; detail above 0.9 is

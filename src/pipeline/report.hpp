@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "fault/fault_injector.hpp"
+#include "metrics/cdf.hpp"
 #include "metrics/handover_log.hpp"
 #include "metrics/time_series.hpp"
 #include "obs/event.hpp"
@@ -43,7 +44,7 @@ struct SessionReport {
   // --- Video delivery ---
   std::vector<double> goodput_mbps_windows;   // 1 s windows (Fig. 6)
   std::vector<double> fps_windows;            // 1 s windows (Fig. 7a)
-  std::vector<double> ssim_samples;           // per frame incl. unplayed zeros (Fig. 7b)
+  metrics::Cdf ssim;                          // per frame incl. unplayed zeros (Fig. 7b)
   double stalls_per_minute = 0.0;             // §4.2.1 table
   std::vector<double> stall_duration_ms;      // per frozen gap; size() = stalls
   std::uint32_t frames_encoded = 0;
@@ -130,13 +131,21 @@ struct SessionReport {
   std::uint64_t jitter_resyncs = 0;
   std::uint64_t scream_misloss_packets = 0;   // ack-window mislabelled losses
 
+  // --- Latency distributions and windows (schema v9) ---
+  // One-way latency of every media packet (Fig. 5) and playback latency of
+  // every played frame (Fig. 7c), as distributions; the same two signals
+  // per second of flight (Fig. 8's timeline); and the one-way latency around
+  // each handover, one entry per handovers.events() entry:
+  // metrics::latency_ratios(handover_owd_ms) gives Fig. 9.
+  metrics::Cdf owd_ms;
+  metrics::Cdf playback_latency_ms;
+  metrics::PerSecond owd_per_second_ms;
+  metrics::PerSecond playback_latency_per_second_ms;
+  std::vector<metrics::HandoverWindows> handover_owd_ms;
+
   // --- Traces (Fig. 8 timeline) ---
-  // The only record of each signal; readers derive the figure statistics:
-  // values() for the OWD (Fig. 5) and playback-latency (Fig. 7c) CDFs,
-  // handovers.het_ms() / frequency(duration) / ping_pong_count() (Fig. 4)
-  // and handovers.latency_ratios(owd_trace_ms) (Fig. 9).
-  metrics::TimeSeries owd_trace_ms;
-  metrics::TimeSeries playback_latency_trace_ms;
+  // handovers.het_ms() / frequency(duration) / ping_pong_count() give
+  // Fig. 4.
   metrics::TimeSeries target_bitrate_trace_bps;
   metrics::TimeSeries capacity_trace_mbps;
   std::vector<sim::TimePoint> loss_times;

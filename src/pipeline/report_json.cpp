@@ -14,6 +14,40 @@ void fields(IO& io, TimeSeries& ts) {
   io.columns(ts.samples_, "t_us", &Sample::t, "values", &Sample::value);
 }
 
+// Sparse: the occupied bins and their counts, plus the exact moments.
+template <class IO>
+void fields(IO& io, Cdf& c) {
+  std::vector<Cdf::Bin> bins;
+  double sum = c.sum();
+  double min = c.min();
+  double max = c.max();
+  if constexpr (!IO::kReading) bins = c.occupied();
+  io.field("sum", sum);
+  io.field("min", min);
+  io.field("max", max);
+  io.columns(bins, "bins", &Cdf::Bin::bin, "counts", &Cdf::Bin::n);
+  if constexpr (IO::kReading) c = Cdf::from_parts(bins, sum, min, max);
+}
+
+template <class IO>
+void fields(IO& io, PerSecond& p) {
+  io.columns(p.rows_, "n", &PerSecond::Row::n, "sum", &PerSecond::Row::sum);
+}
+
+template <class IO>
+void fields(IO& io, WindowExtrema& w) {
+  io.field("n", w.n);
+  io.field("min", w.min);
+  io.field("max", w.max);
+}
+
+template <class IO>
+void fields(IO& io, HandoverWindows& w) {
+  io.field("lead", w.lead);
+  io.field("before", w.before);
+  io.field("after", w.after);
+}
+
 template <class IO>
 void fields(IO& io, HandoverEvent& e) {
   io.field("start_us", e.start);
@@ -89,7 +123,7 @@ void fields(IO& io, SessionReport& r) {
   // Video delivery.
   io.field("goodput_mbps_windows", r.goodput_mbps_windows);
   io.field("fps_windows", r.fps_windows);
-  io.field("ssim_samples", r.ssim_samples);
+  io.field("ssim", r.ssim);
   io.field("stalls_per_minute", r.stalls_per_minute);
   io.field("stall_duration_ms", r.stall_duration_ms);
   io.field("frames_encoded", r.frames_encoded);
@@ -170,9 +204,14 @@ void fields(IO& io, SessionReport& r) {
   io.field("jitter_resyncs", r.jitter_resyncs);
   io.field("scream_misloss_packets", r.scream_misloss_packets);
 
+  // Latency distributions and windows (schema v9).
+  io.field("owd_ms", r.owd_ms);
+  io.field("playback_latency_ms", r.playback_latency_ms);
+  io.field("owd_per_second_ms", r.owd_per_second_ms);
+  io.field("playback_latency_per_second_ms", r.playback_latency_per_second_ms);
+  io.field("handover_owd_ms", r.handover_owd_ms);
+
   // Traces.
-  io.field("owd_trace_ms", r.owd_trace_ms);
-  io.field("playback_latency_trace_ms", r.playback_latency_trace_ms);
   io.field("target_bitrate_trace_bps", r.target_bitrate_trace_bps);
   io.field("capacity_trace_mbps", r.capacity_trace_mbps);
   io.field("loss_times_us", r.loss_times);

@@ -1,12 +1,16 @@
 // SessionReport <-> JSON.
 //
-// Every field of a SessionReport — sample vectors, time-series traces, the
-// handover log, fault outcomes — is persisted so a stored run is a full
-// substitute for re-simulating it: the figure benches and `rpv_campaign
-// --load` re-aggregate from these files alone. The format is one field list
+// Every field of a SessionReport — latency distributions, per-second and
+// per-handover windows, sample vectors, time-series traces, the handover
+// log, fault outcomes — is persisted so a stored run is a full substitute for
+// re-simulating it: the figure benches and `rpv_campaign --load`
+// re-aggregate from these files alone. The format is one field list
 // per record in report_json.cpp (SessionReport, PathBreakdown, FaultOutcome,
-// HandoverEvent, PredictionStats; obs::Histogram and MetricsSummary in
-// obs/metrics_registry.hpp), walked by both directions of json/binder.hpp.
+// HandoverEvent, PredictionStats, metrics::Cdf, PerSecond, HandoverWindows;
+// obs::Histogram and MetricsSummary in obs/metrics_registry.hpp), walked by
+// both directions of json/binder.hpp. A Cdf is stored as its exact sum, min
+// and max plus two parallel integer arrays, "bins" and "counts", of the
+// occupied bins only; the loader rejects bins that no Cdf could hold.
 // Serialization is canonical (fixed member order, shortest-round-trip
 // doubles, integer counters stay integers), so two byte-identical reports
 // dump to byte-identical JSON; the parallel-determinism tests rely on
@@ -29,8 +33,13 @@ namespace rpv::pipeline {
 // dropped the statistics derivable from records kept beside them (owd_ms,
 // playback_latency_ms, het_ms, ho_frequency_per_s, ping_pong_handovers,
 // ho_latency_ratios, stall_count, failover_events), so each fact is stored
-// once.
-inline constexpr int kReportSchemaVersion = 8;
+// once; version 9 replaced the per-sample owd_trace_ms,
+// playback_latency_trace_ms and ssim_samples with fixed-bin distributions
+// (owd_ms, playback_latency_ms, ssim: exact sum/min/max plus sparse integer
+// bin counts, see metrics/cdf.hpp), per-second count/sum rows of both
+// latencies, and handover_owd_ms, the exact one-way-latency extremes around
+// each handover.
+inline constexpr int kReportSchemaVersion = 9;
 
 [[nodiscard]] json::Value report_to_json(const SessionReport& r);
 

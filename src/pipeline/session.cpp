@@ -171,6 +171,7 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
     op.link->attach_observer(&buses_[i]);
     lm_->add_path(op.link.get(), op.adapter.get());
   }
+  ho_windows_.emplace(ops_.front().link->handover_log());
   wan_up_ = std::make_unique<net::WanPath>(cfg_.wan, rng_.fork());
   wan_down_ = std::make_unique<net::WanPath>(cfg_.wan, rng_.fork());
   wan_up_->attach_observer(&bus);
@@ -222,8 +223,9 @@ Session::Session(SessionConfig cfg, std::vector<cellular::CellLayout> layouts,
         rng_.fork(), fec_table);
     // Rate hints and dip/deferral follow the primary operator's predictor.
     auto* primary = ops_.front().adapter.get();
-    receiver_->set_owd_hook([primary](sim::TimePoint t, double owd_ms) {
+    receiver_->set_owd_hook([this, primary](sim::TimePoint t, double owd_ms) {
       primary->on_owd_sample(t, owd_ms);
+      ho_windows_->add(t, owd_ms);
     });
     receiver_->set_goodput_hook([primary](sim::TimePoint t, double mbps) {
       primary->on_goodput_sample(t, mbps);
@@ -513,13 +515,17 @@ SessionReport Session::collect() {
     const auto& player = receiver_->player();
     r.goodput_mbps_windows = receiver_->goodput_mbps().values();
     r.fps_windows = player.fps_windows();
-    r.ssim_samples = player.played_ssim();
+    r.ssim.add_all(player.played_ssim());
     r.stall_duration_ms = player.stall_durations_ms();
     r.stalls_per_minute = player.stalls_per_minute();
     r.frames_played = player.frames_played();
     r.frames_corrupted = receiver_->corrupted_frames();
-    r.owd_trace_ms = receiver_->owd_ms();
-    r.playback_latency_trace_ms = player.playback_latency_ms();
+    r.owd_ms = receiver_->owd_ms();
+    r.owd_per_second_ms = receiver_->owd_per_second_ms();
+    for (const auto& s : player.playback_latency_ms().samples()) {
+      r.playback_latency_ms.add(s.value);
+      r.playback_latency_per_second_ms.add(s.t, s.value);
+    }
     r.packets_received = receiver_->packets_received();
     r.jitter_resyncs = receiver_->jitter_buffer().resyncs();
     double total = 0.0;
@@ -544,7 +550,7 @@ SessionReport Session::collect() {
     if (r.frames_encoded > r.frames_played + tail_allowance) {
       const std::uint32_t unplayed =
           r.frames_encoded - r.frames_played - tail_allowance;
-      r.ssim_samples.insert(r.ssim_samples.end(), unplayed, 0.0);
+      for (std::uint32_t i = 0; i < unplayed; ++i) r.ssim.add(0.0);
     }
   }
 
@@ -564,6 +570,7 @@ SessionReport Session::collect() {
 
   const auto& primary = *ops_.front().link;
   r.handovers = primary.handover_log();
+  r.handover_owd_ms = ho_windows_->finish();
   r.capacity_trace_mbps = primary.capacity_trace();
   r.wan_drops = wan_drops_;
   r.media_losses = media_losses_;

@@ -21,6 +21,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bond/fec_controller.hpp"
@@ -165,6 +166,9 @@ class Session {
   // The primary operator's link (the first layout).
   [[nodiscard]] cellular::CellularLink& link() { return *ops_.front().link; }
   [[nodiscard]] bond::LinkManager& link_manager() { return *lm_; }
+  // The receive side, null in a probe-only session. Its player keeps the
+  // playback-latency series the report summarises.
+  [[nodiscard]] const VideoReceiver* receiver() const { return receiver_.get(); }
 
   // The session-level stream: the primary operator plus the bond, WAN,
   // sender, receiver and satellite events. Session-scoped events such as
@@ -223,6 +227,8 @@ class Session {
   FrameTable table_;
   std::unique_ptr<VideoSender> sender_;
   std::unique_ptr<VideoReceiver> receiver_;
+  // One-way latency around the primary operator's handovers.
+  std::optional<metrics::HandoverWindowTracker> ho_windows_;
 
   std::vector<sim::TimePoint> loss_times_;
   std::uint64_t radio_losses_ = 0;

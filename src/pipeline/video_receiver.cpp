@@ -73,8 +73,10 @@ void VideoReceiver::on_packet(const net::Packet& p) {
       p.size_bytes > 40 ? p.size_bytes - 40 : p.size_bytes;  // strip headers
   media_bytes_ += payload;
   window_bytes_ += payload;
-  owd_ms_.add(sim_.now(), (p.received - p.enqueued).ms());
-  if (owd_hook_) owd_hook_(sim_.now(), (p.received - p.enqueued).ms());
+  const double owd = (p.received - p.enqueued).ms();
+  owd_ms_.add(owd);
+  owd_per_second_ms_.add(sim_.now(), owd);
+  if (owd_hook_) owd_hook_(sim_.now(), owd);
 
   if (fec_) {
     if (auto rebuilt = fec_->on_media_packet(p, sim_.now())) {

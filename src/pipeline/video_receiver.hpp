@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "fault/backoff.hpp"
+#include "metrics/cdf.hpp"
 #include "metrics/time_series.hpp"
 #include "net/packet.hpp"
 #include "obs/event_sink.hpp"
@@ -88,7 +89,11 @@ class VideoReceiver {
   [[nodiscard]] video::PlayerModel& player() { return *player_; }
   [[nodiscard]] const video::PlayerModel& player() const { return *player_; }
   [[nodiscard]] const rtp::JitterBuffer& jitter_buffer() const { return *jb_; }
-  [[nodiscard]] const metrics::TimeSeries& owd_ms() const { return owd_ms_; }
+  // One-way latency of every media packet, as a distribution and per second.
+  [[nodiscard]] const metrics::Cdf& owd_ms() const { return owd_ms_; }
+  [[nodiscard]] const metrics::PerSecond& owd_per_second_ms() const {
+    return owd_per_second_ms_;
+  }
   [[nodiscard]] const metrics::TimeSeries& goodput_mbps() const {
     return goodput_mbps_;
   }
@@ -128,7 +133,8 @@ class VideoReceiver {
   std::unique_ptr<rtp::FecDecoder> fec_;
 
   sim::TimePoint end_time_;
-  metrics::TimeSeries owd_ms_;
+  metrics::Cdf owd_ms_;
+  metrics::PerSecond owd_per_second_ms_;
   metrics::TimeSeries goodput_mbps_;
   SampleFn owd_hook_;
   SampleFn goodput_hook_;

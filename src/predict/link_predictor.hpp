@@ -40,7 +40,7 @@ struct HandoverPredictorConfig {
   double holt_alpha = 0.45;
   double holt_beta = 0.25;
 
-  // --- Radio-map prior (ROADMAP item 5; active only via set_map_prior) ---
+  // --- Radio-map prior (active only via set_map_prior) ---
   // A voxel whose learned HO-trigger rate (per measurement tick) reaches the
   // threshold is "hot": while the UAV's trajectory leads into a hot voxel,
   // the Holt extrapolation looks `map_forecast_boost` times deeper and an

@@ -1,4 +1,4 @@
-// Voxel grid geometry for the 3D radio map (ROADMAP item 5).
+// Voxel grid geometry for the 3D radio map.
 //
 // A GridSpec quantizes the local ENU frame into axis-aligned voxels of
 // `voxel_xy_m` horizontal and `voxel_z_m` vertical extent. The "Vertical

@@ -1,4 +1,4 @@
-// rpv::radiomap — 3D radio-map memory (ROADMAP item 5).
+// rpv::radiomap — 3D radio-map memory.
 //
 // A RadioMap accumulates per-voxel link statistics — serving RSRP mean/var
 // per cell, observed capacity, HO-trigger / RLF / loss counts, stall

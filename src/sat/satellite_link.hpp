@@ -1,7 +1,7 @@
 // rpv::sat — LEO satellite path model.
 //
-// Models the third, orthogonal-failure-mode link of 3-way multi-connectivity
-// (ROADMAP item 4): a Starlink-class LEO bearer with high capacity, a fixed
+// Models the third, orthogonal-failure-mode link of 3-way multi-connectivity:
+// a Starlink-class LEO bearer with high capacity, a fixed
 // ~27 ms propagation floor plus per-packet jitter, deterministic
 // satellite-pass handovers on a ~15 s cadence (each a short interruption,
 // the constellation reconfiguration the "Vertical Look" measurements show),

@@ -160,6 +160,51 @@ TEST(ReorderWindow, PacketWhoseSeqIsAlreadyHeldIsReleasedAtOnce) {
   EXPECT_EQ(f.window->delivered() + f.window->duplicates_suppressed(), 3u);
 }
 
+// A copy trailing the stream by more than half the 16-bit seq space (its
+// original lost, or forgotten by the duplicate filter) is released late at
+// once; it does not land ahead of the stream and drag next_expected along.
+TEST(ReorderWindow, FarTrailingCopyIsReleasedLateWithoutMovingTheStream) {
+  WindowFixture f;
+  for (std::uint16_t s = 0; s < 41'000; ++s) {
+    f.window->on_packet(media(s, s, f.sim.now()), 0);
+  }
+  f.window->on_packet(media(41'001, 41'001, f.sim.now()), 0);  // held: 41000 missing
+  ASSERT_EQ(f.window->next_expected(), 41'000);
+  f.window->on_packet(media(1'001, 7, f.sim.now()), 1);  // 40,000 seqs late
+  EXPECT_EQ(f.out.back(), (std::pair<std::uint16_t, int>{1'001, 1}));
+  EXPECT_EQ(f.window->late_packets(), 1u);
+  EXPECT_EQ(f.window->next_expected(), 41'000);
+  EXPECT_EQ(f.window->held(), 1u);
+  EXPECT_LE(f.window->ring_slots(), 64u);
+  f.window->on_packet(media(41'000, 41'000, f.sim.now()), 0);
+  EXPECT_EQ(f.window->next_expected(), 41'002);
+  EXPECT_EQ(f.window->held(), 0u);
+  EXPECT_EQ(f.window->late_packets(), 1u);
+}
+
+// Two packets in a row far ahead of the stream, the second the successor of
+// the first, are the stream itself jumping: the window follows it.
+TEST(ReorderWindow, StreamJumpingFarAheadIsFollowed) {
+  WindowFixture f;
+  for (std::uint16_t s = 0; s < 10; ++s) {
+    f.window->on_packet(media(s, s, f.sim.now()), 0);
+  }
+  f.window->on_packet(media(12, 12, f.sim.now()), 0);  // held: 10, 11 missing
+  f.window->on_packet(media(10'000, 10'000, f.sim.now()), 0);
+  EXPECT_EQ(f.window->late_packets(), 1u);
+  EXPECT_EQ(f.window->next_expected(), 10);
+  f.window->on_packet(media(10'001, 10'001, f.sim.now()), 0);
+  EXPECT_EQ(f.window->next_expected(), 10'002);
+  EXPECT_EQ(f.window->held(), 0u);
+  EXPECT_EQ(f.window->flushes(), 1u);  // the held seq 12 went first
+  f.window->on_packet(media(10'003, 10'003, f.sim.now()), 0);
+  EXPECT_EQ(f.window->held(), 1u);  // reordering resumes from the new place
+  ASSERT_EQ(f.out.size(), 13u);
+  EXPECT_EQ(f.out[10].first, 10'000);
+  EXPECT_EQ(f.out[11].first, 12);
+  EXPECT_EQ(f.out[12].first, 10'001);
+}
+
 TEST(ReorderWindow, FlushAllDrainsAroundGaps) {
   WindowFixture f;
   f.window->on_packet(media(1, 1, f.sim.now()), 0);
@@ -307,7 +352,7 @@ TEST(BondedSession, SmokeEveryPolicyReportsItsNameAndMovesBytes) {
     EXPECT_NE(r.cc_name.find(c.cc_suffix), std::string::npos) << r.cc_name;
     EXPECT_GT(r.bond_media_bytes, 0u);
     EXPECT_GE(r.bond_airtime_bytes, r.bond_media_bytes);
-    EXPECT_FALSE(r.owd_trace_ms.empty());
+    EXPECT_FALSE(r.owd_ms.empty());
     EXPECT_GT(r.commands_sent, 0u);
     EXPECT_FALSE(r.command_latency_ms.empty());
   }
@@ -334,7 +379,7 @@ TEST(BondedSession, FecRecoversThroughRlfOnOneOfTwoPaths) {
   EXPECT_GT(r.bond_path_switches, 0u);
   EXPECT_GT(r.bond_fec_rate_changes, 0u);
   // The stream survives the outages: stalls stay bounded, frames keep flowing.
-  EXPECT_FALSE(r.owd_trace_ms.empty());
+  EXPECT_FALSE(r.owd_ms.empty());
 }
 
 TEST(BondedSession, ReorderFlushesAndSuppressionShowUpUnderBalancedSpray) {

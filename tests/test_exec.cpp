@@ -430,9 +430,9 @@ std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
   return out;
 }
 
-// The report stores each fact once (schema 8); the figure statistics are
-// derived from its records at read time, so a stored run must reproduce
-// every one of them bit for bit.
+// The report stores each fact once; the figure statistics are derived from
+// its records at read time, so a stored run must reproduce every one of them
+// bit for bit.
 void expect_derived_statistics_bit_identical(
     const pipeline::SessionReport& r, const pipeline::SessionReport& back) {
   EXPECT_EQ(bits(back.handovers.het_ms()), bits(r.handovers.het_ms()));
@@ -441,7 +441,7 @@ void expect_derived_statistics_bit_identical(
   EXPECT_EQ(back.handovers.ping_pong_count(), r.handovers.ping_pong_count());
   auto ratios = [](const pipeline::SessionReport& x) {
     std::vector<double> flat;
-    for (const auto& lr : x.handovers.latency_ratios(x.owd_trace_ms)) {
+    for (const auto& lr : metrics::latency_ratios(x.handover_owd_ms)) {
       flat.push_back(lr.before);
       flat.push_back(lr.after);
     }
@@ -498,7 +498,7 @@ TEST(ReportJson, RoundTripIsByteStableAndLossless) {
   EXPECT_EQ(back.cc_name, r.cc_name);
   EXPECT_EQ(back.environment, r.environment);
   EXPECT_EQ(back.duration.us(), r.duration.us());
-  EXPECT_EQ(back.ssim_samples, r.ssim_samples);
+  EXPECT_EQ(back.ssim, r.ssim);
   EXPECT_EQ(back.packets_sent, r.packets_sent);
   EXPECT_EQ(back.handovers.count(), r.handovers.count());
   EXPECT_EQ(back.rtt_by_altitude, r.rtt_by_altitude);
@@ -510,21 +510,18 @@ TEST(ReportJson, RoundTripIsByteStableAndLossless) {
     EXPECT_EQ(back.fault_outcomes[i].recovery_ms,
               r.fault_outcomes[i].recovery_ms);
   }
-  ASSERT_EQ(back.owd_trace_ms.count(), r.owd_trace_ms.count());
-  if (!r.owd_trace_ms.empty()) {
-    EXPECT_EQ(back.owd_trace_ms.samples().back().t.us(),
-              r.owd_trace_ms.samples().back().t.us());
-    EXPECT_EQ(back.owd_trace_ms.samples().back().value,
-              r.owd_trace_ms.samples().back().value);
-  }
+  EXPECT_EQ(back.owd_ms, r.owd_ms);
+  EXPECT_EQ(back.playback_latency_ms, r.playback_latency_ms);
+  EXPECT_EQ(back.owd_per_second_ms, r.owd_per_second_ms);
+  EXPECT_EQ(back.playback_latency_per_second_ms, r.playback_latency_per_second_ms);
+  EXPECT_EQ(back.handover_owd_ms, r.handover_owd_ms);
   expect_derived_statistics_bit_identical(r, back);
 
   // A plain single-path urban flight and a bonded three-way flight too.
   for (const auto& flight : {urban_report(), three_way_report()}) {
     SCOPED_TRACE(flight.environment + " " + flight.cc_name);
     ASSERT_GT(flight.handovers.count(), 0u);
-    ASSERT_FALSE(
-        flight.handovers.latency_ratios(flight.owd_trace_ms).empty());
+    ASSERT_FALSE(metrics::latency_ratios(flight.handover_owd_ms).empty());
     const std::string flight_bytes = pipeline::report_to_json(flight).dump();
     const auto loaded = pipeline::report_from_json(json::parse(flight_bytes));
     EXPECT_EQ(pipeline::report_to_json(loaded).dump(), flight_bytes);

@@ -107,7 +107,7 @@ TEST(Runner, PoolingConcatenatesSamples) {
   c.runs = 2;
   const auto rs = run_campaign(c);
   const auto owd = pool_owd(rs);
-  EXPECT_EQ(owd.count(), rs[0].owd_trace_ms.count() + rs[1].owd_trace_ms.count());
+  EXPECT_EQ(owd.count(), rs[0].owd_ms.count() + rs[1].owd_ms.count());
   const auto fps = pool_fps(rs);
   EXPECT_EQ(fps.count(), rs[0].fps_windows.size() + rs[1].fps_windows.size());
   EXPECT_EQ(pool_het(rs).size(),

@@ -120,8 +120,8 @@ TEST(Daps, StillRecordsHandovers) {
 TEST(Daps, ShortensLatencyTail) {
   metrics::Cdf bbm, daps;
   for (std::uint64_t k = 0; k < 3; ++k) {
-    bbm.add_all(run_ho_mode(false, 91 + k).owd_trace_ms.values());
-    daps.add_all(run_ho_mode(true, 91 + k).owd_trace_ms.values());
+    bbm.merge(run_ho_mode(false, 91 + k).owd_ms);
+    daps.merge(run_ho_mode(true, 91 + k).owd_ms);
   }
   EXPECT_LT(daps.quantile(0.999), bbm.quantile(0.999));
 }

@@ -101,7 +101,7 @@ TEST(FaultInjection, SameSeedAndScheduleReproduceRun) {
     EXPECT_DOUBLE_EQ(a.fault_outcomes[i].recovery_ms,
                      b.fault_outcomes[i].recovery_ms);
   }
-  EXPECT_EQ(a.ssim_samples, b.ssim_samples);
+  EXPECT_EQ(a.ssim, b.ssim);
 }
 
 // --- RLF / RRC re-establishment ---

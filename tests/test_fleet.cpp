@@ -332,7 +332,7 @@ TEST(FleetEngine, ContentionDegradesPerUavGoodput) {
 TEST(FleetEngine, ReportJsonRoundTrips) {
   const auto result = fleet::FleetEngine{{.jobs = 2}}.run(small_fleet(8, 8.0));
   const auto j = fleet::fleet_report_to_json(result.report);
-  EXPECT_EQ(j.at("schema").as_i64(), pipeline::kReportSchemaVersion);
+  EXPECT_EQ(j.at("schema").as_i64(), fleet::kFleetSchemaVersion);
   EXPECT_EQ(j.at("kind").as_string(), "fleet");
   const auto back = fleet::fleet_report_from_json(j);
   EXPECT_EQ(back, result.report);

@@ -61,21 +61,21 @@ TEST(GoldenPins, UrbanAirGccReport) {
   expect_report_pin(flight(experiment::Environment::kUrban,
                            experiment::Mobility::kAir, pipeline::CcKind::kGcc,
                            2101),
-                    0x0c544f6a52180bebull);
+                    0x886264cf47710083ull);
 }
 
 TEST(GoldenPins, RuralP1AirScreamReport) {
   expect_report_pin(flight(experiment::Environment::kRuralP1,
                            experiment::Mobility::kAir,
                            pipeline::CcKind::kScream, 2102),
-                    0xbd406e2ccd62770bull);
+                    0x620e5b05d1bc430eull);
 }
 
 TEST(GoldenPins, RuralP2GroundProbeOnlyReport) {
   auto s = flight(experiment::Environment::kRuralP2,
                   experiment::Mobility::kGround, pipeline::CcKind::kNone, 2103);
   s.probe_interval = sim::Duration::millis(200);
-  const auto r = expect_report_pin(s, 0xc62ef9cc8c9c1bc1ull);
+  const auto r = expect_report_pin(s, 0x7647263679dd15c2ull);
   EXPECT_FALSE(r.rtt_by_altitude.empty());
 }
 
@@ -86,7 +86,7 @@ TEST(GoldenPins, UrbanAirStaticC2RlfStormResilienceFecReport) {
   s.fault_preset = experiment::FaultPreset::kRlfStorm;
   s.resilience = true;
   s.fec_group_size = 10;
-  expect_report_pin(s, 0x5b3b20dade87cad7ull);
+  expect_report_pin(s, 0x2ee9e855c68f0c33ull);
 }
 
 // The paper's 64-packet RFC 8888 window under an RLF storm with FEC and
@@ -100,7 +100,7 @@ TEST(GoldenPins, UrbanAirScreamAckWindow64Report) {
   s.resilience = true;
   s.fec_group_size = 10;
   s.fault_preset = experiment::FaultPreset::kRlfStorm;
-  expect_report_pin(s, 0xd89b9684d7f28092ull);
+  expect_report_pin(s, 0xff7ce45c5eadd54dull);
 }
 
 TEST(GoldenPins, ObservedUrbanAirGccEventStream) {
@@ -130,7 +130,7 @@ experiment::Scenario bonded_storm(experiment::PathSet paths,
 TEST(GoldenPins, RuralP1BondedOperatorPairRlfStormReport) {
   const auto r = expect_report_pin(
       bonded_storm(experiment::PathSet::kOperatorPair, 2107),
-      0xdd1c4845bc8edac2ull);
+      0x2c90d34eff6f2d47ull);
   EXPECT_GT(r.bond_reorder_flushes, 0u);
   EXPECT_GT(r.bond_fec_recovered, 0u);
 }
@@ -138,7 +138,7 @@ TEST(GoldenPins, RuralP1BondedOperatorPairRlfStormReport) {
 TEST(GoldenPins, ObservedRuralP1BondedThreeWayRlfStormReportAndEventStream) {
   auto s = bonded_storm(experiment::PathSet::kThreeWay, 2108);
   s.observe = true;
-  const auto r = expect_report_pin(s, 0xa2f5aad2a21725f6ull);
+  const auto r = expect_report_pin(s, 0xdf68fa7250a6eba1ull);
   EXPECT_GT(r.bond_reorder_flushes, 0u);
   EXPECT_GT(r.bond_fec_recovered, 0u);
   ASSERT_FALSE(r.events.empty());

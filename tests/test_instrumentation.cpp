@@ -143,8 +143,8 @@ pipeline::SessionReport synthetic_report(double ssim, double latency_ms,
                                          double stalls_per_min) {
   pipeline::SessionReport r;
   for (int i = 0; i < 1000; ++i) {
-    r.ssim_samples.push_back(ssim);
-    r.playback_latency_trace_ms.add(TimePoint::from_us(i * 33'333), latency_ms);
+    r.ssim.add(ssim);
+    r.playback_latency_ms.add(latency_ms);
   }
   r.stalls_per_minute = stalls_per_min;
   return r;

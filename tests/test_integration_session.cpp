@@ -37,18 +37,17 @@ TEST_P(SessionCcTest, CoreInvariants) {
   EXPECT_LT(r.per, 0.05);
 
   // One-way delay can never undercut access + WAN propagation.
-  for (const auto& owd : r.owd_trace_ms.samples()) EXPECT_GT(owd.value, 15.0);
+  ASSERT_FALSE(r.owd_ms.empty());
+  EXPECT_GT(r.owd_ms.min(), 15.0);
 
   // Playback latency at least the jitter-buffer depth.
-  for (const auto& pl : r.playback_latency_trace_ms.samples()) {
-    EXPECT_GT(pl.value, 150.0);
-  }
+  ASSERT_FALSE(r.playback_latency_ms.empty());
+  EXPECT_GT(r.playback_latency_ms.min(), 150.0);
 
   // SSIM samples in [0, 1].
-  for (const double s : r.ssim_samples) {
-    EXPECT_GE(s, 0.0);
-    EXPECT_LE(s, 1.0);
-  }
+  ASSERT_FALSE(r.ssim.empty());
+  EXPECT_GE(r.ssim.min(), 0.0);
+  EXPECT_LE(r.ssim.max(), 1.0);
 
   // Goodput below the physical ceiling.
   for (const double g : r.goodput_mbps_windows) {
@@ -155,7 +154,8 @@ TEST(Session, GroundRunsSeeFewerHandovers) {
 
 TEST(Session, HoLatencyRatiosComputed) {
   const auto r = run(Environment::kUrban, pipeline::CcKind::kGcc);
-  const auto ratios = r.handovers.latency_ratios(r.owd_trace_ms);
+  ASSERT_EQ(r.handover_owd_ms.size(), r.handovers.count());
+  const auto ratios = metrics::latency_ratios(r.handover_owd_ms);
   EXPECT_FALSE(ratios.empty());
   for (const auto& lr : ratios) {
     EXPECT_GE(lr.before, 1.0);
@@ -172,9 +172,8 @@ TEST(Session, DropOnLatencyReducesLatePlayback) {
   Scenario dol = base;
   dol.drop_on_latency = true;
   const auto dropped = run_scenario(dol);
-  metrics::Cdf n, d;
-  n.add_all(normal.playback_latency_trace_ms.values());
-  d.add_all(dropped.playback_latency_trace_ms.values());
+  const auto& n = normal.playback_latency_ms;
+  const auto& d = dropped.playback_latency_ms;
   // Appendix A.4: dropping late frames improves the high latency quantiles.
   EXPECT_LT(d.quantile(0.95), n.quantile(0.95) * 1.05);
 }

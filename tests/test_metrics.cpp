@@ -165,7 +165,7 @@ TEST(HandoverLog, LatencyRatiosAroundHandover) {
   // Handover at t = 5 s with HET 50 ms.
   log.record({TimePoint::origin() + Duration::seconds(5.0), Duration::millis(50),
               1u, 2u, false});
-  TimeSeries owd;
+  HandoverWindowTracker owd{log};
   // Before the HO: latency ramps 50 -> 400 ms; after: stable 50 ms.
   for (int ms = 4000; ms < 5000; ms += 100) {
     owd.add(TimePoint::origin() + Duration::millis(ms), 50.0 + (ms - 4000) * 0.35);
@@ -173,7 +173,7 @@ TEST(HandoverLog, LatencyRatiosAroundHandover) {
   for (int ms = 5050; ms < 6100; ms += 100) {
     owd.add(TimePoint::origin() + Duration::millis(ms), 50.0);
   }
-  const auto ratios = log.latency_ratios(owd);
+  const auto ratios = latency_ratios(owd.finish());
   ASSERT_EQ(ratios.size(), 1u);
   EXPECT_GT(ratios[0].before, 5.0);
   EXPECT_NEAR(ratios[0].after, 1.0, 0.01);
@@ -183,9 +183,11 @@ TEST(HandoverLog, LatencyRatioSkipsEmptyWindows) {
   HandoverLog log;
   log.record({TimePoint::origin() + Duration::seconds(100.0), Duration::millis(20),
               1u, 2u, false});
-  TimeSeries owd;  // no samples anywhere near the HO
+  HandoverWindowTracker owd{log};  // no samples anywhere near the HO
   owd.add(TimePoint::origin(), 50.0);
-  EXPECT_TRUE(log.latency_ratios(owd).empty());
+  const auto windows = owd.finish();
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_TRUE(latency_ratios(windows).empty());
 }
 
 // --- TextTable ---

@@ -1,13 +1,16 @@
 // Property-style parameterized sweeps across seeds, rates, and module
 // configurations: invariants that must hold for any input in the domain.
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -20,6 +23,13 @@
 #include "cc/scream/scream_controller.hpp"
 #include "cellular/link_queue.hpp"
 #include "cellular/loss_model.hpp"
+#include "experiment/scenario.hpp"
+#include "metrics/cdf.hpp"
+#include "metrics/handover_log.hpp"
+#include "metrics/time_series.hpp"
+#include "net/packet.hpp"
+#include "pipeline/report_json.hpp"
+#include "pipeline/session.hpp"
 #include "radiomap/radio_map.hpp"
 #include "obs/event_sink.hpp"
 #include "rtp/fec.hpp"
@@ -152,7 +162,9 @@ TEST_P(LinkQueueRateSweep, AllAcceptedPacketsEventuallyDeliver) {
   }
   sim.run_all();
   EXPECT_EQ(delivered + dropped, n);
-  if (rate > 12e6) EXPECT_EQ(dropped, 0);  // above the offered load
+  if (rate > 12e6) {
+    EXPECT_EQ(dropped, 0);  // above the offered load
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, LinkQueueRateSweep,
@@ -650,7 +662,9 @@ TEST_P(SeqWindowFuzz, MatchesStdMap) {
     const int* found = flat.find(probe);
     const auto it = ref.find(probe);
     ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step;
-    if (found != nullptr) ASSERT_EQ(*found, it->second);
+    if (found != nullptr) {
+      ASSERT_EQ(*found, it->second);
+    }
   }
 }
 
@@ -660,10 +674,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeqWindowFuzz, ::testing::Values(501, 502, 503))
 //
 // MapReorderWindow, MapFecGroupTable and MapFecDecoder are the bonded
 // receive path as it was written over std::map, std::unordered_set and a
-// FIFO deque of dedup keys. One change is carried over from the flat
+// FIFO deque of dedup keys. Two changes are carried over from the flat
 // window: a packet whose unwrapped seq another packet already holds is
-// released at once and counted late (the original dropped it). The fuzzers
-// drive each pair side by side and compare after every call.
+// released at once and counted late (the original dropped it), and a seq is
+// placed against next_expected_, so a copy trailing the stream by more than
+// half the seq space is released late instead of landing ahead of it (the
+// original unwrapped against the newest seq). The fuzzers drive each pair
+// side by side and compare after every call.
 
 class MapReorderWindow {
  public:
@@ -701,11 +718,30 @@ class MapReorderWindow {
         seen_order_.pop_front();
       }
     }
-    const std::int64_t seq = unwrapper_.unwrap(p.transport_seq);
     if (!started_) {
       started_ = true;
+      next_expected_ = p.transport_seq;
+    }
+    const std::int64_t seq =
+        next_expected_ +
+        rtp::seq_diff(p.transport_seq, static_cast<std::uint16_t>(next_expected_));
+    if (seq - next_expected_ >= bond::ReorderWindow::kMaxJump) {
+      if (seq != jump_successor_) {
+        jump_successor_ = seq + 1;
+        ++late_;
+        ++delivered_;
+        deliver_(std::move(p), path);
+        return;
+      }
+      if (!buffer_.empty()) {
+        const auto released = static_cast<std::uint32_t>(buffer_.size());
+        release(buffer_.end());
+        ++flushes_;
+        publish_flush(released, 2, hold_window().ms());
+      }
       next_expected_ = seq;
     }
+    jump_successor_ = -1;
     if (seq < next_expected_ || buffer_.count(seq) != 0) {
       ++late_;
       ++delivered_;
@@ -847,10 +883,10 @@ class MapReorderWindow {
   bond::ReorderWindowConfig cfg_;
   bond::ReorderWindow::DeliverFn deliver_;
   obs::EventBus* bus_ = nullptr;
-  rtp::SeqUnwrapper unwrapper_;
   Buffer buffer_;
   bool started_ = false;
   std::int64_t next_expected_ = 0;
+  std::int64_t jump_successor_ = -1;
   std::unordered_set<std::uint64_t> seen_;
   std::deque<std::uint64_t> seen_order_;
   std::vector<double> path_latency_ms_;
@@ -1422,6 +1458,426 @@ TEST_P(RadioMapQuantizeFuzz, QuantizeIndexCenterNeverLeavesTheVoxel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RadioMapQuantizeFuzz,
                          ::testing::Values(501, 502, 503, 504, 505, 506));
+
+
+// --- Fixed-bin distributions against the sample-vector original ---
+//
+// SampleCdf is metrics::Cdf as it was written over a sorted sample vector
+// (linear interpolation between order statistics, upper/lower_bound
+// fractions). The fuzz compares the binned Cdf with it on random data sets
+// shaped like the report's quantities.
+
+class SampleCdf {
+ public:
+  void add(double v) { samples_.push_back(v); sorted_ = false; }
+  [[nodiscard]] std::size_t count() const { return samples_.size(); }
+  double quantile(double q) {
+    sort();
+    q = std::clamp(q, 0.0, 1.0);
+    const double idx = q * static_cast<double>(samples_.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(idx));
+    const auto hi = static_cast<std::size_t>(std::ceil(idx));
+    if (lo == hi) return samples_[lo];
+    const double f = idx - static_cast<double>(lo);
+    return samples_[lo] * (1.0 - f) + samples_[hi] * f;
+  }
+  double order_statistic(std::size_t i) { sort(); return samples_[i]; }
+  double mean() const {
+    return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
+           static_cast<double>(samples_.size());
+  }
+  double fraction_below(double x) {
+    sort();
+    const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
+    return static_cast<double>(it - samples_.begin()) /
+           static_cast<double>(samples_.size());
+  }
+  double fraction_at_least(double x) {
+    sort();
+    const auto it = std::lower_bound(samples_.begin(), samples_.end(), x);
+    return static_cast<double>(samples_.end() - it) /
+           static_cast<double>(samples_.size());
+  }
+  const std::vector<double>& samples() { sort(); return samples_; }
+
+ private:
+  void sort() {
+    if (!sorted_) std::sort(samples_.begin(), samples_.end());
+    sorted_ = true;
+  }
+  std::vector<double> samples_;
+  bool sorted_ = true;
+};
+
+// Width of the part of v's bin that [lo, hi] covers: how far a quantile
+// estimate in that bin can be from v.
+double bin_width_within(double v, double lo, double hi) {
+  const auto [a, b] = metrics::Cdf::bounds(metrics::Cdf::bin_of(v));
+  return std::min(b, hi) - std::max(a, lo);
+}
+
+// Every CDF point a bench or example prints is an edge, so its CDF value is
+// exact.
+const std::vector<double> kPrintedPoints = {
+    0.1, 0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 1, 5, 9.99, 10, 15, 20, 25, 29, 30,
+    33, 40, 50, 75, 100, 150, 200, 250, 300, 400, 500, 600, 800, 1000, 2000};
+
+TEST(CdfBins, EveryEdgeIsItsOwnBinAndIntervalsAreAtMostHalfAPercentWide) {
+  const std::int32_t top = metrics::Cdf::max_bin();
+  for (std::int32_t b = 2; b < top; b += 2) {
+    const auto [lo, hi] = metrics::Cdf::bounds(b);
+    ASSERT_EQ(lo, hi) << "bin " << b;
+    ASSERT_EQ(metrics::Cdf::bin_of(lo), b);
+    ASSERT_EQ(metrics::Cdf::bin_of(-lo), -b);
+    const auto [ilo, ihi] = metrics::Cdf::bounds(b + 1);
+    ASSERT_EQ(ilo, lo);
+    if (b + 1 == top) {
+      ASSERT_TRUE(std::isinf(ihi));
+      continue;
+    }
+    ASSERT_GT(ihi, ilo);
+    ASSERT_LE((ihi - ilo) / ilo, 0.005 * (1 + 1e-12)) << "bin " << b + 1;
+    ASSERT_EQ(metrics::Cdf::bin_of(std::nextafter(lo, ihi)), b + 1);
+    ASSERT_EQ(metrics::Cdf::bin_of(std::nextafter(ihi, lo)), b + 1);
+  }
+  EXPECT_EQ(metrics::Cdf::bin_of(0.0), 0);
+  EXPECT_EQ(metrics::Cdf::bin_of(-0.0), 0);
+  EXPECT_EQ(metrics::Cdf::bin_of(1e-300), 1);
+  for (const double x : kPrintedPoints) {
+    const auto [lo, hi] = metrics::Cdf::bounds(metrics::Cdf::bin_of(x));
+    EXPECT_EQ(lo, x);
+    EXPECT_EQ(hi, x);
+  }
+}
+
+class CdfFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CdfFuzz, MatchesSampleReference) {
+  sim::Rng rng{GetParam()};
+  for (int shape = 0; shape < 4; ++shape) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    const auto n = static_cast<int>(rng.uniform_int(1, 20'000));
+    std::vector<double> xs;
+    for (int i = 0; i < n; ++i) {
+      double v = 0.0;
+      switch (shape) {
+        case 0:  // one-way latency in ms at microsecond resolution
+          v = std::round(std::exp(rng.uniform(2.5, 8.5)) * 1e3) / 1e3;
+          break;
+        case 1:  // SSIM, with every unplayed frame scored 0
+          v = rng.chance(0.3) ? 0.0 : rng.uniform(0.2, 1.0);
+          break;
+        case 2:  // frames per one-second window
+          v = static_cast<double>(rng.uniform_int(0, 35));
+          break;
+        default:  // anything finite, either sign, past the outermost edges
+          v = (rng.chance(0.5) ? -1.0 : 1.0) * std::pow(10.0, rng.uniform(-12.0, 12.0));
+          if (rng.chance(0.05)) v = 0.0;
+          break;
+      }
+      xs.push_back(v);
+    }
+    metrics::Cdf c;
+    SampleCdf ref;
+    for (const double v : xs) {
+      c.add(v);
+      ref.add(v);
+    }
+    ASSERT_EQ(c.count(), ref.count());
+    const auto& sorted = ref.samples();
+    EXPECT_EQ(c.min(), sorted.front());
+    EXPECT_EQ(c.max(), sorted.back());
+    double magnitude = 0.0;
+    for (const double v : xs) magnitude += std::abs(v);
+    magnitude /= static_cast<double>(n);
+    EXPECT_LE(std::abs(c.mean() - ref.mean()), 1e-12 * magnitude);
+
+    // Quantiles: within one bin of the interpolated order statistics.
+    for (int k = 0; k <= 40; ++k) {
+      const double q = k / 40.0;
+      const double idx = q * static_cast<double>(n - 1);
+      const double lo = ref.order_statistic(static_cast<std::size_t>(std::floor(idx)));
+      const double hi = ref.order_statistic(static_cast<std::size_t>(std::ceil(idx)));
+      const double width = std::max(bin_width_within(lo, c.min(), c.max()),
+                                    bin_width_within(hi, c.min(), c.max()));
+      const double exact = ref.quantile(q);
+      EXPECT_LE(std::abs(c.quantile(q) - exact), width + 1e-12 * std::abs(exact))
+          << "q " << q;
+    }
+    EXPECT_EQ(c.quantile(0.0), sorted.front());
+    EXPECT_EQ(c.quantile(1.0), sorted.back());
+
+    // Fractions: exact at every edge, the printed points and each sample's
+    // own bin edge among them.
+    std::vector<double> points = kPrintedPoints;
+    points.push_back(0.0);
+    for (int k = 0; k < 200; ++k) {
+      const double v = xs[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
+      const auto [lo, hi] = metrics::Cdf::bounds(metrics::Cdf::bin_of(v));
+      if (std::isfinite(lo)) points.push_back(lo);
+      if (std::isfinite(hi)) points.push_back(hi);
+    }
+    for (const double x : points) {
+      ASSERT_EQ(c.fraction_below(x), ref.fraction_below(x)) << "x " << x;
+      ASSERT_EQ(c.fraction_at_least(x), ref.fraction_at_least(x)) << "x " << x;
+      ASSERT_EQ(c.fraction_below(-x), ref.fraction_below(-x)) << "x " << -x;
+      ASSERT_EQ(c.fraction_at_least(-x), ref.fraction_at_least(-x)) << "x " << -x;
+    }
+
+    // Merge: associative, commutative, and the same as adding the union.
+    std::vector<metrics::Cdf> part(3);
+    for (const double v : xs) part[static_cast<std::size_t>(rng.uniform_int(0, 2))].add(v);
+    auto merged = [&](std::size_t a, std::size_t b, std::size_t d, bool left) {
+      metrics::Cdf out = part[a];
+      if (left) {
+        out.merge(part[b]);
+        out.merge(part[d]);
+      } else {
+        metrics::Cdf tail = part[b];
+        tail.merge(part[d]);
+        out.merge(tail);
+      }
+      return out;
+    };
+    const auto bins = c.occupied();
+    for (const auto& m : {merged(0, 1, 2, true), merged(0, 1, 2, false),
+                          merged(2, 0, 1, true), merged(1, 2, 0, false)}) {
+      const auto m_bins = m.occupied();
+      EXPECT_TRUE(std::equal(m_bins.begin(), m_bins.end(), bins.begin(), bins.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.bin == b.bin && a.n == b.n;
+                             }));
+      EXPECT_EQ(m.count(), c.count());
+      EXPECT_EQ(m.min(), c.min());
+      EXPECT_EQ(m.max(), c.max());
+      EXPECT_LE(std::abs(m.sum() - c.sum()), 1e-12 * magnitude * n);
+    }
+    // Zeros land in their own bin, counted exactly.
+    const auto zeros = static_cast<std::uint64_t>(std::count(xs.begin(), xs.end(), 0.0));
+    std::uint64_t in_zero_bin = 0;
+    for (const auto& b : c.occupied()) {
+      if (b.bin == 0) in_zero_bin = b.n;
+    }
+    EXPECT_EQ(in_zero_bin, zeros);
+    // The sparse form rebuilds the same distribution.
+    EXPECT_EQ(metrics::Cdf::from_parts(c.occupied(), c.sum(), c.min(), c.max()), c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CdfFuzz, ::testing::Values(701, 702, 703, 704));
+
+TEST(CdfBins, RejectsNanAndInfinityAndKeepsItsState) {
+  metrics::Cdf c;
+  c.add(3.0);
+  const auto before = c;
+  EXPECT_THROW(c.add(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_THROW(c.add(std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_THROW(c.add(-std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_EQ(c, before);
+}
+
+// --- In-session windows against the trace they replaced ---
+//
+// A session keeps no per-packet trace. These flights rebuild one from the
+// media kPacketReceived events of run_scenario(s, sink) (one-way latency)
+// and read the player's in-memory playback-latency series, then check that
+// the report's per-second rows and per-handover extremes equal what
+// TimeSeries::mean_in/max_in/min_in give on those series, and that the two
+// distributions hold exactly their samples.
+
+class OwdCollector final : public obs::EventSink {
+ public:
+  void on_event(const obs::Event& e) override {
+    const auto& p = std::get<obs::PacketPayload>(e.payload);
+    if (p.kind == static_cast<std::uint8_t>(net::PacketKind::kFecParity)) return;
+    owd.add(e.t, p.owd_ms);
+  }
+  [[nodiscard]] std::uint64_t interest_mask() const override {
+    return obs::kind_bit(obs::EventKind::kPacketReceived);
+  }
+  metrics::TimeSeries owd;
+};
+
+// run_scenario's session, kept alive so its player can be read.
+struct HeldFlight {
+  std::unique_ptr<geo::Trajectory> trajectory;
+  std::unique_ptr<pipeline::Session> session;
+  pipeline::SessionReport report;
+};
+
+HeldFlight fly(const experiment::Scenario& s) {
+  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+  std::vector<cellular::CellLayout> layouts;
+  layouts.push_back(experiment::make_layout(s, rng));
+  std::string label = experiment::environment_name(s.env);
+  if (s.multipath != experiment::Multipath::kNone) {
+    experiment::Scenario other = s;
+    other.env = experiment::Environment::kRuralP2;  // rural P1's competitor
+    layouts.push_back(experiment::make_layout(other, rng));
+    label += "+" + experiment::environment_name(other.env);
+  }
+  label += "/" + experiment::mobility_name(s.mobility);
+  HeldFlight f;
+  f.trajectory = std::make_unique<geo::Trajectory>(experiment::make_trajectory(s, rng));
+  f.session = std::make_unique<pipeline::Session>(
+      experiment::make_session_config(s), std::move(layouts), f.trajectory.get(),
+      label, experiment::bond_policy_of(s.multipath));
+  f.report = f.session->run();
+  return f;
+}
+
+void expect_window(const metrics::WindowExtrema& w, const metrics::TimeSeries& ts,
+                   TimePoint from, TimePoint to) {
+  EXPECT_EQ(w.n, ts.values_in(from, to).size());
+  if (w.n == 0) return;
+  EXPECT_EQ(w.max, *ts.max_in(from, to));
+  EXPECT_EQ(w.min, *ts.min_in(from, to));
+}
+
+void expect_rows(const metrics::PerSecond& rows, const metrics::TimeSeries& ts,
+                 Duration horizon) {
+  const auto seconds = static_cast<std::size_t>(horizon.sec()) + 1;
+  ASSERT_LE(rows.rows().size(), seconds + 1);
+  for (std::size_t k = 0; k <= seconds; ++k) {
+    const auto from = TimePoint::origin() + Duration::seconds(static_cast<double>(k));
+    const auto to = from + Duration::seconds(1.0);
+    const auto want = ts.mean_in(from, to);
+    const auto got = rows.mean(k);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "second " << k;
+    if (want) {
+      EXPECT_EQ(*got, *want) << "second " << k;  // bit for bit
+    }
+  }
+}
+
+class SessionWindows : public ::testing::TestWithParam<int> {};
+
+TEST_P(SessionWindows, MatchTheRebuiltTraces) {
+  experiment::Scenario s;
+  switch (GetParam()) {
+    case 0:  // single-path GCC
+      s.env = experiment::Environment::kUrban;
+      s.cc = pipeline::CcKind::kGcc;
+      s.seed = 7201;
+      break;
+    case 1:  // single-path SCReAM
+      s.env = experiment::Environment::kRuralP1;
+      s.cc = pipeline::CcKind::kScream;
+      s.seed = 7202;
+      break;
+    default:  // bonded, RLF storm on both operators
+      s.env = experiment::Environment::kRuralP1;
+      s.cc = pipeline::CcKind::kStatic;
+      s.multipath = experiment::Multipath::kBondHighReliability;
+      s.fault_preset = experiment::FaultPreset::kRlfStorm;
+      s.faults_on_both_operators = true;
+      s.seed = 7203;
+      break;
+  }
+  OwdCollector sink;
+  const auto r = experiment::run_scenario(s, &sink);
+  const auto held = fly(s);
+  // The held session flew the same flight.
+  ASSERT_EQ(pipeline::report_to_json(held.report).dump(),
+            pipeline::report_to_json(r).dump());
+  const auto& owd = sink.owd;
+  const auto& play = held.session->receiver()->player().playback_latency_ms();
+  ASSERT_GT(owd.count(), 1000u);
+  ASSERT_GT(play.count(), 1000u);
+  ASSERT_GT(r.handovers.count(), 0u);
+
+  metrics::Cdf owd_cdf;
+  owd_cdf.add_all(owd.values());
+  EXPECT_EQ(r.owd_ms, owd_cdf);
+  metrics::Cdf play_cdf;
+  play_cdf.add_all(play.values());
+  EXPECT_EQ(r.playback_latency_ms, play_cdf);
+
+  const auto horizon = r.duration + Duration::seconds(2.0);
+  expect_rows(r.owd_per_second_ms, owd, horizon);
+  expect_rows(r.playback_latency_per_second_ms, play, horizon);
+
+  const auto& events = r.handovers.events();
+  ASSERT_EQ(r.handover_owd_ms.size(), events.size());
+  const auto second = Duration::seconds(1.0);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE("handover " + std::to_string(i));
+    const auto& e = events[i];
+    const auto& w = r.handover_owd_ms[i];
+    expect_window(w.lead, owd, e.start - Duration::seconds(3.0), e.start - second);
+    expect_window(w.before, owd, e.start - second, e.start);
+    expect_window(w.after, owd, e.start + e.het, e.start + e.het + second);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Flights, SessionWindows, ::testing::Values(0, 1, 2));
+
+// The trace-window latency ratios (HandoverLog::latency_ratios over an OWD
+// TimeSeries, as written before reports kept windows) equal the ratios of
+// the streamed windows on random streams with random handovers.
+std::vector<metrics::LatencyRatio> trace_latency_ratios(
+    const metrics::HandoverLog& log, const metrics::TimeSeries& owd) {
+  const auto window = Duration::seconds(1.0);
+  std::vector<metrics::LatencyRatio> out;
+  for (const auto& e : log.events()) {
+    const auto end = e.start + e.het;
+    const auto max_b = owd.max_in(e.start - window, e.start);
+    const auto min_b = owd.min_in(e.start - window, e.start);
+    const auto max_a = owd.max_in(end, end + window);
+    const auto min_a = owd.min_in(end, end + window);
+    if (!max_b || !min_b || !max_a || !min_a) continue;
+    if (*min_b <= 0.0 || *min_a <= 0.0) continue;
+    out.push_back({*max_b / *min_b, *max_a / *min_a});
+  }
+  return out;
+}
+
+class HandoverWindowFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HandoverWindowFuzz, StreamedWindowsMatchTraceWindows) {
+  sim::Rng rng{GetParam()};
+  metrics::HandoverLog log;
+  metrics::HandoverWindowTracker tracker{log};
+  metrics::TimeSeries owd;
+  std::int64_t t_us = 0;
+  std::int64_t next_ho_us = rng.uniform_int(0, 5'000'000);
+  for (int i = 0; i < 60'000; ++i) {
+    // Bursts, same-instant samples, and silent gaps longer than 3 s.
+    t_us += rng.chance(0.2) ? 0
+            : rng.chance(0.0003) ? rng.uniform_int(1'000'000, 4'000'000)
+                                : rng.uniform_int(1, 2'000);
+    while (next_ho_us <= t_us) {
+      // Logged at its start, as the handover controller does; some on the
+      // same microsecond as a sample, some while no sample arrives.
+      log.record({TimePoint::from_us(next_ho_us),
+                  Duration::micros(rng.uniform_int(0, 1'500'000)), 1u, 2u, false});
+      next_ho_us += rng.chance(0.1) ? 0 : rng.uniform_int(1, 6'000'000);
+    }
+    const double v = rng.chance(0.0002) ? 0.0 : rng.uniform(10.0, 900.0);
+    tracker.add(TimePoint::from_us(t_us), v);
+    owd.add(TimePoint::from_us(t_us), v);
+  }
+  log.record({TimePoint::from_us(t_us), Duration::millis(40), 1u, 2u, false});
+  const auto windows = tracker.finish();
+  ASSERT_EQ(windows.size(), log.count());
+  const auto second = Duration::seconds(1.0);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const auto& e = log.events()[i];
+    expect_window(windows[i].lead, owd, e.start - Duration::seconds(3.0), e.start - second);
+    expect_window(windows[i].before, owd, e.start - second, e.start);
+    expect_window(windows[i].after, owd, e.start + e.het, e.start + e.het + second);
+  }
+  const auto streamed = metrics::latency_ratios(windows);
+  const auto traced = trace_latency_ratios(log, owd);
+  ASSERT_EQ(streamed.size(), traced.size());
+  EXPECT_GT(streamed.size(), 10u);
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].before, traced[i].before);
+    EXPECT_EQ(streamed[i].after, traced[i].after);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HandoverWindowFuzz, ::testing::Values(801, 802, 803));
 
 }  // namespace
 }  // namespace rpv

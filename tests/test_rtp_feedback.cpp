@@ -64,7 +64,7 @@ TEST(Twcc, ConsecutiveReportsCoverContiguously) {
 TEST(Twcc, PendingClearedAfterReport) {
   TwccCollector c;
   c.on_packet(0, at_ms(0));
-  c.build_report(at_ms(10));
+  (void)c.build_report(at_ms(10));
   EXPECT_FALSE(c.has_data());
 }
 
@@ -80,7 +80,7 @@ TEST(Twcc, SurvivesSequenceWrap) {
   TwccCollector c;
   c.on_packet(65534, at_ms(0));
   c.on_packet(65535, at_ms(1));
-  c.build_report(at_ms(10));
+  (void)c.build_report(at_ms(10));
   c.on_packet(0, at_ms(2));
   c.on_packet(1, at_ms(3));
   const auto r = c.build_report(at_ms(20));
@@ -92,7 +92,7 @@ TEST(Twcc, SurvivesSequenceWrap) {
 TEST(Twcc, HugeGapGuardKeepsReportBounded) {
   TwccCollector c;
   c.on_packet(0, at_ms(0));
-  c.build_report(at_ms(10));
+  (void)c.build_report(at_ms(10));
   // Extremely long silence then a far-away seq (e.g. after several wraps
   // worth of discards) must not produce a multi-million row report.
   c.on_packet(30000, at_ms(1000));

@@ -28,9 +28,9 @@ TEST(C2, CommandLatencyWellBelowVideo) {
   s.c2 = true;
   s.seed = 62;
   const auto r = run_scenario(s);
-  metrics::Cdf cmd, vid;
+  metrics::Cdf cmd;
   cmd.add_all(r.command_latency_ms);
-  vid.add_all(r.owd_trace_ms.values());
+  const auto& vid = r.owd_ms;
   // Related work [34][51][61]: control latency is far below video latency,
   // especially in the tail (the video shares the bloated uplink queue).
   EXPECT_LT(cmd.quantile(0.99), vid.quantile(0.99));
@@ -94,9 +94,9 @@ TEST(FiveG, ShortensLatencyTail) {
     s.env = Environment::kUrban;
     s.cc = pipeline::CcKind::kStatic;
     s.seed = 81 + k;
-    lte.add_all(run_scenario(s).owd_trace_ms.values());
+    lte.merge(run_scenario(s).owd_ms);
     s.tech = AccessTech::k5gSa;
-    nr.add_all(run_scenario(s).owd_trace_ms.values());
+    nr.merge(run_scenario(s).owd_ms);
   }
   EXPECT_LT(nr.median(), lte.median());
   EXPECT_LT(nr.quantile(0.99), lte.quantile(0.99) * 0.7);

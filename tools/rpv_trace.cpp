@@ -1,23 +1,15 @@
-// rpv_trace — run a measurement scenario and export its traces as CSVs,
-// the simulator's counterpart to the paper's released dataset and parsing
-// scripts; or pretty-print a recorded rpv::obs event timeline.
+// rpv_trace — pretty-print a recorded rpv::obs event timeline.
 //
-//   $ rpv_trace <out_dir> [urban|rural-p1|rural-p2] [gcc|scream|static] [seed]
-//               [--observe]
 //   $ rpv_trace events <file.jsonl> [--component C] [--kind K]
 //               [--from SEC] [--to SEC]
 //
-// The flight form accepts `rural` as an alias of `rural-p1`. Any other
-// environment or CC name, a seed that is not a decimal integer, or an extra
-// argument prints the usage text and exits with code 2.
-//
-// The `events` form reads an events.jsonl written by an observed run
-// (Scenario::observe / rpv_campaign --observe) and renders one line per
-// event, so a Fig.-8-style handover/stall timeline can be reconstructed from
-// the recording alone — no re-simulation. Components cover every layer that
-// publishes, including the 3-way bonding paths (`--component sat` isolates
-// satellite pass handovers and obstruction/rain-fade windows).
-#include <charconv>
+// It reads an events.jsonl written by an observed run (Scenario::observe /
+// rpv_campaign --observe) and renders one line per event, so a Fig.-8-style
+// handover/stall timeline can be reconstructed from the recording alone — no
+// re-simulation. Components cover every layer that publishes, including the
+// 3-way bonding paths (`--component sat` isolates satellite pass handovers
+// and obstruction/rain-fade windows). Any other first argument prints the
+// usage text and exits with code 2.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -25,29 +17,19 @@
 #include <string>
 #include <vector>
 
-#include "experiment/scenario.hpp"
 #include "obs/recorder.hpp"
-#include "trace/trace_io.hpp"
 
 namespace {
 
 using namespace rpv;
 
 constexpr const char* kUsage =
-    "usage: rpv_trace <out_dir> [urban|rural-p1|rural-p2] "
-    "[gcc|scream|static] [seed] [--observe]\n"
-    "       rpv_trace events <file.jsonl> [--component C] "
-    "[--kind K] [--from SEC] [--to SEC]\n";
-
-int usage_error(const std::string& what) {
-  std::cerr << "rpv_trace: " << what << "\n" << kUsage;
-  return 2;
-}
+    "usage: rpv_trace events <file.jsonl> [--component C] [--kind K] "
+    "[--from SEC] [--to SEC]\n";
 
 int run_events(int argc, char** argv) {
   if (argc < 3) {
-    std::cerr << "usage: rpv_trace events <file.jsonl> [--component C] "
-                 "[--kind K] [--from SEC] [--to SEC]\n";
+    std::cerr << kUsage;
     return 2;
   }
   const std::string path = argv[2];
@@ -135,77 +117,10 @@ int run_events(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace rpv;
   if (argc >= 2 && std::string{argv[1]} == "events") {
     return run_events(argc, argv);
   }
-  if (argc < 2) {
-    std::cerr << kUsage;
-    return 2;
-  }
-  const std::string dir = argv[1];
-
-  // Positional form, with --observe allowed anywhere after <out_dir>.
-  std::vector<std::string> positional;
-  bool observe = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--observe") {
-      observe = true;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-
-  experiment::Scenario s;
-  s.observe = observe;
-  if (positional.size() > 3) {
-    return usage_error("unexpected argument '" + positional[3] + "'");
-  }
-  if (!positional.empty()) {
-    const std::string& env = positional[0];
-    using experiment::Environment;
-    if (env == "urban") s.env = Environment::kUrban;
-    else if (env == "rural-p1" || env == "rural") s.env = Environment::kRuralP1;
-    else if (env == "rural-p2") s.env = Environment::kRuralP2;
-    else return usage_error("unknown environment '" + env + "'");
-  }
-  if (positional.size() > 1) {
-    const std::string& cc = positional[1];
-    if (cc == "gcc") s.cc = pipeline::CcKind::kGcc;
-    else if (cc == "scream") s.cc = pipeline::CcKind::kScream;
-    else if (cc == "static") s.cc = pipeline::CcKind::kStatic;
-    else return usage_error("unknown congestion controller '" + cc + "'");
-  }
-  if (positional.size() > 2) {
-    const std::string& seed = positional[2];
-    const char* end = seed.data() + seed.size();
-    const auto [ptr, ec] = std::from_chars(seed.data(), end, s.seed);
-    if (ec != std::errc{} || ptr != end) {
-      return usage_error("bad seed '" + seed + "'");
-    }
-  }
-
-  std::cerr << "Running " << experiment::environment_name(s.env) << "/"
-            << pipeline::cc_name(s.cc) << " flight (seed " << s.seed << ")...\n";
-  const auto report = experiment::run_scenario(s);
-
-  const std::string prefix = experiment::environment_name(s.env) + "-" +
-                             pipeline::cc_name(s.cc) + "-" +
-                             std::to_string(s.seed);
-  const auto written = trace::export_session(report, dir, prefix);
-  if (written.empty()) {
-    std::cerr << "error: could not write traces to " << dir << "\n";
-    return 1;
-  }
-  for (const auto& f : written) std::cout << f << "\n";
-  if (observe) {
-    const std::string events_path = dir + "/" + prefix + "_events.jsonl";
-    if (!obs::write_jsonl(events_path, report.events)) {
-      std::cerr << "error: could not write " << events_path << "\n";
-      return 1;
-    }
-    std::cout << events_path << "\n";
-  }
-  return 0;
+  if (argc >= 2) std::cerr << "rpv_trace: unknown command '" << argv[1] << "'\n";
+  std::cerr << kUsage;
+  return 2;
 }
