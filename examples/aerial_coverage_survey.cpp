@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string>
 
+#include "exec/campaign_engine.hpp"
 #include "experiment/runner.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/text_table.hpp"
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   c.scenario.probe_interval = sim::Duration::millis(100);
   c.scenario.seed = 404;
   c.runs = 6;
-  const auto reports = experiment::run_campaign(c);
+  const auto reports = exec::CampaignEngine{}.run(c).reports;
 
   // RTT by altitude band.
   metrics::TextTable rtt_table({"altitude (m)", "probes", "RTT med (ms)",

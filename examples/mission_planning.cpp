@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string>
 
+#include "exec/campaign_engine.hpp"
 #include "experiment/runner.hpp"
 #include "pipeline/qoe.hpp"
 #include "metrics/text_table.hpp"
@@ -22,6 +23,7 @@ int main(int argc, char** argv) {
                             "latency<300ms (%)", "SSIM>=0.5 (%)",
                             "stalls/min", "QoE (1-5)", "verdict"});
 
+  const exec::CampaignEngine engine;
   for (const auto env :
        {experiment::Environment::kUrban, experiment::Environment::kRuralP1}) {
     for (const auto cc : {pipeline::CcKind::kStatic, pipeline::CcKind::kGcc,
@@ -31,7 +33,7 @@ int main(int argc, char** argv) {
       c.scenario.cc = cc;
       c.scenario.seed = 77;
       c.runs = runs;
-      const auto reports = experiment::run_campaign(c);
+      const auto reports = engine.run(c).reports;
 
       const auto goodput = experiment::pool_goodput(reports);
       const auto latency = experiment::pool_playback_latency(reports);

@@ -107,16 +107,12 @@ void CellularLink::measurement_tick() {
                                            airborne_fraction())) {
     ho_triggered = true;
     ho_het = *het;
-    // RRC message trail of the handover (the QCSuper capture records these).
     const auto& ev = ho_->log().events().back();
-    rrc_.record(now, RrcMessageType::kMeasurementReport, ev.target_cell);
-    rrc_.record(now, RrcMessageType::kConnectionReconfiguration, ev.source_cell);
-    // The RRC-complete event also closes the handover on the event stream,
-    // so observing a run schedules no extra engine events.
+    // RRCConnectionReconfigurationComplete closes the handover on the event
+    // stream. It is scheduled whether or not anyone observes, so observing a
+    // run schedules no extra engine events.
     sim_.schedule_in(*het, [this, source = ev.source_cell,
                             target = ev.target_cell, het_us = ho_het.us()] {
-      rrc_.record(sim_.now(), RrcMessageType::kConnectionReconfigurationComplete,
-                  target);
       if (bus_ && bus_->wants(obs::EventKind::kHandoverEnd)) {
         bus_->publish(obs::Component::kCellular, obs::EventKind::kHandoverEnd,
                       sim_.now(),
@@ -216,14 +212,6 @@ sim::Duration CellularLink::inject_rlf() {
   const std::uint32_t target =
       meas.empty() ? ho_->serving_cell() : meas.front().cell_id;
   const auto outage = ho_->trigger_rlf(now, airborne_fraction(), target);
-
-  // The QCSuper capture shows the re-establishment pair bracketing the
-  // outage the same way Reconfiguration/Complete brackets a handover.
-  rrc_.record(now, RrcMessageType::kConnectionReestablishmentRequest, target);
-  sim_.schedule_in(outage, [this, target] {
-    rrc_.record(sim_.now(), RrcMessageType::kConnectionReestablishmentComplete,
-                target);
-  });
 
   queue_->pause();
   sim_.schedule_in(outage, [this] {

@@ -17,7 +17,6 @@
 #include "cellular/link_queue.hpp"
 #include "cellular/loss_model.hpp"
 #include "cellular/radio_model.hpp"
-#include "cellular/rrc_log.hpp"
 #include "geo/trajectory.hpp"
 #include "metrics/time_series.hpp"
 #include "net/packet.hpp"
@@ -82,7 +81,7 @@ class CellularLink {
   // --- Fault-injection hooks (driven by fault::FaultInjector) ---
   // Radio link failure: T310 expiry, cell re-selection, RRC connection
   // re-establishment. Interrupts the bearer for the sampled outage (which is
-  // returned) and records the re-establishment trail in the RRC log.
+  // returned), logs it as a handover and publishes a kRlf event.
   sim::Duration inject_rlf();
   // Every downlink (feedback) packet sent inside the window is lost.
   void inject_downlink_blackout(sim::Duration d);
@@ -106,8 +105,6 @@ class CellularLink {
   [[nodiscard]] std::size_t queued_bytes() const { return queue_->queued_bytes(); }
 
   [[nodiscard]] const metrics::HandoverLog& handover_log() const { return ho_->log(); }
-  // The QCSuper-style RRC message capture.
-  [[nodiscard]] const RrcLog& rrc_log() const { return rrc_; }
   [[nodiscard]] const metrics::TimeSeries& capacity_trace() const {
     return capacity_trace_;
   }
@@ -134,7 +131,6 @@ class CellularLink {
   std::unique_ptr<RadioModel> radio_;
   std::unique_ptr<HandoverController> ho_;
   std::unique_ptr<LinkQueue> queue_;
-  RrcLog rrc_;
   LossModel loss_;
   LossFn on_loss_;
   obs::EventBus* bus_ = nullptr;

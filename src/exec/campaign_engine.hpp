@@ -6,8 +6,8 @@
 //
 //   * run_scenarios — the core primitive: N fully-specified scenarios in,
 //     N reports out, result i always belonging to scenario i;
-//   * run           — an experiment::Campaign (same seed derivation as the
-//     serial runner, so outputs are byte-identical to the legacy path);
+//   * run           — an experiment::Campaign: `runs` seeds derived from
+//     its base seed (campaign_seeds);
 //   * run_grid      — a cross product of scenario axes (environment x
 //     mobility x congestion controller x access tech), all cells' runs
 //     flattened into one task list so stragglers in one cell overlap with
@@ -95,9 +95,7 @@ struct GridResult {
   int jobs = 0;  // resolved worker count used
 };
 
-// The per-run seeds a campaign expands to (base seed + i * 7919 — kept
-// identical to the historical serial runner so stored artifacts stay
-// comparable across engine versions).
+// The per-run seeds a campaign expands to: base seed + i * 7919.
 [[nodiscard]] std::vector<std::uint64_t> campaign_seeds(
     const experiment::Campaign& c);
 

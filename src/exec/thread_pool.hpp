@@ -1,9 +1,7 @@
 // Fixed-size worker pool for campaign execution.
 //
-// Header-only on purpose: `experiment::run_campaign` (one layer below the
-// CampaignEngine) shards its seeds through parallel_for_index without linking
-// against rpv_exec, which would be a dependency cycle (rpv_exec links
-// rpv_experiment for Scenario/run_scenario).
+// Header-only: it is small, and its two users, CampaignEngine and
+// FleetEngine, include it directly.
 //
 // Determinism contract: the pool imposes no ordering of its own on results —
 // callers write each task's output to a slot chosen by task *index*, so the

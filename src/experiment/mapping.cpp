@@ -26,7 +26,7 @@ radiomap::RadioMap build_radio_map(const Scenario& base,
     s.multipath = Multipath::kNone;
     s.observe = false;
     s.seed = base.seed + static_cast<std::uint64_t>(i) * 7919;
-    sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+    auto rng = scenario_rng(s.seed);
     auto layout = make_layout(s, rng);
     auto trajectory = radiomap::make_survey_trajectory(spec, cfg.survey);
     auto session_cfg = make_session_config(s);

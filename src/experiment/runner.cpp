@@ -1,21 +1,6 @@
 #include "experiment/runner.hpp"
 
-#include "exec/thread_pool.hpp"
-#include "sim/validate.hpp"
-
 namespace rpv::experiment {
-
-std::vector<pipeline::SessionReport> run_campaign(const Campaign& c) {
-  rpv::validate(c.runs > 0, "Campaign.runs must be > 0");
-  // Slot i is written only by task i: identical output for any job count.
-  std::vector<pipeline::SessionReport> out(static_cast<std::size_t>(c.runs));
-  exec::parallel_for_index(out.size(), c.jobs, [&](std::size_t i) {
-    Scenario s = c.scenario;
-    s.seed = c.scenario.seed + static_cast<std::uint64_t>(i) * 7919;
-    out[i] = run_scenario(s);
-  });
-  return out;
-}
 
 namespace {
 // Folds one per-report distribution over the runs.

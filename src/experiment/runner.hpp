@@ -1,5 +1,6 @@
-// Campaign runner: repeats a scenario across seeds (the paper aggregates 130
-// measurement runs over ~90 flights) and pools the per-run reports into the
+// Campaigns and pooling: a campaign repeats a scenario across seeds (the
+// paper aggregates 130 measurement runs over ~90 flights; exec::CampaignEngine
+// flies them), and the pooling helpers fold the per-run reports into the
 // distributions and sample sets the figures plot.
 #pragma once
 
@@ -15,16 +16,7 @@ namespace rpv::experiment {
 struct Campaign {
   Scenario scenario;       // seed field is the base seed
   int runs = 5;
-  // Worker threads for the run shard; <= 0 means one per hardware thread.
-  // Reports come back in seed order and are byte-identical for any value.
-  int jobs = 0;
 };
-
-// Run `campaign.runs` sessions with derived seeds, sharded across
-// `campaign.jobs` workers (rpv::exec pool). Every run is an independent
-// simulation with its own RNG, so the pooled reports match a serial replay
-// exactly. Throws std::invalid_argument when campaign.runs <= 0.
-[[nodiscard]] std::vector<pipeline::SessionReport> run_campaign(const Campaign& c);
 
 // --- Pooling helpers ---
 // The distributions fold the reports' bin counts (owd, ssim, playback

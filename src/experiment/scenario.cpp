@@ -116,6 +116,8 @@ pipeline::SessionConfig make_session_config(const Scenario& s) {
   cfg.static_bitrate_bps = static_bitrate_bps(s.env);
   cfg.receiver.rfc8888_ack_window = s.rfc8888_ack_window;
   cfg.receiver.jitter.drop_on_latency = s.drop_on_latency;
+  cfg.link.queue.aqm_enabled = s.aqm;
+  cfg.link.handover.make_before_break = s.daps;
   cfg.probe_interval = s.probe_interval;
   cfg.fec_group_size = s.fec_group_size;
   cfg.c2.enabled = s.c2;
@@ -226,6 +228,10 @@ geo::Trajectory make_trajectory(const Scenario& s, sim::Rng& rng,
   return geo::make_flight_profile({origin.x, origin.y, 0.0}).truncated(horizon);
 }
 
+sim::Rng scenario_rng(std::uint64_t seed) {
+  return sim::Rng{seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+}
+
 pipeline::SessionReport run_scenario(const Scenario& s) {
   return run_scenario(s, nullptr);
 }
@@ -273,7 +279,7 @@ void publish_replan(obs::EventBus& bus, const geo::Trajectory& trajectory,
 
 pipeline::SessionReport run_scenario(const Scenario& s,
                                      obs::EventSink* extra_sink) {
-  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+  auto rng = scenario_rng(s.seed);
   std::vector<cellular::CellLayout> layouts;
   layouts.push_back(make_layout(s, rng));
   std::string env_label = environment_name(s.env);

@@ -86,6 +86,11 @@ struct Scenario {
   int rfc8888_ack_window = 256;
   // Appendix A.4 jitter-buffer variant.
   bool drop_on_latency = false;
+  // CoDel-style AQM on the deep uplink buffer (Section 5 bufferbloat
+  // mitigation).
+  bool aqm = false;
+  // DAPS make-before-break handover (Section 5); 5G SA turns it on anyway.
+  bool daps = false;
   // LTE (the paper's campaign) or 5G stand-alone (its Section 5 outlook).
   AccessTech tech = AccessTech::kLte;
   // XOR FEC group size; 0 disables (Section 5 / reference [9] extension).
@@ -125,7 +130,15 @@ struct Scenario {
   // the schema-v3 obs block and the artifact store writes a sibling
   // events.jsonl next to the report.
   bool observe = false;
+
+  // Field-wise; a radio map compares by pointer identity.
+  bool operator==(const Scenario&) const = default;
 };
+
+// The stream a flight draws its layouts and trajectory from: the seed
+// whitened so neighbouring seeds start far apart. run_scenario, the radio-map
+// warm-ups and the fleet planner share it, so one seed means one layout.
+[[nodiscard]] sim::Rng scenario_rng(std::uint64_t seed);
 
 // Fully wired session config for a scenario (link, radio, video, CC).
 [[nodiscard]] pipeline::SessionConfig make_session_config(const Scenario& s);

@@ -38,6 +38,8 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kCapacityCollapse;
   // kCapacityCollapse only: residual capacity fraction in [0, 1).
   double magnitude = 0.0;
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
 class FaultSchedule {
@@ -63,6 +65,8 @@ class FaultSchedule {
   [[nodiscard]] const std::vector<FaultEvent>& events() const { return events_; }
   [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
+
+  bool operator==(const FaultSchedule&) const = default;
 
  private:
   std::vector<FaultEvent> events_;  // sorted by `at`

@@ -17,8 +17,6 @@ void validate_scenario(const FleetScenario& s) {
   rpv::validate(s.epoch_sec > 0.0, "FleetScenario: epoch_sec must be positive");
   rpv::validate(s.horizon_sec >= 0.0,
                 "FleetScenario: horizon_sec must not be negative");
-  rpv::validate(s.min_altitude_m <= s.max_altitude_m,
-                "FleetScenario: altitude band is inverted");
   rpv::validate(s.base.multipath == experiment::Multipath::kNone,
                 "FleetScenario: fleet sessions are single-path (multipath "
                 "must be kNone)");
@@ -28,11 +26,10 @@ void validate_scenario(const FleetScenario& s) {
   }
 }
 
-// The run_scenario seed whitening, reused so a fleet with the same base
-// seed shares its layout draw with the equivalent standalone scenario.
-sim::Rng scenario_rng(std::uint64_t seed) {
-  return sim::Rng{seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-}
+// Hover band of static missions; air and ground missions take their
+// profiles' own altitudes.
+constexpr double kMinAltitudeM = 25.0;
+constexpr double kMaxAltitudeM = 90.0;
 
 }  // namespace
 
@@ -53,23 +50,16 @@ std::vector<FleetCell> expand_fleet_grid(const FleetGridAxes& axes,
   const std::vector<experiment::Environment> envs =
       axes.envs.empty() ? std::vector<experiment::Environment>{base.base.env}
                         : axes.envs;
-  const std::vector<experiment::Policy> policies =
-      axes.policies.empty()
-          ? std::vector<experiment::Policy>{base.base.policy}
-          : axes.policies;
   std::vector<FleetCell> cells;
-  cells.reserve(sizes.size() * envs.size() * policies.size());
+  cells.reserve(sizes.size() * envs.size());
   for (const auto env : envs) {
-    for (const auto policy : policies) {
-      for (const auto size : sizes) {
-        FleetCell cell;
-        cell.scenario = base;
-        cell.scenario.base.env = env;
-        cell.scenario.base.policy = policy;
-        cell.scenario.sessions = size;
-        cell.label = fleet_label(cell.scenario);
-        cells.push_back(std::move(cell));
-      }
+    for (const auto size : sizes) {
+      FleetCell cell;
+      cell.scenario = base;
+      cell.scenario.base.env = env;
+      cell.scenario.sessions = size;
+      cell.label = fleet_label(cell.scenario);
+      cells.push_back(std::move(cell));
     }
   }
   rpv::validate(!cells.empty(), "expand_fleet_grid: fleet grid is empty");
@@ -84,8 +74,9 @@ FleetMission plan_fleet(const FleetScenario& s) {
                   experiment::mobility_name(s.base.mobility);
 
   // One rng stream drives the shared layout and then every placement draw,
-  // all keyed off the base seed alone.
-  auto rng = scenario_rng(s.base.seed);
+  // all keyed off the base seed alone: the run_scenario stream, so a fleet
+  // shares its layout draw with the equivalent standalone scenario.
+  auto rng = experiment::scenario_rng(s.base.seed);
   m.layout = experiment::make_layout(s.base, rng);
 
   // Place missions inside the deployment footprint, pulled 10% toward the
@@ -111,13 +102,13 @@ FleetMission plan_fleet(const FleetScenario& s) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t seed = s.base.seed + static_cast<std::uint64_t>(i) * 7919;
     const geo::Vec3 origin{cx + rng.uniform(-hx, hx), cy + rng.uniform(-hy, hy),
-                           rng.uniform(s.min_altitude_m, s.max_altitude_m)};
+                           rng.uniform(kMinAltitudeM, kMaxAltitudeM)};
     experiment::Scenario scn = s.base;
     scn.seed = seed;
     // The fleet aggregates through its own shard registries; per-session
     // ring recorders would cost memory per UAV for nothing.
     scn.observe = false;
-    auto session_rng = scenario_rng(seed);
+    auto session_rng = experiment::scenario_rng(seed);
     m.seeds.push_back(seed);
     m.trajectories.push_back(
         experiment::make_trajectory(scn, session_rng, origin, horizon));

@@ -46,10 +46,6 @@ struct FleetScenario {
   double horizon_sec = 60.0;
   // Cross-shard cell-load exchange tick.
   double epoch_sec = 1.0;
-  // Altitude band for static (hover) missions; air/ground missions take
-  // their profiles' own altitudes.
-  double min_altitude_m = 25.0;
-  double max_altitude_m = 90.0;
   // Radio-map accumulation: when set, every session's event stream also
   // feeds a per-shard radiomap::RadioMap over map_spec. Shard partials fold
   // into FleetRunResult::radio_map in shard-index order; the map's
@@ -66,12 +62,11 @@ struct FleetCell {
   FleetScenario scenario;
 };
 
-// Cross product for fleet sweeps: fleet size x environment x policy. Empty
-// axes collapse to the base value, mirroring exec::expand_grid.
+// Cross product for fleet sweeps: environment x fleet size. Empty axes
+// collapse to the base value, mirroring exec::expand_grid.
 struct FleetGridAxes {
   std::vector<int> sizes;
   std::vector<experiment::Environment> envs;
-  std::vector<experiment::Policy> policies;
 };
 
 [[nodiscard]] std::vector<FleetCell> expand_fleet_grid(

@@ -1,7 +1,6 @@
 #include "fleet/shared_deployment.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/validate.hpp"
 
@@ -13,21 +12,10 @@ SharedDeployment::SharedDeployment(cellular::CellLayout layout)
                 "SharedDeployment: layout must have at least one cell");
   users_.assign(layout_.cells.size(), 0);
   peak_.assign(layout_.cells.size(), 0);
-  double min_x = std::numeric_limits<double>::max();
-  double min_y = std::numeric_limits<double>::max();
-  double max_x = std::numeric_limits<double>::lowest();
-  double max_y = std::numeric_limits<double>::lowest();
   for (std::size_t i = 0; i < layout_.cells.size(); ++i) {
-    const auto& bs = layout_.cells[i];
-    rpv::validate(index_.emplace(bs.cell_id, i).second,
+    rpv::validate(index_.emplace(layout_.cells[i].cell_id, i).second,
                   "SharedDeployment: duplicate cell_id in layout");
-    min_x = std::min(min_x, bs.pos.x);
-    min_y = std::min(min_y, bs.pos.y);
-    max_x = std::max(max_x, bs.pos.x);
-    max_y = std::max(max_y, bs.pos.y);
   }
-  area_min_ = {min_x, min_y, 0.0};
-  area_max_ = {max_x, max_y, 0.0};
 }
 
 int SharedDeployment::attach() {

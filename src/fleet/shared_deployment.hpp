@@ -26,7 +26,6 @@
 
 #include "cellular/base_station.hpp"
 #include "cellular/cell_load.hpp"
-#include "geo/vec3.hpp"
 
 namespace rpv::fleet {
 
@@ -60,11 +59,6 @@ class SharedDeployment final : public cellular::CellLoadProvider {
   // Peaks in layout order, parallel to layout().cells.
   [[nodiscard]] const std::vector<std::uint32_t>& peaks() const { return peak_; }
 
-  // Bounding box of the cell sites (z ignored) — the placement area for
-  // fleet missions.
-  [[nodiscard]] geo::Vec3 area_min() const { return area_min_; }
-  [[nodiscard]] geo::Vec3 area_max() const { return area_max_; }
-
  private:
   struct Slot {
     std::uint32_t cell_id = 0;
@@ -76,8 +70,6 @@ class SharedDeployment final : public cellular::CellLoadProvider {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> users_;  // frozen at the last commit_epoch
   std::vector<std::uint32_t> peak_;
-  geo::Vec3 area_min_;
-  geo::Vec3 area_max_;
 };
 
 }  // namespace rpv::fleet

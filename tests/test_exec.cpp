@@ -14,6 +14,7 @@ extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
 #endif
 
 #include "bench_common.hpp"
+#include "flights.hpp"
 #include "exec/campaign_engine.hpp"
 #include "exec/run_artifact.hpp"
 #include "exec/thread_pool.hpp"
@@ -344,14 +345,24 @@ std::vector<std::string> report_bytes(
   return out;
 }
 
+// The campaign flown one run_scenario after another on this thread.
+std::vector<pipeline::SessionReport> run_serially(const experiment::Campaign& c) {
+  std::vector<pipeline::SessionReport> out;
+  for (const auto seed : exec::campaign_seeds(c)) {
+    auto s = c.scenario;
+    s.seed = seed;
+    out.push_back(experiment::run_scenario(s));
+  }
+  return out;
+}
+
 TEST(CampaignEngine, ParallelReportsAreByteIdenticalToSerial) {
-  auto c = small_campaign();
-  c.jobs = 1;
-  const auto serial = report_bytes(experiment::run_campaign(c));
+  const auto c = small_campaign();
+  const auto serial = report_bytes(run_serially(c));
   ASSERT_EQ(serial.size(), 3u);
   for (const int jobs : {2, 8}) {
-    c.jobs = jobs;
-    const auto parallel = report_bytes(experiment::run_campaign(c));
+    const exec::CampaignEngine engine{{.jobs = jobs}};
+    const auto parallel = report_bytes(engine.run(c).reports);
     ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i], serial[i]) << "jobs=" << jobs << " run=" << i;
@@ -366,23 +377,55 @@ TEST(CampaignEngine, EngineMatchesLegacySerialRunner) {
   EXPECT_EQ(result.seeds, exec::campaign_seeds(c));
   ASSERT_EQ(result.seeds.size(), 3u);
   EXPECT_EQ(result.seeds[1], c.scenario.seed + 7919);
-  auto serial = c;
-  serial.jobs = 1;
-  EXPECT_EQ(report_bytes(result.reports),
-            report_bytes(experiment::run_campaign(serial)));
+  EXPECT_EQ(report_bytes(result.reports), report_bytes(run_serially(c)));
   EXPECT_GT(result.wall_seconds, 0.0);
 }
 
 TEST(CampaignEngine, ValidatesCampaignAndGrid) {
   auto c = small_campaign();
-  c.runs = 0;
-  EXPECT_THROW((void)experiment::run_campaign(c), std::invalid_argument);
-  c.runs = -3;
   const exec::CampaignEngine engine;
+  c.runs = 0;
+  EXPECT_THROW((void)engine.run(c), std::invalid_argument);
+  c.runs = -3;
   EXPECT_THROW((void)engine.run(c), std::invalid_argument);
   EXPECT_THROW((void)engine.run_grid({}, 2, 1), std::invalid_argument);
   const auto cells = exec::expand_grid({}, experiment::Scenario{});
   EXPECT_THROW((void)engine.run_grid(cells, 0, 1), std::invalid_argument);
+}
+
+// rpv_figures' Flights: a recording pass, one batch, then replays.
+TEST(Flights, FliesEachDistinctPairOnceAndReplaysIt) {
+  experiment::Scenario probe;
+  probe.env = experiment::Environment::kRuralP2;
+  probe.mobility = experiment::Mobility::kGround;
+  probe.cc = pipeline::CcKind::kNone;
+  probe.probe_interval = sim::Duration::millis(200);
+  const experiment::Campaign c{probe, 2};  // seeds s and s + 7919
+  auto second = probe;
+  second.seed = probe.seed + 7919;
+  auto third = probe;
+  third.seed = 5;
+  const std::vector<experiment::Scenario> list{second, third};
+
+  bench::Flights flights;
+  EXPECT_EQ(flights.run(c).size(), 2u);
+  EXPECT_EQ(flights.run(list).size(), 2u);
+  EXPECT_EQ(flights.requested(), 4u);
+  EXPECT_EQ(flights.distinct(), 3u);
+
+  flights.fly(exec::CampaignEngine{{.jobs = 2}});
+  const auto campaign = flights.run(c);
+  const auto replay = flights.run(list);
+  ASSERT_EQ(campaign.size(), 2u);
+  EXPECT_EQ(report_bytes({campaign[1]}), report_bytes({replay[0]}));
+  EXPECT_EQ(report_bytes(replay),
+            report_bytes({experiment::run_scenario(second),
+                          experiment::run_scenario(third)}));
+  // A pair the recording pass never asked for is an error, not a flight.
+  auto unrecorded = probe;
+  unrecorded.seed = 6;
+  EXPECT_THROW((void)flights.run(std::vector<experiment::Scenario>{unrecorded}),
+               std::logic_error);
 }
 
 TEST(CampaignEngine, ExpandGridCrossProduct) {

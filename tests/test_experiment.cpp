@@ -1,5 +1,7 @@
 #include "experiment/runner.hpp"
 
+#include "exec/campaign_engine.hpp"
+
 #include <gtest/gtest.h>
 
 namespace rpv::experiment {
@@ -17,6 +19,36 @@ TEST(Scenario, StaticBitratesMatchPaper) {
   EXPECT_DOUBLE_EQ(static_bitrate_bps(Environment::kUrban), 25e6);
   EXPECT_DOUBLE_EQ(static_bitrate_bps(Environment::kRuralP1), 8e6);
   EXPECT_DOUBLE_EQ(static_bitrate_bps(Environment::kRuralP2), 8e6);
+}
+
+TEST(Scenario, AqmAndDapsToggleTheLinkConfig) {
+  Scenario s;
+  auto cfg = make_session_config(s);
+  EXPECT_FALSE(cfg.link.queue.aqm_enabled);
+  EXPECT_FALSE(cfg.link.handover.make_before_break);
+  s.aqm = true;
+  s.daps = true;
+  cfg = make_session_config(s);
+  EXPECT_TRUE(cfg.link.queue.aqm_enabled);
+  EXPECT_TRUE(cfg.link.handover.make_before_break);
+  // 5G SA hands over make-before-break with or without the toggle.
+  s.daps = false;
+  s.tech = AccessTech::k5gSa;
+  EXPECT_TRUE(make_session_config(s).link.handover.make_before_break);
+}
+
+TEST(Scenario, EqualityComparesEveryFieldIncludingFaults) {
+  Scenario a, b;
+  EXPECT_TRUE(a == b);
+  b.daps = true;
+  EXPECT_FALSE(a == b);
+  b.daps = false;
+  b.faults.rlf(60.0);
+  EXPECT_FALSE(a == b);
+  a.faults.rlf(60.0);
+  EXPECT_TRUE(a == b);
+  b.seed = a.seed + 1;
+  EXPECT_FALSE(a == b);
 }
 
 TEST(Scenario, SessionConfigFollowsEnvironment) {
@@ -94,7 +126,7 @@ TEST(Runner, CampaignRunsRequestedCount) {
   c.scenario.env = Environment::kRuralP1;
   c.scenario.cc = pipeline::CcKind::kStatic;
   c.runs = 3;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   EXPECT_EQ(rs.size(), 3u);
   // Distinct seeds produce distinct runs.
   EXPECT_NE(rs[0].packets_sent, rs[1].packets_sent);
@@ -105,7 +137,7 @@ TEST(Runner, PoolingConcatenatesSamples) {
   c.scenario.env = Environment::kRuralP1;
   c.scenario.cc = pipeline::CcKind::kStatic;
   c.runs = 2;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   const auto owd = pool_owd(rs);
   EXPECT_EQ(owd.count(), rs[0].owd_ms.count() + rs[1].owd_ms.count());
   const auto fps = pool_fps(rs);
@@ -120,7 +152,7 @@ TEST(Runner, MeanHelpers) {
   c.scenario.env = Environment::kRuralP1;
   c.scenario.cc = pipeline::CcKind::kStatic;
   c.runs = 2;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   const double mean_per = (rs[0].per + rs[1].per) / 2.0;
   EXPECT_DOUBLE_EQ(experiment::mean_per(rs), mean_per);
   EXPECT_GE(mean_stalls_per_minute(rs), 0.0);
@@ -132,7 +164,7 @@ TEST(Runner, RttBandFiltering) {
   c.scenario.cc = pipeline::CcKind::kNone;
   c.scenario.probe_interval = sim::Duration::millis(200);
   c.runs = 1;
-  const auto rs = run_campaign(c);
+  const auto rs = exec::CampaignEngine{}.run(c).reports;
   const auto low = pool_rtt_in_band(rs, 0.0, 20.0);
   const auto high = pool_rtt_in_band(rs, 101.0, 140.0);
   EXPECT_GT(low.count(), 0u);

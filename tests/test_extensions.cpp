@@ -105,7 +105,7 @@ pipeline::SessionReport run_ho_mode(bool daps, std::uint64_t seed) {
   s.seed = seed;
   auto cfg = experiment::make_session_config(s);
   cfg.link.handover.make_before_break = daps;
-  sim::Rng rng{seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+  auto rng = experiment::scenario_rng(seed);
   auto layout = experiment::make_layout(s, rng);
   auto traj = experiment::make_trajectory(s, rng);
   pipeline::Session session{cfg, std::move(layout), &traj, "daps-test"};
@@ -133,7 +133,7 @@ pipeline::SessionReport run_multipath(std::uint64_t seed) {
   s.env = experiment::Environment::kRuralP1;
   s.cc = pipeline::CcKind::kStatic;
   s.seed = seed;
-  sim::Rng rng{seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+  auto rng = experiment::scenario_rng(seed);
   std::vector<cellular::CellLayout> layouts;
   layouts.push_back(experiment::make_layout(s, rng));
   experiment::Scenario s2 = s;

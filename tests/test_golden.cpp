@@ -86,7 +86,7 @@ TEST(GoldenPins, UrbanAirStaticC2RlfStormResilienceFecReport) {
   s.fault_preset = experiment::FaultPreset::kRlfStorm;
   s.resilience = true;
   s.fec_group_size = 10;
-  expect_report_pin(s, 0x2ee9e855c68f0c33ull);
+  expect_report_pin(s, 0xa5a66f43826f7900ull);
 }
 
 // The paper's 64-packet RFC 8888 window under an RLF storm with FEC and
@@ -100,7 +100,7 @@ TEST(GoldenPins, UrbanAirScreamAckWindow64Report) {
   s.resilience = true;
   s.fec_group_size = 10;
   s.fault_preset = experiment::FaultPreset::kRlfStorm;
-  expect_report_pin(s, 0xff7ce45c5eadd54dull);
+  expect_report_pin(s, 0x8ff869ebf3819f70ull);
 }
 
 TEST(GoldenPins, ObservedUrbanAirGccEventStream) {
@@ -130,7 +130,7 @@ experiment::Scenario bonded_storm(experiment::PathSet paths,
 TEST(GoldenPins, RuralP1BondedOperatorPairRlfStormReport) {
   const auto r = expect_report_pin(
       bonded_storm(experiment::PathSet::kOperatorPair, 2107),
-      0x2c90d34eff6f2d47ull);
+      0xdc8db7d664d9f158ull);
   EXPECT_GT(r.bond_reorder_flushes, 0u);
   EXPECT_GT(r.bond_fec_recovered, 0u);
 }
@@ -138,7 +138,7 @@ TEST(GoldenPins, RuralP1BondedOperatorPairRlfStormReport) {
 TEST(GoldenPins, ObservedRuralP1BondedThreeWayRlfStormReportAndEventStream) {
   auto s = bonded_storm(experiment::PathSet::kThreeWay, 2108);
   s.observe = true;
-  const auto r = expect_report_pin(s, 0xdf68fa7250a6eba1ull);
+  const auto r = expect_report_pin(s, 0x4e6c712f791f65f3ull);
   EXPECT_GT(r.bond_reorder_flushes, 0u);
   EXPECT_GT(r.bond_fec_recovered, 0u);
   ASSERT_FALSE(r.events.empty());

@@ -1,9 +1,7 @@
-// Tests for the data-collection fidelity pieces: the RRC message log
-// (QCSuper analogue), the per-packet event stream (tcpdump analogue),
-// bootstrap confidence intervals, and the RP QoE score.
+// Tests for the data-collection fidelity pieces: the per-packet event stream
+// (tcpdump analogue), bootstrap confidence intervals, and the RP QoE score.
 #include <gtest/gtest.h>
 
-#include "cellular/rrc_log.hpp"
 #include "experiment/scenario.hpp"
 #include "metrics/bootstrap.hpp"
 #include "obs/metrics_registry.hpp"
@@ -15,68 +13,6 @@ namespace {
 
 using sim::Duration;
 using sim::TimePoint;
-
-// --- RrcLog ---
-
-TEST(RrcLog, MessageNames) {
-  EXPECT_EQ(cellular::rrc_message_name(
-                cellular::RrcMessageType::kConnectionReconfiguration),
-            "RRCConnectionReconfiguration");
-  EXPECT_EQ(cellular::rrc_message_name(
-                cellular::RrcMessageType::kConnectionReconfigurationComplete),
-            "RRCConnectionReconfigurationComplete");
-}
-
-TEST(RrcLog, DerivesHetFromMessagePairs) {
-  cellular::RrcLog log;
-  log.record(TimePoint::from_us(1'000'000),
-             cellular::RrcMessageType::kConnectionReconfiguration, 1);
-  log.record(TimePoint::from_us(1'030'000),
-             cellular::RrcMessageType::kConnectionReconfigurationComplete, 2);
-  log.record(TimePoint::from_us(5'000'000),
-             cellular::RrcMessageType::kConnectionReconfiguration, 2);
-  log.record(TimePoint::from_us(5'900'000),
-             cellular::RrcMessageType::kConnectionReconfigurationComplete, 3);
-  const auto het = log.derive_het_ms();
-  ASSERT_EQ(het.size(), 2u);
-  EXPECT_DOUBLE_EQ(het[0], 30.0);
-  EXPECT_DOUBLE_EQ(het[1], 900.0);
-}
-
-TEST(RrcLog, CountsByType) {
-  cellular::RrcLog log;
-  log.record(TimePoint::origin(), cellular::RrcMessageType::kMeasurementReport, 1);
-  log.record(TimePoint::origin(), cellular::RrcMessageType::kMeasurementReport, 2);
-  log.record(TimePoint::origin(),
-             cellular::RrcMessageType::kConnectionReconfiguration, 1);
-  EXPECT_EQ(log.count_of(cellular::RrcMessageType::kMeasurementReport), 2u);
-  EXPECT_EQ(log.count(), 3u);
-}
-
-TEST(RrcLog, SessionRrcMatchesHandoverLog) {
-  experiment::Scenario s;
-  s.env = experiment::Environment::kUrban;
-  s.cc = pipeline::CcKind::kStatic;
-  s.seed = 55;
-  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
-  auto layout = experiment::make_layout(s, rng);
-  auto traj = experiment::make_trajectory(s, rng);
-  auto cfg = experiment::make_session_config(s);
-  pipeline::Session session{cfg, std::move(layout), &traj, "rrc-test"};
-  session.run();
-  const auto& rrc = session.link().rrc_log();
-  const auto& ho = session.link().handover_log();
-  // One Reconfiguration per handover, and the message-derived HETs match
-  // the handover log's values.
-  EXPECT_EQ(rrc.count_of(cellular::RrcMessageType::kConnectionReconfiguration),
-            ho.count());
-  const auto derived = rrc.derive_het_ms();
-  const auto logged = ho.het_ms();
-  ASSERT_EQ(derived.size(), logged.size());
-  for (std::size_t i = 0; i < derived.size(); ++i) {
-    EXPECT_NEAR(derived[i], logged[i], 0.01);
-  }
-}
 
 // --- Per-packet events (tcpdump analogue) ---
 

@@ -363,7 +363,7 @@ TEST(PredictMultipath, ProactiveFailoverSwitchesBeforeLinkDown) {
   s.cc = pipeline::CcKind::kStatic;
   s.seed = 61;
   s.policy = experiment::Policy::kProactive;
-  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+  auto rng = experiment::scenario_rng(s.seed);
   std::vector<cellular::CellLayout> layouts;
   layouts.push_back(experiment::make_layout(s, rng));
   experiment::Scenario s2 = s;
@@ -392,9 +392,8 @@ TEST(PredictDeterminism, ProactiveRunsAreByteIdenticalAcrossJobs) {
   c.runs = 2;
 
   auto bytes_for = [&](int jobs) {
-    c.jobs = jobs;
     std::vector<std::string> out;
-    for (const auto& r : experiment::run_campaign(c)) {
+    for (const auto& r : exec::CampaignEngine{{.jobs = jobs}}.run(c).reports) {
       out.push_back(pipeline::report_to_json(r).dump());
     }
     return out;

@@ -1706,7 +1706,7 @@ struct HeldFlight {
 };
 
 HeldFlight fly(const experiment::Scenario& s) {
-  sim::Rng rng{s.seed * 0x9E3779B97F4A7C15ULL + 0x1234567};
+  auto rng = experiment::scenario_rng(s.seed);
   std::vector<cellular::CellLayout> layouts;
   layouts.push_back(experiment::make_layout(s, rng));
   std::string label = experiment::environment_name(s.env);
