@@ -1,9 +1,9 @@
 // Shared helpers for the bench binaries: rpv_figures, which regenerates
-// every table and figure of the paper's evaluation
-// (`rpv_figures --only <id>` for one), and the bench_ext_* extensions.
-// Each runs its measurement campaigns on the simulator and prints the rows
-// or series to compare side by side (see EXPERIMENTS.md for the
-// paper-vs-measured record).
+// every table and figure of the paper's evaluation and every extension
+// study (`rpv_figures --only <id>` for one), bench_ext_fleet and
+// bench_core_queue. rpv_figures runs its measurement campaigns on the
+// simulator and prints the rows or series to compare side by side (see
+// EXPERIMENTS.md for the paper-vs-measured record).
 #pragma once
 
 #include <cstdint>
@@ -13,17 +13,16 @@
 #include <string>
 #include <vector>
 
-#include "exec/campaign_engine.hpp"
 #include "experiment/runner.hpp"
 #include "metrics/text_table.hpp"
 #include "sim/validate.hpp"
 
 namespace rpv::bench {
 
-// Shared CLI options: every bench binary accepts
-//   --runs N   override the per-bench campaign size
-//   --seed S   override the per-bench base seed
-//   --jobs J   worker threads per campaign (0 = one per hardware thread)
+// rpv_figures' CLI options:
+//   --runs N   override each figure's campaign size
+//   --seed S   override each figure's base seed
+//   --jobs J   worker threads (0 = one per hardware thread)
 struct Options {
   std::optional<int> runs;
   std::optional<std::uint64_t> seed;
@@ -67,8 +66,8 @@ inline void print_usage(const char* prog, std::ostream& out,
   out << "usage: " << prog
       << " [--runs N] [--seed S] [--jobs J]\n"
          "  --runs N  campaign size per scenario cell (default: "
-         "per-bench, usually 4-8)\n"
-         "  --seed S  base seed (default: per-bench)\n"
+         "per figure, usually 3-8)\n"
+         "  --seed S  base seed (default: per figure)\n"
          "  --jobs J  worker threads (default 0 = all hardware "
          "threads)\n"
       << extra;
@@ -95,7 +94,7 @@ inline void parse_args(int argc, char** argv, const std::string& extra_usage = "
   }
 }
 
-// Per-bench defaults, overridable from the command line.
+// Per-figure defaults, overridable from the command line.
 [[nodiscard]] inline int runs_or(int bench_default) {
   return options().runs.value_or(bench_default);
 }
@@ -103,16 +102,8 @@ inline void parse_args(int argc, char** argv, const std::string& extra_usage = "
   return options().seed.value_or(bench_default);
 }
 
-// Run a hand-built scenario list through the parallel campaign engine,
-// honoring --jobs. Reports come back in input order.
-[[nodiscard]] inline std::vector<pipeline::SessionReport> run_scenarios(
-    const std::vector<experiment::Scenario>& scenarios) {
-  const exec::CampaignEngine engine{{.jobs = options().jobs}};
-  return engine.run_scenarios(scenarios);
-}
-
 inline void print_header(const std::string& title, const std::string& paper_ref,
-                         std::ostream& out = std::cout) {
+                         std::ostream& out) {
   out << "==============================================================\n"
       << title << "\n"
       << "Paper reference: " << paper_ref << "\n"

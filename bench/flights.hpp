@@ -6,14 +6,18 @@
 // its grid twice. fly() then runs each distinct pair once, in first-request
 // order, as one CampaignEngine batch. From then on run() answers from those
 // reports, and throws for a pair the recording pass never asked for.
+// radio_map() builds each warm-up map once, so both passes hand their
+// flights the same map, and a Scenario compares a map by pointer.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "exec/campaign_engine.hpp"
+#include "experiment/mapping.hpp"
 #include "sim/validate.hpp"
 
 namespace rpv::bench {
@@ -53,6 +57,19 @@ class Flights {
     return run(scenarios);
   }
 
+  // experiment::build_radio_map(base, spec), built on the first request
+  // for that pair and shared by every later one.
+  [[nodiscard]] std::shared_ptr<const radiomap::RadioMap> radio_map(
+      const experiment::Scenario& base, const radiomap::GridSpec& spec) {
+    for (const auto& m : maps_) {
+      if (m.base == base && m.spec == spec) return m.map;
+    }
+    maps_.push_back({base, spec,
+                     std::make_shared<const radiomap::RadioMap>(
+                         experiment::build_radio_map(base, spec))});
+    return maps_.back().map;
+  }
+
   // Flies every recorded flight once; run() answers from here on.
   void fly(const exec::CampaignEngine& engine) {
     reports_ = engine.run_scenarios(scenarios_);
@@ -65,6 +82,12 @@ class Flights {
  private:
   std::vector<experiment::Scenario> scenarios_;   // distinct, first request first
   std::vector<pipeline::SessionReport> reports_;  // reports_[i] flew scenarios_[i]
+  struct WarmUpMap {
+    experiment::Scenario base;
+    radiomap::GridSpec spec;
+    std::shared_ptr<const radiomap::RadioMap> map;
+  };
+  std::vector<WarmUpMap> maps_;
   std::size_t requested_ = 0;
   bool flown_ = false;
 };

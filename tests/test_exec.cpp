@@ -428,6 +428,41 @@ TEST(Flights, FliesEachDistinctPairOnceAndReplaysIt) {
                std::logic_error);
 }
 
+// A Scenario compares its radio map by pointer, so the recording pass and
+// the replay must be handed the same warm-up map, not two equal builds.
+TEST(Flights, BuildsEachWarmUpMapOnceAndReplaysItsFlights) {
+  radiomap::GridSpec spec;  // two 50 m columns: a short survey flight
+  spec.nx = 2;
+  experiment::Scenario base;
+  base.env = experiment::Environment::kRuralP1;
+  base.cc = pipeline::CcKind::kNone;
+  base.seed = 7301;
+  auto urban = base;
+  urban.env = experiment::Environment::kUrban;
+
+  bench::Flights flights;
+  const auto map = flights.radio_map(base, spec);
+  ASSERT_NE(map, nullptr);
+  EXPECT_GT(map->total_samples(), 0u);
+  EXPECT_EQ(flights.radio_map(base, spec), map);
+  EXPECT_NE(flights.radio_map(urban, spec), map);
+
+  experiment::Scenario probe;
+  probe.env = experiment::Environment::kRuralP1;
+  probe.mobility = experiment::Mobility::kGround;
+  probe.cc = pipeline::CcKind::kNone;
+  probe.probe_interval = sim::Duration::millis(200);
+  probe.radio_map = map;
+  (void)flights.run(std::vector<experiment::Scenario>{probe});
+  flights.fly(exec::CampaignEngine{{.jobs = 2}});
+
+  auto replay = probe;
+  replay.radio_map = flights.radio_map(base, spec);
+  EXPECT_EQ(replay.radio_map, map);
+  EXPECT_EQ(report_bytes(flights.run(std::vector<experiment::Scenario>{replay})),
+            report_bytes({experiment::run_scenario(probe)}));
+}
+
 TEST(CampaignEngine, ExpandGridCrossProduct) {
   exec::GridAxes axes;
   axes.envs = {experiment::Environment::kUrban,

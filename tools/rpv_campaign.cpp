@@ -358,6 +358,8 @@ int main(int argc, char** argv) {
   std::optional<int> fleet_sessions;
   std::optional<std::string> fleet_env;
   double fleet_horizon = 60.0;
+  // Flags only the fleet grid reads, and flags it does not read, as given.
+  std::vector<std::string> fleet_flags, grid_flags;
 
   auto value_of = [&](int& i, const std::string& flag) -> std::string {
     if (i + 1 >= argc) {
@@ -369,6 +371,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
+      if (arg == "--runs" || arg == "--observe") grid_flags.push_back(arg);
+      if (arg == "--sessions" || arg == "--env" || arg == "--horizon")
+        fleet_flags.push_back(arg);
       if (arg == "--runs") runs = parse_number(arg, value_of(i, arg), 1);
       else if (arg == "--seed")
         seed = parse_number<std::uint64_t>(arg, value_of(i, arg), 0);
@@ -455,6 +460,15 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
+  const bool fleet = grid_name == "fleet";
+  if (const auto& unread = fleet ? grid_flags : fleet_flags; !unread.empty()) {
+    std::cerr << "error: " << unread.front()
+              << (fleet ? " does not apply to the fleet grid"
+                        : " applies only to the fleet grid")
+              << "\n\n";
+    print_usage();
+    return 2;
+  }
   if (grid_name == "plan") {
     PlanOptions opt;
     opt.runs = runs;
@@ -470,7 +484,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (grid_name == "fleet") {
+  if (fleet) {
     FleetOptions opt;
     opt.sessions = fleet_sessions;
     opt.env = fleet_env;
