@@ -325,10 +325,9 @@ bool fig8(Flights& flights, std::ostream& out) {
     for (const auto& ev : r.handovers.events()) {
       if (ev.start >= from && ev.start < to) ++hos;
     }
-    int losses = 0;
-    for (const auto& lt : r.loss_times) {
-      if (lt >= from && lt < to) ++losses;
-    }
+    const std::uint64_t losses = second < r.losses_per_second.size()
+                                     ? r.losses_per_second[second]
+                                     : 0;
     out << metrics::TextTable::num(t, 0) << "\t"
         << metrics::TextTable::num(net.value_or(0.0), 1) << "\t"
         << metrics::TextTable::num(play.value_or(0.0), 1) << "\t" << hos << "\t"
@@ -839,8 +838,8 @@ bool ext_c2(Flights& flights, std::ostream& out) {
     if (bonded) s.fault_preset = FaultPreset::kRlfStorm;
     metrics::Cdf command, telemetry, video_owd;
     for (const auto& r : flights.run(consecutive_seeds(s, 4, 11000))) {
-      command.add_all(r.command_latency_ms);
-      telemetry.add_all(r.telemetry_latency_ms);
+      command.merge(r.command_latency_ms);
+      telemetry.merge(r.telemetry_latency_ms);
       video_owd.merge(r.owd_ms);
     }
     const std::string path = bonded ? "bond-hr" : "single";

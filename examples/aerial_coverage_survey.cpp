@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   // Capacity along the path.
   metrics::Cdf cap;
-  for (const auto& r : reports) cap.add_all(r.capacity_trace_mbps.values());
+  for (const auto& r : reports) cap.merge(r.capacity_mbps);
   std::cout << "\nUplink capacity along the trajectory: median "
             << metrics::TextTable::num(cap.median(), 1) << " Mbps, p10 "
             << metrics::TextTable::num(cap.quantile(0.10), 1) << " Mbps, p90 "

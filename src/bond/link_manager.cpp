@@ -42,7 +42,7 @@ int LinkManager::add_path(BondablePath* path) {
   return static_cast<int>(paths_.size()) - 1;
 }
 
-void LinkManager::refresh(std::vector<int>& candidates) {
+void LinkManager::refresh() {
   const auto now = sim_.now();
   for (auto& p : paths_) {
     const bool down = p.path->link_down();
@@ -72,25 +72,25 @@ void LinkManager::refresh(std::vector<int>& candidates) {
   // healthy-but-flagged, then to merely-up-including-probation, then to
   // everything (packets sent into a dead radio are dropped there — honest
   // accounting, no silent stall).
-  candidates.clear();
+  candidates_.clear();
   for (int i = 0; i < static_cast<int>(paths_.size()); ++i) {
     const auto& p = paths_[static_cast<std::size_t>(i)];
-    if (!p.down && !p.in_probation && !p.ho_flagged) candidates.push_back(i);
+    if (!p.down && !p.in_probation && !p.ho_flagged) candidates_.push_back(i);
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     for (int i = 0; i < static_cast<int>(paths_.size()); ++i) {
       const auto& p = paths_[static_cast<std::size_t>(i)];
-      if (!p.down && !p.in_probation) candidates.push_back(i);
+      if (!p.down && !p.in_probation) candidates_.push_back(i);
     }
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     for (int i = 0; i < static_cast<int>(paths_.size()); ++i) {
-      if (!paths_[static_cast<std::size_t>(i)].down) candidates.push_back(i);
+      if (!paths_[static_cast<std::size_t>(i)].down) candidates_.push_back(i);
     }
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     for (int i = 0; i < static_cast<int>(paths_.size()); ++i) {
-      candidates.push_back(i);
+      candidates_.push_back(i);
     }
   }
 }
@@ -213,11 +213,11 @@ RouteDecision LinkManager::route_video(const std::vector<int>& candidates,
       p.kind == net::PacketKind::kRtpVideo && candidates.size() > 1) {
     // Selective duplication: keyframe loss costs a PLI round trip plus a
     // whole re-encoded IDR, so those packets ride two paths.
-    std::vector<int> others;
+    others_.clear();
     for (const int i : candidates) {
-      if (i != primary) others.push_back(i);
+      if (i != primary) others_.push_back(i);
     }
-    dup = least_queued(others);
+    dup = least_queued(others_);
   }
   return {primary, dup};
 }
@@ -245,13 +245,13 @@ RouteDecision LinkManager::route_priority(TrafficClass cls,
        cfg_.policy == Policy::kBalanced)) {
     // C2 is the safety-critical stream: duplicate it across operators (the
     // reliability policies pay the few extra bytes; kLowLatency does not).
-    std::vector<int> others;
+    others_.clear();
     for (int i = 0; i < static_cast<int>(paths_.size()); ++i) {
       if (i != primary && !paths_[static_cast<std::size_t>(i)].down) {
-        others.push_back(i);
+        others_.push_back(i);
       }
     }
-    if (!others.empty()) dup = least_queued(others);
+    if (!others_.empty()) dup = least_queued(others_);
   }
   return {primary, dup};
 }
@@ -259,14 +259,13 @@ RouteDecision LinkManager::route_priority(TrafficClass cls,
 RouteDecision LinkManager::route_among(TrafficClass cls, const net::Packet& p) {
   rpv::validate(!paths_.empty(), "LinkManager: no paths registered");
 
-  std::vector<int> candidates;
-  refresh(candidates);
-  if (cls == TrafficClass::kVideo) return route_video(candidates, p);
+  refresh();
+  if (cls == TrafficClass::kVideo) return route_video(candidates_, p);
   if (cfg_.policy == Policy::kDuplicate) {
     // Every class rides the two lowest-index candidates.
-    return {candidates.front(), candidates.size() > 1 ? candidates[1] : -1};
+    return {candidates_.front(), candidates_.size() > 1 ? candidates_[1] : -1};
   }
-  return route_priority(cls, candidates);
+  return route_priority(cls, candidates_);
 }
 
 void LinkManager::note_lost(int path) {

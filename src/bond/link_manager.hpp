@@ -149,9 +149,9 @@ class LinkManager {
     return p.path->queuing_delay_ms() + p.path->base_latency_ms();
   }
 
-  // Refresh down/probation/ho flags; fills `candidates` with the indices
+  // Refresh down/probation/ho flags; fills candidates_ with the indices
   // eligible for new traffic (falls back to usable, then to all paths).
-  void refresh(std::vector<int>& candidates);
+  void refresh();
   [[nodiscard]] int least_queued(const std::vector<int>& candidates) const;
   [[nodiscard]] int spray_pick(const std::vector<int>& candidates);
   RouteDecision route_among(TrafficClass cls, const net::Packet& p);
@@ -169,6 +169,11 @@ class LinkManager {
   std::vector<PathState> paths_;
   // Adapters created by the cellular add_path overload.
   std::vector<std::unique_ptr<CellularPathAdapter>> owned_adapters_;
+
+  // Per-packet working lists, reused so routing allocates only while they
+  // first grow to the path count.
+  std::vector<int> candidates_;
+  std::vector<int> others_;
 
   int anchor_ = 0;  // current video path
   // Per-class diversion state (kClassPreempt publishes on transitions only).

@@ -141,7 +141,7 @@ void CellularLink::measurement_tick() {
     }
   }
   refresh_capacity();
-  capacity_trace_.add(now, capacity_mbps_);
+  capacity_cdf_.add(capacity_mbps_);
 
   if (bus_ != nullptr && bus_->wants(obs::EventKind::kLinkMeasurement)) {
     obs::MeasurementPayload m;

@@ -18,7 +18,7 @@
 #include "cellular/loss_model.hpp"
 #include "cellular/radio_model.hpp"
 #include "geo/trajectory.hpp"
-#include "metrics/time_series.hpp"
+#include "metrics/cdf.hpp"
 #include "net/packet.hpp"
 #include "obs/event_sink.hpp"
 #include "sim/simulator.hpp"
@@ -105,9 +105,8 @@ class CellularLink {
   [[nodiscard]] std::size_t queued_bytes() const { return queue_->queued_bytes(); }
 
   [[nodiscard]] const metrics::HandoverLog& handover_log() const { return ho_->log(); }
-  [[nodiscard]] const metrics::TimeSeries& capacity_trace() const {
-    return capacity_trace_;
-  }
+  // Uplink capacity at every measurement tick, as a distribution.
+  [[nodiscard]] const metrics::Cdf& capacity_mbps() const { return capacity_cdf_; }
   [[nodiscard]] const LossModel& loss_model() const { return loss_; }
   [[nodiscard]] std::uint64_t buffer_drops() const { return queue_->drops(); }
   [[nodiscard]] std::size_t distinct_cells_seen() const;
@@ -144,7 +143,7 @@ class CellularLink {
   sim::TimePoint collapse_until_;
   double collapse_residual_ = 1.0;
   std::uint64_t fault_drops_ = 0;
-  metrics::TimeSeries capacity_trace_;
+  metrics::Cdf capacity_cdf_;
   std::vector<std::uint32_t> cells_seen_;
 };
 

@@ -63,4 +63,11 @@ std::optional<double> PerSecond::mean(std::size_t k) const {
   return rows_[k].sum / static_cast<double>(rows_[k].n);
 }
 
+std::optional<sim::TimePoint> Highs::first_at_least(double x) const {
+  for (const auto& s : samples_) {
+    if (s.value >= x) return s.t;
+  }
+  return std::nullopt;
+}
+
 }  // namespace rpv::metrics

@@ -1,9 +1,11 @@
-// Timestamped sample series, and per-second sums of one.
+// Timestamped sample series, and the bounded summaries a report keeps of one.
 //
-// TimeSeries keeps every sample: the bitrate and capacity traces, and the
-// in-memory series a session analyses before it reports (playback latency
-// for fault attribution). PerSecond keeps only the count and sum of each
-// second, enough for the 1-second timeline of Fig. 8.
+// TimeSeries keeps every sample: the in-memory series a session analyses
+// before it reports (playback latency for fault attribution, goodput
+// windows). A report keeps summaries instead: PerSecond holds only the count
+// and sum of each second, enough for the 1-second timeline of Fig. 8, and
+// Highs only the samples that set a new high, enough for the ramp-up time to
+// any rate (§4.2.1).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@ namespace rpv::metrics {
 struct Sample {
   sim::TimePoint t;
   double value = 0.0;
+  bool operator==(const Sample&) const = default;
 };
 
 class TimeSeries {
@@ -40,10 +43,6 @@ class TimeSeries {
   // Mean of values in the window; nullopt if empty.
   [[nodiscard]] std::optional<double> mean_in(sim::TimePoint from,
                                               sim::TimePoint to) const;
-
-  // JSON field list (json/binder.hpp), defined with the report format.
-  template <class IO>
-  friend void fields(IO& io, TimeSeries& ts);
 
  private:
   std::vector<Sample> samples_;  // appended in time order by construction
@@ -79,6 +78,36 @@ class PerSecond {
   void add_to(std::size_t k, double value);
 
   std::vector<Row> rows_;
+};
+
+// The samples of a series, fed in time order, that exceed every earlier
+// sample. The first sample at or above any level is one of them (everything
+// before it lies below that level), so first_at_least(x) answers what a scan
+// of the whole series would, from a list that grows only while the series
+// climbs.
+class Highs {
+ public:
+  void add(sim::TimePoint t, double value) {
+    if (samples_.empty() || value > samples_.back().value) {
+      samples_.push_back({t, value});
+    }
+  }
+
+  // Time of the first sample >= x; nullopt when none reached it.
+  [[nodiscard]] std::optional<sim::TimePoint> first_at_least(double x) const;
+  [[nodiscard]] const std::vector<Sample>& samples() const { return samples_; }
+  [[nodiscard]] bool empty() const { return samples_.empty(); }
+
+  bool operator==(const Highs&) const = default;
+
+  // JSON field list (json/binder.hpp), defined with the report format. The
+  // reader throws std::runtime_error unless the values strictly rise and the
+  // times never fall.
+  template <class IO>
+  friend void fields(IO& io, Highs& h);
+
+ private:
+  std::vector<Sample> samples_;
 };
 
 }  // namespace rpv::metrics

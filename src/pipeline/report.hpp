@@ -3,12 +3,17 @@
 //
 // Every session fills it through one collect(), whatever its path count.
 // With more than one path, the loss and drop counts (radio_losses,
-// buffer_drops, media_losses, wan_drops, fault_drops, loss_times) are summed
-// over paths and count copies: a duplicated packet can be lost on one path
-// and still be received. per therefore rates lost copies, and
+// buffer_drops, media_losses, wan_drops, fault_drops, losses_per_second) are
+// summed over paths and count copies: a duplicated packet can be lost on one
+// path and still be received. per therefore rates lost copies, and
 // packets_in_flight is not conserved (sent counts logical packets). The
-// handover log, capacity trace and prediction block follow the primary
+// handover log, capacity summaries and prediction block follow the primary
 // operator; packets_sent/received count logical packets.
+//
+// Apart from the probe RTTs of a probe-only run (one per ping), every member
+// is bounded by the flight's seconds, handovers, faults and stalls, or by a
+// distribution's occupied bins, not by its packets, frames or measurement
+// ticks.
 #pragma once
 
 #include <cstdint>
@@ -143,31 +148,33 @@ struct SessionReport {
   metrics::PerSecond playback_latency_per_second_ms;
   std::vector<metrics::HandoverWindows> handover_owd_ms;
 
-  // --- Traces (Fig. 8 timeline) ---
-  // handovers.het_ms() / frequency(duration) / ping_pong_count() give
-  // Fig. 4.
-  metrics::TimeSeries target_bitrate_trace_bps;
-  metrics::TimeSeries capacity_trace_mbps;
-  std::vector<sim::TimePoint> loss_times;
+  // --- Bitrate, capacity and losses (schema v10) ---
+  // The encoder's target bitrate as its record highs (ramp_up_seconds reads
+  // them); the primary operator's uplink capacity at every measurement tick,
+  // as a distribution; and the radio losses of every path counted per
+  // half-open second [k s, (k+1) s), Fig. 8's loss column, summing to
+  // radio_losses. handovers.het_ms() / frequency(duration) /
+  // ping_pong_count() give Fig. 4.
+  metrics::Highs target_bitrate_highs_bps;
+  metrics::Cdf capacity_mbps;
+  std::vector<std::uint64_t> losses_per_second;
   metrics::HandoverLog handovers;
 
   // --- Probes (Fig. 13) ---
   std::vector<std::pair<double, double>> rtt_by_altitude;  // (altitude m, RTT ms)
 
   // --- Command & control channel ---
-  std::vector<double> command_latency_ms;    // pilot -> UAV (downlink)
-  std::vector<double> telemetry_latency_ms;  // UAV -> pilot (uplink, shares
-                                             // the video bearer queue)
+  metrics::Cdf command_latency_ms;    // pilot -> UAV (downlink)
+  metrics::Cdf telemetry_latency_ms;  // UAV -> pilot (uplink, shares the
+                                      // video bearer queue)
   std::uint64_t commands_sent = 0;
   std::uint64_t telemetry_sent = 0;
 
   // Seconds until the target bitrate first reached `bps` (ramp-up); negative
   // if never reached.
   [[nodiscard]] double ramp_up_seconds(double bps) const {
-    for (const auto& s : target_bitrate_trace_bps.samples()) {
-      if (s.value >= bps) return s.t.sec();
-    }
-    return -1.0;
+    const auto t = target_bitrate_highs_bps.first_at_least(bps);
+    return t ? t->sec() : -1.0;
   }
 };
 

@@ -7,11 +7,18 @@
 
 namespace rpv::metrics {
 
-// Two parallel arrays: more compact than an array of pairs at the row counts
-// traces reach (~1e5).
+// Two parallel arrays, like every row list here.
 template <class IO>
-void fields(IO& io, TimeSeries& ts) {
-  io.columns(ts.samples_, "t_us", &Sample::t, "values", &Sample::value);
+void fields(IO& io, Highs& h) {
+  io.columns(h.samples_, "t_us", &Sample::t, "values", &Sample::value);
+  if constexpr (IO::kReading) {
+    for (std::size_t i = 1; i < h.samples_.size(); ++i) {
+      if (!(h.samples_[i].value > h.samples_[i - 1].value) ||
+          h.samples_[i].t < h.samples_[i - 1].t) {
+        throw std::runtime_error("Highs: values must rise and times not fall");
+      }
+    }
+  }
 }
 
 // Sparse: the occupied bins and their counts, plus the exact moments.
@@ -211,10 +218,10 @@ void fields(IO& io, SessionReport& r) {
   io.field("playback_latency_per_second_ms", r.playback_latency_per_second_ms);
   io.field("handover_owd_ms", r.handover_owd_ms);
 
-  // Traces.
-  io.field("target_bitrate_trace_bps", r.target_bitrate_trace_bps);
-  io.field("capacity_trace_mbps", r.capacity_trace_mbps);
-  io.field("loss_times_us", r.loss_times);
+  // Bitrate, capacity and losses (schema v10).
+  io.field("target_bitrate_highs_bps", r.target_bitrate_highs_bps);
+  io.field("capacity_mbps", r.capacity_mbps);
+  io.field("losses_per_second", r.losses_per_second);
   io.field("handovers", r.handovers);
 
   // Probes.

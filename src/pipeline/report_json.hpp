@@ -1,16 +1,17 @@
 // SessionReport <-> JSON.
 //
-// Every field of a SessionReport — latency distributions, per-second and
-// per-handover windows, sample vectors, time-series traces, the handover
-// log, fault outcomes — is persisted so a stored run is a full substitute for
-// re-simulating it: the figure benches and `rpv_campaign --load`
-// re-aggregate from these files alone. The format is one field list
+// Every field of a SessionReport — distributions, per-second and
+// per-handover windows, the bitrate highs, per-stall and per-window vectors,
+// the handover log, fault outcomes — is persisted so a stored run is a full
+// substitute for re-simulating it: the figure benches and `rpv_campaign
+// --load` re-aggregate from these files alone. The format is one field list
 // per record in report_json.cpp (SessionReport, PathBreakdown, FaultOutcome,
-// HandoverEvent, PredictionStats, metrics::Cdf, PerSecond, HandoverWindows;
-// obs::Histogram and MetricsSummary in obs/metrics_registry.hpp), walked by
-// both directions of json/binder.hpp. A Cdf is stored as its exact sum, min
-// and max plus two parallel integer arrays, "bins" and "counts", of the
-// occupied bins only; the loader rejects bins that no Cdf could hold.
+// HandoverEvent, PredictionStats, metrics::Cdf, PerSecond, Highs,
+// HandoverWindows; obs::Histogram and MetricsSummary in
+// obs/metrics_registry.hpp), walked by both directions of json/binder.hpp. A
+// Cdf is stored as its exact sum, min and max plus two parallel integer
+// arrays, "bins" and "counts", of the occupied bins only; the loader rejects
+// bins that no Cdf could hold, and highs that do not rise.
 // Serialization is canonical (fixed member order, shortest-round-trip
 // doubles, integer counters stay integers), so two byte-identical reports
 // dump to byte-identical JSON; the parallel-determinism tests rely on
@@ -38,8 +39,15 @@ namespace rpv::pipeline {
 // (owd_ms, playback_latency_ms, ssim: exact sum/min/max plus sparse integer
 // bin counts, see metrics/cdf.hpp), per-second count/sum rows of both
 // latencies, and handover_owd_ms, the exact one-way-latency extremes around
-// each handover.
-inline constexpr int kReportSchemaVersion = 9;
+// each handover; version 10 replaced the last per-sample series:
+// target_bitrate_trace_bps became target_bitrate_highs_bps (the samples that
+// set a new high, enough for ramp_up_seconds at any rate),
+// capacity_trace_mbps became the capacity_mbps distribution, loss_times_us
+// became losses_per_second (counts per half-open second), and
+// command_latency_ms and telemetry_latency_ms became distributions. Documents
+// of any other version, 9 included, are rejected with "report_json:
+// unsupported schema version N".
+inline constexpr int kReportSchemaVersion = 10;
 
 [[nodiscard]] json::Value report_to_json(const SessionReport& r);
 

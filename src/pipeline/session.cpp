@@ -264,7 +264,11 @@ void Session::subscribe(obs::EventSink* sink) {
 void Session::watch_losses(int path) {
   lm_->path(path).set_loss_callback([this, path](const net::Packet& p) {
     ++radio_losses_;
-    loss_times_.push_back(sim_.now());
+    const auto second = static_cast<std::size_t>(sim_.now().us() / 1'000'000);
+    if (second >= losses_per_second_.size()) {
+      losses_per_second_.resize(second + 1, 0);
+    }
+    ++losses_per_second_[second];
     if (p.kind == net::PacketKind::kRtpVideo ||
         p.kind == net::PacketKind::kFecParity) {
       ++media_losses_;
@@ -422,7 +426,7 @@ void Session::send_command() {
   const auto wan = wan_down_->sample_delay();
   sim_.schedule_in(wan, [this, p, d, sent_at] {
     send_copies(p, d, /*uplink=*/false, [this, sent_at](net::Packet) {
-      command_latency_ms_.add(sim_.now(), (sim_.now() - sent_at).ms());
+      command_latency_ms_.add((sim_.now() - sent_at).ms());
     });
   });
   sim_.schedule_in(cfg_.c2.command_interval, [this] { send_command(); });
@@ -443,7 +447,7 @@ void Session::send_telemetry() {
   send_copies(p, d, /*uplink=*/true, [this, sent_at](net::Packet) {
     const auto wan = wan_up_->sample_delay();
     sim_.schedule_in(wan, [this, sent_at] {
-      telemetry_latency_ms_.add(sim_.now(), (sim_.now() - sent_at).ms());
+      telemetry_latency_ms_.add((sim_.now() - sent_at).ms());
     });
   });
   sim_.schedule_in(cfg_.c2.telemetry_interval, [this] { send_telemetry(); });
@@ -539,7 +543,7 @@ SessionReport Session::collect() {
     r.frames_encoded = sender_->frames_encoded();
     r.packets_sent = sender_->packets_sent();
     r.queue_discard_events = sender_->queue_discard_events();
-    r.target_bitrate_trace_bps = sender_->target_bitrate_trace();
+    r.target_bitrate_highs_bps = sender_->target_bitrate_highs();
     if (const auto* scream = dynamic_cast<const cc::scream::ScreamController*>(
             &sender_->controller())) {
       r.scream_misloss_packets = scream->packets_declared_lost();
@@ -555,7 +559,7 @@ SessionReport Session::collect() {
   }
 
   // Loss and drop counts sum over every path; the handover log, capacity
-  // trace and prediction block follow the primary operator.
+  // summaries and prediction block follow the primary operator.
   r.radio_losses = radio_losses_;
   for (const auto& op : ops_) {
     r.buffer_drops += op.link->buffer_drops();
@@ -566,12 +570,12 @@ SessionReport Session::collect() {
     r.per = static_cast<double>(r.radio_losses + r.buffer_drops) /
             static_cast<double>(r.packets_sent);
   }
-  r.loss_times = loss_times_;
+  r.losses_per_second = losses_per_second_;
 
   const auto& primary = *ops_.front().link;
   r.handovers = primary.handover_log();
   r.handover_owd_ms = ho_windows_->finish();
-  r.capacity_trace_mbps = primary.capacity_trace();
+  r.capacity_mbps = primary.capacity_mbps();
   r.wan_drops = wan_drops_;
   r.media_losses = media_losses_;
   if (sender_ && receiver_) {
@@ -653,8 +657,8 @@ SessionReport Session::collect() {
   if (metrics_) r.obs_metrics = metrics_->summary();
 
   r.rtt_by_altitude = rtt_by_altitude_;
-  r.command_latency_ms = command_latency_ms_.values();
-  r.telemetry_latency_ms = telemetry_latency_ms_.values();
+  r.command_latency_ms = command_latency_ms_;
+  r.telemetry_latency_ms = telemetry_latency_ms_;
   r.commands_sent = commands_sent_;
   r.telemetry_sent = telemetry_sent_;
   r.sim_events = sim_.executed_events();

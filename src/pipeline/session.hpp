@@ -230,14 +230,14 @@ class Session {
   // One-way latency around the primary operator's handovers.
   std::optional<metrics::HandoverWindowTracker> ho_windows_;
 
-  std::vector<sim::TimePoint> loss_times_;
+  std::vector<std::uint64_t> losses_per_second_;
   std::uint64_t radio_losses_ = 0;
   std::uint64_t media_losses_ = 0;
   std::uint64_t wan_drops_ = 0;
   std::uint64_t fec_rate_changes_ = 0;
   std::vector<std::pair<double, double>> rtt_by_altitude_;
-  metrics::TimeSeries command_latency_ms_;
-  metrics::TimeSeries telemetry_latency_ms_;
+  metrics::Cdf command_latency_ms_;
+  metrics::Cdf telemetry_latency_ms_;
   std::uint64_t commands_sent_ = 0;
   std::uint64_t telemetry_sent_ = 0;
   std::uint64_t next_id_ = 1ULL << 48;

@@ -97,7 +97,7 @@ void VideoSender::frame_tick() {
     }
   }
   encoder_.set_target_bitrate(target);
-  target_trace_.add(now, target);
+  target_highs_.add(now, target);
 
   // Ladder levels 2/3 shed capture FPS: every 2nd (then 4th) frame only.
   if (ladder_level_ >= 2) {

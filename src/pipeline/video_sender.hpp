@@ -112,8 +112,10 @@ class VideoSender {
   [[nodiscard]] std::uint64_t packets_discarded() const { return discarded_; }
   [[nodiscard]] std::uint64_t queue_discard_events() const { return discard_events_; }
   [[nodiscard]] double queue_delay_ms() const;
-  [[nodiscard]] const metrics::TimeSeries& target_bitrate_trace() const {
-    return target_trace_;
+  // The target bitrate of every frame tick, kept as its record highs (the
+  // report's ramp-up input).
+  [[nodiscard]] const metrics::Highs& target_bitrate_highs() const {
+    return target_highs_;
   }
 
   // Resilience introspection.
@@ -169,7 +171,7 @@ class VideoSender {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t discarded_ = 0;
   std::uint64_t discard_events_ = 0;
-  metrics::TimeSeries target_trace_;
+  metrics::Highs target_highs_;
 };
 
 }  // namespace rpv::pipeline

@@ -27,7 +27,12 @@ std::optional<net::Packet> FecEncoder::on_media_packet(net::Packet& media) {
   Slot& slot = slots_[next_slot_];
   next_slot_ = (next_slot_ + 1) % slots_.size();
 
-  if (slot.group < 0) slot.group = next_group_++;
+  if (slot.group < 0) {
+    slot.group = next_group_++;
+    // The list moves into the group table whole, so each group allocates it
+    // once.
+    slot.members.reserve(static_cast<std::size_t>(cfg_.group_size));
+  }
   media.fec_group = slot.group;
   slot.members.push_back(media);
   slot.max_size = std::max(slot.max_size, media.size_bytes);
@@ -63,7 +68,9 @@ std::optional<net::Packet> FecDecoder::on_parity_packet(const net::Packet& parit
 }
 
 FecDecoder::GroupState& FecDecoder::state(std::int32_t group) {
-  states_.insert(group, GroupState{});  // a no-op when the group is live
+  if (states_.insert(group, GroupState{})) {  // false when the group is live
+    states_.find(group)->seen_transport_seqs.reserve(kSeenReserve);
+  }
   return *states_.find(group);
 }
 

@@ -102,6 +102,9 @@ class FecDecoder {
     bool parity_seen = false;
     bool repaired = false;
   };
+  // Seen-seq room reserved once per group: the widest group of the adaptive
+  // FEC ladder (bond/fec_controller.hpp). Wider fixed groups grow past it.
+  static constexpr std::size_t kSeenReserve = 16;
   GroupState& state(std::int32_t group);
   std::optional<net::Packet> try_repair(std::int32_t group, GroupState& st,
                                         sim::TimePoint now);

@@ -11,12 +11,15 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 namespace rpv {
 
-inline void validate(bool condition, const std::string& message) {
-  if (!condition) throw std::invalid_argument(message);
+// A literal message stays a view until it is thrown, so a check on a
+// per-packet path costs no string construction.
+inline void validate(bool condition, std::string_view message) {
+  if (!condition) throw std::invalid_argument(std::string(message));
 }
 
 // Whole-string value of a number flag, at least `min`: no trailing junk

@@ -4,6 +4,7 @@
 // policy (including FEC recovery through an injected RLF on one of the two
 // paths), and byte-identical bonded campaigns across worker counts.
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -365,8 +366,8 @@ TEST(BondedSession, HighReliabilityDuplicatesC2WithoutDoubleDelivery) {
   // Every command is routed twice (both operators)…
   EXPECT_GT(r.bond_airtime_bytes, r.bond_media_bytes);
   // …but the pilot->UAV channel observes each command at most once.
-  EXPECT_LE(r.command_latency_ms.size(), r.commands_sent);
-  EXPECT_GT(r.command_latency_ms.size(), 0u);
+  EXPECT_LE(r.command_latency_ms.count(), r.commands_sent);
+  EXPECT_GT(r.command_latency_ms.count(), 0u);
 }
 
 TEST(BondedSession, FecRecoversThroughRlfOnOneOfTwoPaths) {
@@ -392,14 +393,16 @@ TEST(BondedSession, ReorderFlushesAndSuppressionShowUpUnderBalancedSpray) {
 
 TEST(BondedSession, OneCollectFillsLossAccountingForEveryPathCount) {
   // A bonded report comes out of the same collect() as a single-path one:
-  // every path's loss callback feeds loss_times and media_losses, and per
+  // every path's loss callback feeds losses_per_second and media_losses, and per
   // keeps the Fig. 6 formula, summed over paths.
   auto s = bonded_scenario(experiment::Multipath::kBondHighReliability);
   s.fault_preset = experiment::FaultPreset::kRlfStorm;
   s.faults_on_both_operators = true;
   const auto r = experiment::run_scenario(s);
   EXPECT_GT(r.radio_losses, 0u);
-  EXPECT_EQ(r.loss_times.size(), r.radio_losses);
+  EXPECT_EQ(std::accumulate(r.losses_per_second.begin(),
+                            r.losses_per_second.end(), std::uint64_t{0}),
+            r.radio_losses);
   EXPECT_GT(r.media_losses, 0u);
   ASSERT_GT(r.packets_sent, 0u);
   EXPECT_DOUBLE_EQ(r.per, static_cast<double>(r.radio_losses + r.buffer_drops) /

@@ -1,0 +1,120 @@
+// Tier-1 cost budget: counts that do not move with the host's speed or
+// load, pinned per golden flight with video (golden_flights.hpp). For each
+// flight the test asserts ceilings on
+//  * heap allocations per packet sent, counted by this executable's own
+//    global operator new while the flight runs (rpv_tests keeps the default
+//    allocator);
+//  * engine events per packet sent (sim_events / packets_sent);
+//  * the bytes of the canonical report JSON.
+// Each ceiling sits a few percent above the value measured when it was set.
+// Lowering a ceiling is a normal edit; raising one needs a CHANGES.md line
+// that says why.
+//
+// The allocation counts belong to the standard library as much as to the
+// simulator (container growth, std::function storage), so the ceilings hold
+// for the toolchain they were measured with: GCC 12.2 with its libstdc++.
+// Events per packet and report bytes do not depend on it. On another
+// standard library, read the printed counts before moving a ceiling.
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <ostream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "experiment/scenario.hpp"
+#include "golden_flights.hpp"
+#include "pipeline/report_json.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// Out of line, so the compiler cannot pair a caller's new with the free()
+// inside delete and warn about a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace rpv {
+namespace {
+
+struct Budget {
+  const char* name;
+  experiment::Scenario (*scenario)();
+  double allocations_per_packet;
+  double events_per_packet;
+  std::size_t report_bytes;
+};
+
+// Ceilings ~3% above the values measured when they were set (GCC 12.2,
+// Release and RelWithDebInfo alike), which are, per flight: allocations per
+// packet, events per packet, report bytes.
+const Budget kBudgets[] = {
+    // 0.2881, 4.0897, 74,800
+    {"urban_air_gcc", golden::urban_air_gcc, 0.297, 4.22, 77000},
+    // 0.4512, 4.3051, 62,339
+    {"rural_p1_air_scream", golden::rural_p1_air_scream, 0.465, 4.44, 64200},
+    // 0.3964, 4.0570, 79,695
+    {"urban_air_static_c2_rlf_storm_resilience_fec",
+     golden::urban_air_static_c2_rlf_storm_resilience_fec, 0.409, 4.18, 82100},
+    // 0.6553, 4.3205, 69,636
+    {"urban_air_scream_ack_window_64", golden::urban_air_scream_ack_window_64,
+     0.675, 4.46, 71700},
+    // 0.5591, 4.2681, 62,390
+    {"rural_p1_bonded_operator_pair_rlf_storm",
+     golden::rural_p1_bonded_operator_pair_rlf_storm, 0.576, 4.40, 64300},
+    // 0.6081, 3.6913, 55,163
+    {"observed_rural_p1_bonded_three_way_rlf_storm",
+     golden::observed_rural_p1_bonded_three_way_rlf_storm, 0.627, 3.81, 56800},
+};
+
+void PrintTo(const Budget& b, std::ostream* os) { *os << b.name; }
+
+class CostBudget : public ::testing::TestWithParam<Budget> {};
+
+TEST_P(CostBudget, StaysUnderItsCeilings) {
+  const Budget& b = GetParam();
+  const auto scenario = b.scenario();
+  g_allocations = 0;
+  g_counting = true;
+  const auto r = experiment::run_scenario(scenario);
+  g_counting = false;
+  const std::uint64_t allocations = g_allocations;
+  const auto bytes = pipeline::report_to_json(r).dump().size();
+
+  ASSERT_GT(r.packets_sent, 0u);
+  const auto packets = static_cast<double>(r.packets_sent);
+  const double allocations_per_packet = static_cast<double>(allocations) / packets;
+  const double events_per_packet = static_cast<double>(r.sim_events) / packets;
+  std::cout << b.name << ": " << allocations << " allocations, "
+            << r.sim_events << " events, " << r.packets_sent
+            << " packets sent -> " << allocations_per_packet
+            << " allocations/packet, " << events_per_packet
+            << " events/packet; report " << bytes << " bytes\n";
+  EXPECT_LE(allocations_per_packet, b.allocations_per_packet);
+  EXPECT_LE(events_per_packet, b.events_per_packet);
+  EXPECT_LE(bytes, b.report_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(GoldenFlights, CostBudget, ::testing::ValuesIn(kBudgets),
+                         [](const auto& info) { return std::string{info.param.name}; });
+
+}  // namespace
+}  // namespace rpv

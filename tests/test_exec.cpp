@@ -593,6 +593,10 @@ TEST(ReportJson, RoundTripIsByteStableAndLossless) {
   EXPECT_EQ(back.owd_per_second_ms, r.owd_per_second_ms);
   EXPECT_EQ(back.playback_latency_per_second_ms, r.playback_latency_per_second_ms);
   EXPECT_EQ(back.handover_owd_ms, r.handover_owd_ms);
+  EXPECT_EQ(back.target_bitrate_highs_bps, r.target_bitrate_highs_bps);
+  EXPECT_EQ(back.capacity_mbps, r.capacity_mbps);
+  EXPECT_EQ(back.losses_per_second, r.losses_per_second);
+  EXPECT_EQ(back.telemetry_latency_ms, r.telemetry_latency_ms);
   expect_derived_statistics_bit_identical(r, back);
 
   // A plain single-path urban flight and a bonded three-way flight too.
@@ -608,8 +612,9 @@ TEST(ReportJson, RoundTripIsByteStableAndLossless) {
 }
 
 TEST(ReportJson, RejectsWrongSchema) {
-  // 7 is the last version that stored the derived statistics.
-  for (const std::int64_t schema : {7, 999}) {
+  // 7 is the last version that stored the derived statistics, 9 the last
+  // that stored per-sample bitrate, capacity, loss and C2 series.
+  for (const std::int64_t schema : {7, 9, 999}) {
     auto doc = pipeline::report_to_json(pipeline::SessionReport{});
     doc.set("schema", schema);
     try {
@@ -644,6 +649,31 @@ TEST(ReportJson, RejectsOutOfRangeIntegers) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string{e.what()}.find(key), std::string::npos) << e.what();
     }
+  }
+}
+
+// The bitrate highs must rise strictly and never go back in time: anything
+// else cannot come from metrics::Highs, and ramp_up_seconds would misread it.
+TEST(ReportJson, RejectsHighsThatDoNotRise) {
+  auto r = pipeline::SessionReport{};
+  r.target_bitrate_highs_bps.add(sim::TimePoint::from_us(0), 1e6);
+  r.target_bitrate_highs_bps.add(sim::TimePoint::from_us(40'000), 2e6);
+  const auto good = pipeline::report_to_json(r);
+  EXPECT_EQ(pipeline::report_from_json(good).target_bitrate_highs_bps,
+            r.target_bitrate_highs_bps);
+  const std::pair<json::Value, json::Value> cases[] = {
+      {json::parse("[0, 40000]"), json::parse("[2000000, 1000000]")},  // falls
+      {json::parse("[0, 40000]"), json::parse("[1000000, 1000000]")},  // flat
+      {json::parse("[40000, 0]"), json::parse("[1000000, 2000000]")},  // back in time
+  };
+  for (const auto& [t_us, values] : cases) {
+    auto doc = good;
+    auto highs = doc.at("target_bitrate_highs_bps");
+    highs.set("t_us", t_us);
+    highs.set("values", values);
+    doc.set("target_bitrate_highs_bps", highs);
+    EXPECT_THROW((void)pipeline::report_from_json(doc), std::runtime_error)
+        << highs.dump();
   }
 }
 

@@ -1,14 +1,12 @@
 // Golden pins for sessions end to end: the FNV-1a digest of the canonical
-// report JSON of five unobserved single-path flights, and of the
-// events.jsonl stream of one observed flight. Together they cover every
-// single-path feature the session wiring touches (GCC, SCReAM at both ack
-// windows, probe-only, C2, faults, resilience, FEC, observability). Two
-// bonded flights through an RLF storm on both operators pin the receive path
-// of multipath delivery (reorder window, duplicate filter, adaptive FEC):
-// the report on the operator pair, and the report and events.jsonl stream
-// with a LEO path added. Any refactor of the session layer that changes a
-// single byte of one of these artifacts fails here. See docs/TESTING.md
-// ("Refreshing golden pins") before touching a constant.
+// report JSON of the five unobserved single-path golden flights
+// (golden_flights.hpp), and of the events.jsonl stream of one observed
+// flight. Two bonded flights through an RLF storm on both operators pin the
+// receive path of multipath delivery: the report on the operator pair, and
+// the report and events.jsonl stream with a LEO path added. Any refactor of
+// the session layer that changes a single byte of one of these artifacts
+// fails here. See docs/TESTING.md ("Refreshing golden pins") before
+// touching a constant.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -16,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "experiment/scenario.hpp"
+#include "golden_flights.hpp"
 #include "obs/recorder.hpp"
 #include "pipeline/report_json.hpp"
 
@@ -38,17 +37,6 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-experiment::Scenario flight(experiment::Environment env,
-                            experiment::Mobility mobility, pipeline::CcKind cc,
-                            std::uint64_t seed) {
-  experiment::Scenario s;
-  s.env = env;
-  s.mobility = mobility;
-  s.cc = cc;
-  s.seed = seed;
-  return s;
-}
-
 pipeline::SessionReport expect_report_pin(const experiment::Scenario& s,
                                           std::uint64_t pin) {
   auto r = experiment::run_scenario(s);
@@ -58,54 +46,31 @@ pipeline::SessionReport expect_report_pin(const experiment::Scenario& s,
 }
 
 TEST(GoldenPins, UrbanAirGccReport) {
-  expect_report_pin(flight(experiment::Environment::kUrban,
-                           experiment::Mobility::kAir, pipeline::CcKind::kGcc,
-                           2101),
-                    0x886264cf47710083ull);
+  expect_report_pin(golden::urban_air_gcc(), 0xac94d6576923a576ull);
 }
 
 TEST(GoldenPins, RuralP1AirScreamReport) {
-  expect_report_pin(flight(experiment::Environment::kRuralP1,
-                           experiment::Mobility::kAir,
-                           pipeline::CcKind::kScream, 2102),
-                    0x620e5b05d1bc430eull);
+  expect_report_pin(golden::rural_p1_air_scream(), 0xeb83b004847de580ull);
 }
 
 TEST(GoldenPins, RuralP2GroundProbeOnlyReport) {
-  auto s = flight(experiment::Environment::kRuralP2,
-                  experiment::Mobility::kGround, pipeline::CcKind::kNone, 2103);
-  s.probe_interval = sim::Duration::millis(200);
-  const auto r = expect_report_pin(s, 0x7647263679dd15c2ull);
+  const auto r = expect_report_pin(golden::rural_p2_ground_probe_only(),
+                                   0x1978f2b0f2d4b0c9ull);
   EXPECT_FALSE(r.rtt_by_altitude.empty());
 }
 
 TEST(GoldenPins, UrbanAirStaticC2RlfStormResilienceFecReport) {
-  auto s = flight(experiment::Environment::kUrban, experiment::Mobility::kAir,
-                  pipeline::CcKind::kStatic, 2104);
-  s.c2 = true;
-  s.fault_preset = experiment::FaultPreset::kRlfStorm;
-  s.resilience = true;
-  s.fec_group_size = 10;
-  expect_report_pin(s, 0xa5a66f43826f7900ull);
+  expect_report_pin(golden::urban_air_static_c2_rlf_storm_resilience_fec(),
+                    0x588e0652fa41f8ccull);
 }
 
-// The paper's 64-packet RFC 8888 window under an RLF storm with FEC and
-// keyframe recovery: exercises SCReAM's loss walk below the ack window, its
-// flight timeouts, feedback carrying only a keyframe request, and parity
-// transport seqs.
 TEST(GoldenPins, UrbanAirScreamAckWindow64Report) {
-  auto s = flight(experiment::Environment::kUrban, experiment::Mobility::kAir,
-                  pipeline::CcKind::kScream, 2106);
-  s.rfc8888_ack_window = 64;
-  s.resilience = true;
-  s.fec_group_size = 10;
-  s.fault_preset = experiment::FaultPreset::kRlfStorm;
-  expect_report_pin(s, 0x8ff869ebf3819f70ull);
+  expect_report_pin(golden::urban_air_scream_ack_window_64(),
+                    0x06f1fa4463de34eaull);
 }
 
 TEST(GoldenPins, ObservedUrbanAirGccEventStream) {
-  auto s = flight(experiment::Environment::kUrban, experiment::Mobility::kAir,
-                  pipeline::CcKind::kGcc, 2101);
+  auto s = golden::urban_air_gcc();
   s.observe = true;
   const auto r = experiment::run_scenario(s);
   ASSERT_FALSE(r.events.empty());
@@ -113,32 +78,17 @@ TEST(GoldenPins, ObservedUrbanAirGccEventStream) {
   EXPECT_EQ(digest, 0x4532c203a428dcb6ull) << "actual " << hex(digest);
 }
 
-// A bonded flight: the reorder window, duplicate filter and FEC group state
-// on the receive path of an RLF storm hitting both operators.
-experiment::Scenario bonded_storm(experiment::PathSet paths,
-                                  std::uint64_t seed) {
-  auto s = flight(experiment::Environment::kRuralP1, experiment::Mobility::kAir,
-                  pipeline::CcKind::kStatic, seed);
-  s.c2 = true;
-  s.multipath = experiment::Multipath::kBondHighReliability;
-  s.path_set = paths;
-  s.fault_preset = experiment::FaultPreset::kRlfStorm;
-  s.faults_on_both_operators = true;
-  return s;
-}
-
 TEST(GoldenPins, RuralP1BondedOperatorPairRlfStormReport) {
   const auto r = expect_report_pin(
-      bonded_storm(experiment::PathSet::kOperatorPair, 2107),
-      0xdc8db7d664d9f158ull);
+      golden::rural_p1_bonded_operator_pair_rlf_storm(), 0xa1c139afcce8ca91ull);
   EXPECT_GT(r.bond_reorder_flushes, 0u);
   EXPECT_GT(r.bond_fec_recovered, 0u);
 }
 
 TEST(GoldenPins, ObservedRuralP1BondedThreeWayRlfStormReportAndEventStream) {
-  auto s = bonded_storm(experiment::PathSet::kThreeWay, 2108);
-  s.observe = true;
-  const auto r = expect_report_pin(s, 0x4e6c712f791f65f3ull);
+  const auto r = expect_report_pin(
+      golden::observed_rural_p1_bonded_three_way_rlf_storm(),
+      0x110c9f8de505ebe6ull);
   EXPECT_GT(r.bond_reorder_flushes, 0u);
   EXPECT_GT(r.bond_fec_recovered, 0u);
   ASSERT_FALSE(r.events.empty());

@@ -100,8 +100,9 @@ TEST(Session, StaticUsesPaperBitrates) {
 
 TEST(Session, AdaptiveRampsFromLowRate) {
   const auto r = run(Environment::kUrban, pipeline::CcKind::kGcc);
-  ASSERT_FALSE(r.target_bitrate_trace_bps.empty());
-  EXPECT_LT(r.target_bitrate_trace_bps.samples().front().value, 3e6);
+  // The first high is the first frame's target.
+  ASSERT_FALSE(r.target_bitrate_highs_bps.empty());
+  EXPECT_LT(r.target_bitrate_highs_bps.samples().front().value, 3e6);
   const double ramp = r.ramp_up_seconds(20e6);
   EXPECT_GT(ramp, 2.0);
   EXPECT_LT(ramp, 60.0);

@@ -4,7 +4,12 @@
 #include "metrics/text_table.hpp"
 #include "metrics/time_series.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include <gtest/gtest.h>
+
+#include "sim/rng.hpp"
 
 namespace rpv::metrics {
 namespace {
@@ -130,6 +135,50 @@ TEST(TimeSeries, ValuesExtraction) {
   ts.add(TimePoint::from_us(1), 1.5);
   ts.add(TimePoint::from_us(2), 2.5);
   EXPECT_EQ(ts.values(), (std::vector<double>{1.5, 2.5}));
+}
+
+// --- Highs ---
+
+// The record highs answer "first sample >= x" as a scan of the whole series
+// does, for every level, on a series that climbs, falls back and climbs
+// again (a rate controller's ramp, backoffs and recovery).
+TEST(Highs, FirstAtLeastMatchesAScanOfEverySample) {
+  sim::Rng rng{11};
+  TimeSeries all;
+  Highs highs;
+  double level = 1e6;
+  for (int i = 0; i < 5000; ++i) {
+    level = std::clamp(level * rng.uniform(0.85, 1.16), 1e5, 3e7);
+    const auto t = TimePoint::from_us(i * 33'333);
+    all.add(t, level);
+    highs.add(t, level);
+  }
+  ASSERT_LT(highs.samples().size(), all.count());
+  for (std::size_t i = 1; i < highs.samples().size(); ++i) {
+    EXPECT_GT(highs.samples()[i].value, highs.samples()[i - 1].value);
+  }
+  for (double x = 0.0; x <= 4e7; x += 2e4) {
+    std::optional<TimePoint> first;
+    for (const auto& s : all.samples()) {
+      if (s.value >= x) {
+        first = s.t;
+        break;
+      }
+    }
+    ASSERT_EQ(highs.first_at_least(x), first) << "x " << x;
+  }
+}
+
+TEST(Highs, EqualValuesAreNoNewHigh) {
+  Highs h;
+  h.add(TimePoint::from_us(0), 2.0);
+  h.add(TimePoint::from_us(1), 2.0);
+  h.add(TimePoint::from_us(2), 1.0);
+  h.add(TimePoint::from_us(3), 3.0);
+  ASSERT_EQ(h.samples().size(), 2u);
+  EXPECT_EQ(h.first_at_least(2.0), TimePoint::from_us(0));
+  EXPECT_EQ(h.first_at_least(2.5), TimePoint::from_us(3));
+  EXPECT_FALSE(h.first_at_least(3.5).has_value());
 }
 
 // --- HandoverLog ---

@@ -105,10 +105,14 @@ TEST(VideoSender, TargetTraceRecorded) {
   Fixture f{8e6};
   f.sender->start(TimePoint::origin(), TimePoint::origin() + Duration::seconds(2.0));
   f.sim.run_all();
-  EXPECT_EQ(f.sender->target_bitrate_trace().count(), f.sender->frames_encoded());
-  for (const auto& s : f.sender->target_bitrate_trace().samples()) {
-    EXPECT_DOUBLE_EQ(s.value, 8e6);
-  }
+  // A constant target sets exactly one high: the first frame's, at start.
+  EXPECT_GT(f.sender->frames_encoded(), 1u);
+  const auto& highs = f.sender->target_bitrate_highs().samples();
+  ASSERT_EQ(highs.size(), 1u);
+  EXPECT_EQ(highs.front().t, TimePoint::origin());
+  EXPECT_DOUBLE_EQ(highs.front().value, 8e6);
+  EXPECT_EQ(f.sender->target_bitrate_highs().first_at_least(8e6),
+            TimePoint::origin());
 }
 
 TEST(VideoSender, StartOffsetRespected) {

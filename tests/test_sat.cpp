@@ -98,6 +98,61 @@ TEST(SatelliteLink, PassCadenceCountsHandoversAndDropsCapacity) {
   EXPECT_EQ(link2.current_capacity_mbps(), 0.0);
 }
 
+// Both lookups answer what a scan of every published window answers (the
+// reference any faster lookup must keep), here with pass interruptions that
+// often outlast the next pass or two (so a time can sit in an early pass
+// after later ones have ended) and frequent rain fades beside hard
+// obstructions.
+TEST(SatelliteLink, WindowLookupsMatchAScanOfEveryWindow) {
+  sat::SatelliteLinkConfig cfg;
+  cfg.pass_interval = Duration::seconds(1.0);
+  cfg.pass_interruption = Duration::millis(100);
+  cfg.pass_interruption_jitter = Duration::seconds(1.0);
+  cfg.outage_mean_gap = Duration::seconds(2.0);
+  cfg.outage_mean_duration = Duration::seconds(1.0);
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    sim::Simulator sim;
+    sat::SatelliteLink link{sim, cfg, sim::Rng{seed}};
+    link.start(Duration::seconds(60.0));
+    ASSERT_GT(link.outage_windows().size(), 5u);
+    auto scan = [&](TimePoint t, double& multiplier) {
+      bool down = false;
+      multiplier = 1.0;
+      bool found = false;
+      for (const auto& w : link.pass_windows()) {
+        if (t >= w.start && t < w.end) {
+          down = true;
+          multiplier = 0.0;
+          found = true;
+          break;
+        }
+      }
+      for (const auto& w : link.outage_windows()) {
+        if (t >= w.start && t < w.end) {
+          down = down || w.hard;
+          if (!found) multiplier = w.residual;
+          found = true;
+        }
+      }
+      return down;
+    };
+    int checked = 0;
+    for (std::int64_t us = 0; us <= 61'000'000; us += 997) {
+      const auto t = TimePoint::from_us(us);
+      double multiplier = 1.0;
+      const bool down = scan(t, multiplier);
+      ASSERT_EQ(link.in_unavailable_window(t), down) << "seed " << seed << " t " << us;
+      if (us % (997 * 50) == 0) {
+        sim.run_until(t);
+        ASSERT_EQ(link.current_capacity_mbps(), cfg.capacity_mbps * multiplier)
+            << "seed " << seed << " t " << us;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 1000);
+  }
+}
+
 TEST(SatelliteLink, DeliversOnPropagationFloorInOrder) {
   sim::Simulator sim;
   sat::SatelliteLinkConfig cfg;

@@ -17,8 +17,8 @@ TEST(C2, CommandsAndTelemetryFlow) {
   const auto r = run_scenario(s);
   EXPECT_GT(r.commands_sent, 5000u);   // 20 Hz over ~5.6 min
   EXPECT_GT(r.telemetry_sent, 2500u);  // 10 Hz
-  EXPECT_GT(r.command_latency_ms.size(), r.commands_sent * 9 / 10);
-  EXPECT_GT(r.telemetry_latency_ms.size(), r.telemetry_sent * 9 / 10);
+  EXPECT_GT(r.command_latency_ms.count(), r.commands_sent * 9 / 10);
+  EXPECT_GT(r.telemetry_latency_ms.count(), r.telemetry_sent * 9 / 10);
 }
 
 TEST(C2, CommandLatencyWellBelowVideo) {
@@ -28,8 +28,7 @@ TEST(C2, CommandLatencyWellBelowVideo) {
   s.c2 = true;
   s.seed = 62;
   const auto r = run_scenario(s);
-  metrics::Cdf cmd;
-  cmd.add_all(r.command_latency_ms);
+  const auto& cmd = r.command_latency_ms;
   const auto& vid = r.owd_ms;
   // Related work [34][51][61]: control latency is far below video latency,
   // especially in the tail (the video shares the bloated uplink queue).
@@ -45,9 +44,8 @@ TEST(C2, TelemetrySharesUplinkQueueWithVideo) {
   with_video.seed = 63;
   Scenario without = with_video;
   without.cc = pipeline::CcKind::kNone;
-  metrics::Cdf loaded, idle;
-  loaded.add_all(run_scenario(with_video).telemetry_latency_ms);
-  idle.add_all(run_scenario(without).telemetry_latency_ms);
+  const auto loaded = run_scenario(with_video).telemetry_latency_ms;
+  const auto idle = run_scenario(without).telemetry_latency_ms;
   EXPECT_GT(loaded.quantile(0.99), idle.quantile(0.99));
 }
 
