@@ -1,9 +1,9 @@
 // Shared helpers for the bench binaries: rpv_figures, which regenerates
 // every table and figure of the paper's evaluation and every extension
-// study (`rpv_figures --only <id>` for one), bench_ext_fleet and
-// bench_core_queue. rpv_figures runs its measurement campaigns on the
-// simulator and prints the rows or series to compare side by side (see
-// EXPERIMENTS.md for the paper-vs-measured record).
+// study (`rpv_figures --only <id>` for one), and bench_core_queue.
+// rpv_figures runs its measurement campaigns on the simulator and prints the
+// rows or series to compare side by side (see EXPERIMENTS.md for the
+// paper-vs-measured record). The fleet sweep is `rpv_campaign fleet`.
 #pragma once
 
 #include <cstdint>

@@ -24,14 +24,15 @@ if [[ "$sanitize" == 1 ]]; then
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir "$repo/build-san" --output-on-failure -j "$jobs"
 
-  echo "== TSan build + exec tests =="
+  echo "== TSan build + exec and fleet tests =="
   # TSan is incompatible with ASan/UBSan, so it gets its own tree; only the
-  # suites that actually spin up the thread pool are worth the ~10x slowdown.
+  # suites that run parallel_for_index on several workers (campaigns, and the
+  # fleet's per-epoch shard loop at 8 workers) are worth the ~10x slowdown.
   cmake -S "$repo" -B "$repo/build-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DRPV_SANITIZE=thread >/dev/null
   cmake --build "$repo/build-tsan" -j "$jobs" --target rpv_tests
   TSAN_OPTIONS=halt_on_error=1 "$repo/build-tsan/tests/rpv_tests" \
-    --gtest_filter='ThreadPool*:ParallelFor*:CampaignEngine*:RunArtifact*'
+    --gtest_filter='ThreadPool*:ParallelFor*:CampaignEngine*:RunArtifact*:FleetEngine*'
 fi
 
 echo "All checks passed."

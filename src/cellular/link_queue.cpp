@@ -23,30 +23,22 @@ void LinkQueue::enqueue(net::Packet p, DoneFn done) {
                     obs::QueuePayload{p.id,
                                       static_cast<std::uint32_t>(p.size_bytes),
                                       static_cast<std::uint64_t>(queued_bytes_),
-                                      static_cast<std::uint32_t>(count_),
+                                      static_cast<std::uint32_t>(queue_.size()),
                                       /*reason=*/0});
     }
     if (on_drop_) on_drop_(p);
     return;
   }
   queued_bytes_ += p.size_bytes;
-  const std::uint32_t idx =
-      pool_.acquire(Item{std::move(p), std::move(done), kNil});
-  if (tail_ == kNil) {
-    head_ = idx;
-  } else {
-    pool_[tail_].next = idx;
-  }
-  tail_ = idx;
-  ++count_;
+  const net::Packet& q =
+      queue_.push_back(Item{std::move(p), std::move(done)}).p;
   if (bus_ && bus_->wants(obs::EventKind::kQueueEnqueue)) {
-    const net::Packet& q = pool_[idx].p;
     bus_->publish(obs::Component::kLinkQueue, obs::EventKind::kQueueEnqueue,
                   sim_.now(),
                   obs::QueuePayload{q.id,
                                     static_cast<std::uint32_t>(q.size_bytes),
                                     static_cast<std::uint64_t>(queued_bytes_),
-                                    static_cast<std::uint32_t>(count_),
+                                    static_cast<std::uint32_t>(queue_.size()),
                                     /*reason=*/0});
   }
   maybe_start_service();
@@ -80,9 +72,9 @@ double LinkQueue::queuing_delay_sec() const {
 }
 
 void LinkQueue::maybe_start_service() {
-  if (busy_ || paused_ || count_ == 0) return;
+  if (busy_ || paused_ || queue_.empty()) return;
   busy_ = true;
-  const net::Packet& head = pool_[head_].p;
+  const net::Packet& head = queue_.front().p;
   const double rate = std::max(rate_(), 1e3);  // never fully zero outside pause
   const auto tx_time =
       sim::Duration::seconds(static_cast<double>(head.size_bytes) * 8.0 / rate);
@@ -91,15 +83,11 @@ void LinkQueue::maybe_start_service() {
 
 void LinkQueue::finish_head() {
   busy_ = false;
-  if (count_ == 0) return;  // defensive
-  Item& item = pool_[head_];
+  if (queue_.empty()) return;  // defensive
+  Item& item = queue_.front();
   net::Packet p = std::move(item.p);
   DoneFn done = std::move(item.done);
-  const std::uint32_t old_head = head_;
-  head_ = item.next;
-  if (head_ == kNil) tail_ = kNil;
-  pool_.release(old_head);
-  --count_;
+  queue_.pop_front();
   queued_bytes_ -= p.size_bytes;
   p.sent = sim_.now();
 
@@ -111,7 +99,7 @@ void LinkQueue::finish_head() {
                     obs::QueuePayload{p.id,
                                       static_cast<std::uint32_t>(p.size_bytes),
                                       static_cast<std::uint64_t>(queued_bytes_),
-                                      static_cast<std::uint32_t>(count_),
+                                      static_cast<std::uint32_t>(queue_.size()),
                                       /*reason=*/1});
     }
     if (on_drop_) on_drop_(p);

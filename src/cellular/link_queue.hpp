@@ -10,8 +10,8 @@
 // Each packet rides with an optional per-packet completion callback that is
 // handed to the deliver function when serialization finishes (and silently
 // discarded on drop) — the owner never needs a side table keyed by packet
-// id. In-flight packets live in a sim::Pool, so a steady-state queue does no
-// allocation.
+// id. In-flight packets live in a sim::Fifo, which allocates only while the
+// backlog outgrows two chunks of packets.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@
 
 #include "net/packet.hpp"
 #include "obs/event_sink.hpp"
-#include "sim/pool.hpp"
+#include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -65,19 +65,16 @@ class LinkQueue {
     return static_cast<double>(queued_bytes_) /
            static_cast<double>(cfg_.buffer_bytes);
   }
-  [[nodiscard]] std::size_t queued_packets() const { return count_; }
+  [[nodiscard]] std::size_t queued_packets() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::uint64_t aqm_drops() const { return aqm_drops_; }
   // Queue sojourn estimate at the current service rate, in seconds.
   [[nodiscard]] double queuing_delay_sec() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
   struct Item {
     net::Packet p;
     DoneFn done;
-    std::uint32_t next = kNil;
   };
 
   void maybe_start_service();
@@ -90,11 +87,7 @@ class LinkQueue {
   DeliverFn deliver_;
   DropFn on_drop_;
   obs::EventBus* bus_ = nullptr;
-  // Intrusive FIFO over pooled items (head -> ... -> tail via Item::next).
-  sim::Pool<Item> pool_;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::size_t count_ = 0;
+  sim::Fifo<Item> queue_;
   std::size_t queued_bytes_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t aqm_drops_ = 0;

@@ -2,55 +2,12 @@
 
 #include <chrono>
 
-#include "exec/thread_pool.hpp"
+#include "exec/parallel_for.hpp"
 #include "sim/validate.hpp"
 
 namespace rpv::exec {
 
 namespace {
-
-std::string tech_suffix(experiment::AccessTech tech) {
-  return tech == experiment::AccessTech::k5gSa ? "-5gsa" : "";
-}
-
-std::string policy_suffix(experiment::Policy policy) {
-  switch (policy) {
-    case experiment::Policy::kReactive: return "";
-    case experiment::Policy::kProactive: return "-proactive";
-    case experiment::Policy::kPlanned: return "-planned";
-  }
-  return "";
-}
-
-std::string multipath_suffix(experiment::Multipath m) {
-  switch (m) {
-    case experiment::Multipath::kNone: return "";
-    case experiment::Multipath::kDuplicate: return "-mpdup";
-    case experiment::Multipath::kFailover: return "-mpfail";
-    case experiment::Multipath::kBondLowLatency: return "-bond-ll";
-    case experiment::Multipath::kBondBalanced: return "-bond-bal";
-    case experiment::Multipath::kBondHighReliability: return "-bond-hr";
-  }
-  return "";
-}
-
-std::string path_set_suffix(experiment::PathSet p) {
-  switch (p) {
-    case experiment::PathSet::kOperatorPair: return "";
-    case experiment::PathSet::kThreeWay: return "-sat";
-    case experiment::PathSet::kThreeWayMesh: return "-sat-mesh";
-  }
-  return "";
-}
-
-std::string fault_preset_suffix(experiment::FaultPreset p) {
-  std::string suffix;
-  if (p != experiment::FaultPreset::kNone) {
-    suffix = '-';
-    suffix += experiment::fault_preset_name(p);
-  }
-  return suffix;
-}
 
 double elapsed_seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - since)
@@ -110,13 +67,7 @@ std::vector<GridCell> expand_grid(const GridAxes& axes,
                   cell.scenario.multipath = multipath;
                   cell.scenario.path_set = path_set;
                   cell.scenario.fault_preset = preset;
-                  cell.label = experiment::environment_name(env) + "-" +
-                               experiment::mobility_name(mobility) + "-" +
-                               pipeline::cc_name(cell.scenario.cc) +
-                               tech_suffix(tech) + policy_suffix(policy) +
-                               multipath_suffix(multipath) +
-                               path_set_suffix(path_set) +
-                               fault_preset_suffix(preset);
+                  cell.label = experiment::scenario_label(cell.scenario);
                   cells.push_back(std::move(cell));
                 }
               }
@@ -154,27 +105,6 @@ std::vector<pipeline::SessionReport> CampaignEngine::run_scenarios(
     reports[i] = experiment::run_scenario(scenarios[i]);
   });
   return reports;
-}
-
-MergedCampaignResult CampaignEngine::run_scenarios_merged(
-    const std::vector<experiment::Scenario>& scenarios) const {
-  for (const auto& s : scenarios) {
-    experiment::make_session_config(s).validate();
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // One registry per run, indexed like the scenarios; workers only touch
-  // their own slot, and the fold below walks the slots in index order.
-  std::vector<obs::MetricsRegistry> registries(scenarios.size());
-  parallel_for_index(scenarios.size(), cfg_.jobs, [&](std::size_t i) {
-    (void)experiment::run_scenario(scenarios[i], &registries[i]);
-  });
-  MergedCampaignResult result;
-  result.runs = scenarios.size();
-  obs::MetricsRegistry merged;
-  for (const auto& reg : registries) merged.merge(reg);
-  result.metrics = merged.summary();
-  result.wall_seconds = elapsed_seconds(start);
-  return result;
 }
 
 CampaignResult CampaignEngine::run(const experiment::Campaign& campaign) const {

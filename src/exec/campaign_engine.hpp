@@ -2,7 +2,8 @@
 //
 // The paper's figures aggregate 130 measurement runs over ~90 flights; every
 // run is an independent simulation, so a campaign is embarrassingly parallel.
-// The engine shards work at run granularity across a fixed-size ThreadPool:
+// The engine shards work at run granularity across `jobs` workers
+// (exec::parallel_for_index):
 //
 //   * run_scenarios — the core primitive: N fully-specified scenarios in,
 //     N reports out, result i always belonging to scenario i;
@@ -20,7 +21,6 @@
 
 #include "experiment/runner.hpp"
 #include "experiment/scenario.hpp"
-#include "obs/metrics_registry.hpp"
 #include "pipeline/report.hpp"
 
 namespace rpv::exec {
@@ -29,7 +29,8 @@ struct EngineConfig {
   int jobs = 0;  // worker threads; <= 0 means one per hardware thread
 };
 
-// One point of a scenario grid: a label like "urban-air-gcc" plus the fully
+// One point of a scenario grid: its experiment::scenario_label
+// ("urban-air-gcc", "rural-p1-air-static-bond-hr-rlf-storm") plus the fully
 // configured scenario it denotes (seed still unset; the engine derives one
 // per run).
 struct GridCell {
@@ -74,15 +75,6 @@ struct CampaignResult {
   double wall_seconds = 0.0;
 };
 
-// Streaming aggregation result: one merged metrics summary for a whole
-// campaign instead of N retained SessionReports. Per-run counts fold into
-// fixed-size counters/histograms, so memory stays O(1) in campaign size.
-struct MergedCampaignResult {
-  obs::MetricsSummary metrics;  // fold of every run's MetricsRegistry
-  std::size_t runs = 0;
-  double wall_seconds = 0.0;
-};
-
 struct GridCellResult {
   GridCell cell;
   std::vector<std::uint64_t> seeds;
@@ -108,13 +100,6 @@ class CampaignEngine {
   // Run every scenario; reports[i] is scenario i's, regardless of worker
   // count or completion order.
   [[nodiscard]] std::vector<pipeline::SessionReport> run_scenarios(
-      const std::vector<experiment::Scenario>& scenarios) const;
-
-  // Run every scenario with a per-run MetricsRegistry subscribed to its
-  // event bus and fold the registries in scenario-index order. Merging is
-  // associative and index-ordered, so the summary is byte-identical for any
-  // worker count; per-run reports are dropped as soon as each run finishes.
-  [[nodiscard]] MergedCampaignResult run_scenarios_merged(
       const std::vector<experiment::Scenario>& scenarios) const;
 
   // Validates via rpv::validate (runs > 0) and shards the campaign's seeds.

@@ -103,6 +103,27 @@ fault::FaultSchedule fault_preset_schedule(FaultPreset p) {
   return fs;
 }
 
+std::string scenario_label(const Scenario& s) {
+  std::string label = environment_name(s.env) + "-" +
+                      mobility_name(s.mobility) + "-" + pipeline::cc_name(s.cc);
+  if (s.tech == AccessTech::k5gSa) label += "-5gsa";
+  if (s.policy != Policy::kReactive) {
+    label += '-';
+    label += policy_name(s.policy);
+  }
+  if (s.multipath != Multipath::kNone) {
+    label += '-';
+    label += bond::policy_suffix(bond_policy_of(s.multipath)).substr(1);
+  }
+  if (s.path_set == PathSet::kThreeWay) label += "-sat";
+  if (s.path_set == PathSet::kThreeWayMesh) label += "-sat-mesh";
+  if (s.fault_preset != FaultPreset::kNone) {
+    label += '-';
+    label += fault_preset_name(s.fault_preset);
+  }
+  return label;
+}
+
 double static_bitrate_bps(Environment env) {
   // Paper §3.2: 25 Mbps urban, 8 Mbps rural, from trial runs.
   return env == Environment::kUrban ? 25e6 : 8e6;

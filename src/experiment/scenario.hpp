@@ -135,6 +135,14 @@ struct Scenario {
   bool operator==(const Scenario&) const = default;
 };
 
+// The name of a scenario in grids, fleets and artifact paths:
+// "<env>-<mobility>-<cc>", then "-5gsa", the adaptation policy
+// ("-proactive", "-planned"), the bond policy ("-mpdup", "-bond-hr", ...:
+// bond::policy_suffix with a dash), the path set ("-sat", "-sat-mesh") and
+// the fault preset ("-rlf-storm", ...), each only when it differs from the
+// default. The seed is not part of it.
+[[nodiscard]] std::string scenario_label(const Scenario& s);
+
 // The stream a flight draws its layouts and trajectory from: the seed
 // whitened so neighbouring seeds start far apart. run_scenario, the radio-map
 // warm-ups and the fleet planner share it, so one seed means one layout.

@@ -4,8 +4,7 @@
 #include <chrono>
 #include <limits>
 
-#include "exec/thread_pool.hpp"
-#include "radiomap/map_sink.hpp"
+#include "exec/parallel_for.hpp"
 #include "sim/validate.hpp"
 
 namespace rpv::fleet {
@@ -20,10 +19,6 @@ void validate_scenario(const FleetScenario& s) {
   rpv::validate(s.base.multipath == experiment::Multipath::kNone,
                 "FleetScenario: fleet sessions are single-path (multipath "
                 "must be kNone)");
-  if (s.build_map) {
-    rpv::validate(s.map_spec.valid(),
-                  "FleetScenario: build_map requires a valid map_spec");
-  }
 }
 
 // Hover band of static missions; air and ground missions take their
@@ -34,36 +29,7 @@ constexpr double kMaxAltitudeM = 90.0;
 }  // namespace
 
 std::string fleet_label(const FleetScenario& s) {
-  std::string label = experiment::environment_name(s.base.env) + "-" +
-                      experiment::mobility_name(s.base.mobility) + "-" +
-                      pipeline::cc_name(s.base.cc);
-  if (s.base.tech == experiment::AccessTech::k5gSa) label += "-5gsa";
-  if (s.base.policy == experiment::Policy::kProactive) label += "-proactive";
-  label += "-n" + std::to_string(s.sessions);
-  return label;
-}
-
-std::vector<FleetCell> expand_fleet_grid(const FleetGridAxes& axes,
-                                         const FleetScenario& base) {
-  const std::vector<int> sizes =
-      axes.sizes.empty() ? std::vector<int>{base.sessions} : axes.sizes;
-  const std::vector<experiment::Environment> envs =
-      axes.envs.empty() ? std::vector<experiment::Environment>{base.base.env}
-                        : axes.envs;
-  std::vector<FleetCell> cells;
-  cells.reserve(sizes.size() * envs.size());
-  for (const auto env : envs) {
-    for (const auto size : sizes) {
-      FleetCell cell;
-      cell.scenario = base;
-      cell.scenario.base.env = env;
-      cell.scenario.sessions = size;
-      cell.label = fleet_label(cell.scenario);
-      cells.push_back(std::move(cell));
-    }
-  }
-  rpv::validate(!cells.empty(), "expand_fleet_grid: fleet grid is empty");
-  return cells;
+  return experiment::scenario_label(s.base) + "-n" + std::to_string(s.sessions);
 }
 
 FleetMission plan_fleet(const FleetScenario& s) {
@@ -128,25 +94,19 @@ FleetRunResult FleetEngine::run(const FleetScenario& scenario) const {
   struct SessionState {
     std::unique_ptr<pipeline::Session> session;
     std::unique_ptr<obs::FunctionSink> tap;
-    std::unique_ptr<radiomap::RadioMapSink> map_sink;
     int slot = 0;
     sim::TimePoint end;
   };
   struct ShardAgg {
     obs::MetricsRegistry registry;
-    obs::Histogram owd_contended = make_owd_histogram("owd_contended_ms");
-    obs::Histogram owd_clean = make_owd_histogram("owd_clean_ms");
-    obs::Histogram stall_contended = make_stall_histogram("stall_contended_ms");
-    obs::Histogram stall_clean = make_stall_histogram("stall_clean_ms");
-    // Shard-local map partial; a shard's sessions advance on one worker at a
-    // time, so accumulation needs no synchronization.
-    radiomap::RadioMap map;
+    obs::Histogram owd_contended = obs::make_owd_histogram("owd_contended_ms");
+    obs::Histogram owd_clean = obs::make_owd_histogram("owd_clean_ms");
+    obs::Histogram stall_contended =
+        obs::make_stall_histogram("stall_contended_ms");
+    obs::Histogram stall_clean = obs::make_stall_histogram("stall_clean_ms");
   };
   std::vector<SessionState> states(n);
   std::vector<ShardAgg> shards(num_shards);
-  if (scenario.build_map) {
-    for (auto& agg : shards) agg.map = radiomap::RadioMap{scenario.map_spec};
-  }
 
   // Serial construction keeps every rng draw and t=0 event publication in
   // session-index order. No load provider has committed anything yet, so
@@ -177,11 +137,6 @@ FleetRunResult FleetEngine::run(const FleetScenario& scenario) const {
         });
     st.session->observer().subscribe(&agg.registry);
     st.session->observer().subscribe(st.tap.get());
-    if (scenario.build_map) {
-      st.map_sink = std::make_unique<radiomap::RadioMapSink>(
-          &agg.map, &mission.trajectories[i]);
-      st.session->observer().subscribe(st.map_sink.get());
-    }
     st.session->link().set_load_provider(&dep);
     st.session->begin();
     dep.report(st.slot, st.session->link().serving_cell(), /*active=*/true);
@@ -227,16 +182,12 @@ FleetRunResult FleetEngine::run(const FleetScenario& scenario) const {
   // Fold shards in shard-index order (merge is associative, so the result
   // is independent of which worker ran which shard).
   obs::MetricsRegistry merged;
-  if (scenario.build_map) {
-    result.radio_map = radiomap::RadioMap{scenario.map_spec};
-  }
   for (const auto& agg : shards) {
     merged.merge(agg.registry);
     rep.owd_contended_ms.merge(agg.owd_contended);
     rep.owd_clean_ms.merge(agg.owd_clean);
     rep.stall_contended_ms.merge(agg.stall_contended);
     rep.stall_clean_ms.merge(agg.stall_clean);
-    if (scenario.build_map) result.radio_map.merge(agg.map);
   }
   rep.metrics = merged.summary();
 
@@ -258,7 +209,6 @@ FleetRunResult FleetEngine::run(const FleetScenario& scenario) const {
     if (cfg_.keep_reports) result.session_reports.push_back(std::move(r));
     st.session.reset();
     st.tap.reset();
-    st.map_sink.reset();
   }
   rep.mean_goodput_mbps = goodput_sum / static_cast<double>(n);
   rep.min_goodput_mbps = goodput_min;

@@ -28,7 +28,6 @@
 #include "obs/event_sink.hpp"
 #include "obs/metrics_registry.hpp"
 #include "pipeline/session.hpp"
-#include "radiomap/radio_map.hpp"
 
 namespace rpv::fleet {
 
@@ -46,38 +45,18 @@ struct FleetScenario {
   double horizon_sec = 60.0;
   // Cross-shard cell-load exchange tick.
   double epoch_sec = 1.0;
-  // Radio-map accumulation: when set, every session's event stream also
-  // feeds a per-shard radiomap::RadioMap over map_spec. Shard partials fold
-  // into FleetRunResult::radio_map in shard-index order; the map's
-  // integer-sum algebra makes the fold order-independent, so the map's
-  // canonical bytes are identical for any --jobs value.
-  bool build_map = false;
-  radiomap::GridSpec map_spec{};
 };
 
+// The base scenario's experiment::scenario_label plus "-n<sessions>"
+// ("urban-static-gcc-n64").
 [[nodiscard]] std::string fleet_label(const FleetScenario& s);
-
-struct FleetCell {
-  std::string label;
-  FleetScenario scenario;
-};
-
-// Cross product for fleet sweeps: environment x fleet size. Empty axes
-// collapse to the base value, mirroring exec::expand_grid.
-struct FleetGridAxes {
-  std::vector<int> sizes;
-  std::vector<experiment::Environment> envs;
-};
-
-[[nodiscard]] std::vector<FleetCell> expand_fleet_grid(
-    const FleetGridAxes& axes, const FleetScenario& base);
 
 // Everything a fleet run derives deterministically from its scenario before
 // any simulation happens: the shared layout (one rng draw from the base
 // seed, the run_scenario derivation), per-session seeds (base + i * 7919),
 // fully wired session configs, and per-session trajectories launched from
-// origins sampled across the deployment's footprint. Exposed so tests and
-// the N=1 baseline check can rebuild session i's exact inputs and run it
+// origins sampled across the deployment's footprint. Exposed so the
+// fleet-of-one check can rebuild session 0's exact inputs and run it
 // standalone.
 struct FleetMission {
   std::string label;
@@ -103,7 +82,6 @@ struct FleetRunResult {
   double wall_seconds = 0.0;  // not serialized — wall clock is host-dependent
   int jobs = 0;               // resolved worker count used
   std::vector<pipeline::SessionReport> session_reports;  // keep_reports only
-  radiomap::RadioMap radio_map;  // build_map only; empty map otherwise
 };
 
 class FleetEngine {

@@ -6,14 +6,6 @@
 
 namespace rpv::fleet {
 
-obs::Histogram make_owd_histogram(std::string name) {
-  return obs::Histogram{std::move(name), {20, 50, 100, 150, 200, 300, 500, 1000, 2000}};
-}
-
-obs::Histogram make_stall_histogram(std::string name) {
-  return obs::Histogram{std::move(name), {300, 500, 1000, 2000, 5000}};
-}
-
 template <class IO>
 void fields(IO& io, CellLoadPeak& c) {
   io.field("cell", c.cell_id);

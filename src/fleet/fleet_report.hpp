@@ -26,12 +26,6 @@ namespace rpv::fleet {
 
 inline constexpr int kFleetSchemaVersion = 8;
 
-// The histogram layouts the contention attribution uses — identical edges
-// to the MetricsRegistry owd_ms / stall_ms histograms so the clean and
-// contended splits stay comparable to the merged totals.
-[[nodiscard]] obs::Histogram make_owd_histogram(std::string name);
-[[nodiscard]] obs::Histogram make_stall_histogram(std::string name);
-
 struct CellLoadPeak {
   std::uint32_t cell_id = 0;
   std::uint32_t peak_users = 0;
@@ -63,10 +57,11 @@ struct FleetReport {
 
   // Contention attribution: OWD and stall samples observed while the
   // session's serving cell hosted >1 active user vs. while it was alone.
-  obs::Histogram owd_contended_ms = make_owd_histogram("owd_contended_ms");
-  obs::Histogram owd_clean_ms = make_owd_histogram("owd_clean_ms");
-  obs::Histogram stall_contended_ms = make_stall_histogram("stall_contended_ms");
-  obs::Histogram stall_clean_ms = make_stall_histogram("stall_clean_ms");
+  obs::Histogram owd_contended_ms = obs::make_owd_histogram("owd_contended_ms");
+  obs::Histogram owd_clean_ms = obs::make_owd_histogram("owd_clean_ms");
+  obs::Histogram stall_contended_ms =
+      obs::make_stall_histogram("stall_contended_ms");
+  obs::Histogram stall_clean_ms = obs::make_stall_histogram("stall_clean_ms");
 
   bool operator==(const FleetReport&) const = default;
 };

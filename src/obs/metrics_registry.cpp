@@ -29,10 +29,18 @@ void Histogram::merge(const Histogram& other) {
   total += other.total;
 }
 
+Histogram make_owd_histogram(std::string name) {
+  return Histogram{std::move(name), {20, 50, 100, 150, 200, 300, 500, 1000, 2000}};
+}
+
+Histogram make_stall_histogram(std::string name) {
+  return Histogram{std::move(name), {300, 500, 1000, 2000, 5000}};
+}
+
 MetricsRegistry::MetricsRegistry()
     : het_ms_("het_ms", {20, 50, 100, 200, 500, 1000, 2000}),
-      owd_ms_("owd_ms", {20, 50, 100, 150, 200, 300, 500, 1000, 2000}),
-      stall_ms_("stall_ms", {300, 500, 1000, 2000, 5000}),
+      owd_ms_(make_owd_histogram("owd_ms")),
+      stall_ms_(make_stall_histogram("stall_ms")),
       queue_kbytes_("queue_kbytes", {16, 64, 256, 1024, 4096}),
       target_rate_mbps_("target_rate_mbps", {2, 4, 8, 12, 16, 24, 32}) {}
 

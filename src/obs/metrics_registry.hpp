@@ -43,6 +43,12 @@ struct Histogram {
   bool operator==(const Histogram&) const = default;
 };
 
+// The one-way-delay and stall layouts, shared by MetricsRegistry's owd_ms /
+// stall_ms histograms and the fleet's contention splits, so a split stays
+// comparable to the merged total.
+[[nodiscard]] Histogram make_owd_histogram(std::string name);
+[[nodiscard]] Histogram make_stall_histogram(std::string name);
+
 struct MetricsSummary {
   std::vector<Counter> counters;      // nonzero only, component-major order
   std::vector<Histogram> histograms;  // fixed set, always present

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -20,6 +19,7 @@
 #include "pipeline/frame_table.hpp"
 #include "rtp/fec.hpp"
 #include "rtp/packetizer.hpp"
+#include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 #include "video/encoder_model.hpp"
 #include "video/frame_source.hpp"
@@ -147,7 +147,7 @@ class VideoSender {
   bool keyframe_pending_ = false;  // deferred out of a predicted HO window
 
   sim::TimePoint end_time_;
-  std::deque<net::Packet> queue_;
+  sim::Fifo<net::Packet> queue_;
   std::size_t queue_bytes_ = 0;
   bool pump_scheduled_ = false;
   sim::TimePoint next_send_allowed_ = sim::TimePoint::origin();

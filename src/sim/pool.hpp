@@ -5,7 +5,7 @@
 // is deterministic. Storage is allocated in fixed 256-object chunks that are
 // never reallocated: `&pool[i]` stays valid across later acquires, and a
 // steady-state workload performs zero heap traffic. Used by sim::EventQueue
-// for event slots and by cellular::LinkQueue for in-flight packets.
+// for event slots and by rtp::JitterBuffer for pending frames.
 #pragma once
 
 #include <cassert>

@@ -67,22 +67,22 @@ struct Budget {
 // Release and RelWithDebInfo alike), which are, per flight: allocations per
 // packet, events per packet, report bytes.
 const Budget kBudgets[] = {
-    // 0.2881, 4.0897, 74,800
-    {"urban_air_gcc", golden::urban_air_gcc, 0.297, 4.22, 77000},
-    // 0.4512, 4.3051, 62,339
-    {"rural_p1_air_scream", golden::rural_p1_air_scream, 0.465, 4.44, 64200},
-    // 0.3964, 4.0570, 79,695
+    // 0.0890, 4.0897, 74,800
+    {"urban_air_gcc", golden::urban_air_gcc, 0.092, 4.22, 77000},
+    // 0.2451, 4.3051, 62,339
+    {"rural_p1_air_scream", golden::rural_p1_air_scream, 0.253, 4.44, 64200},
+    // 0.2003, 4.0570, 79,695
     {"urban_air_static_c2_rlf_storm_resilience_fec",
-     golden::urban_air_static_c2_rlf_storm_resilience_fec, 0.409, 4.18, 82100},
-    // 0.6553, 4.3205, 69,636
+     golden::urban_air_static_c2_rlf_storm_resilience_fec, 0.207, 4.18, 82100},
+    // 0.4450, 4.3205, 69,636
     {"urban_air_scream_ack_window_64", golden::urban_air_scream_ack_window_64,
-     0.675, 4.46, 71700},
-    // 0.5591, 4.2681, 62,390
+     0.459, 4.46, 71700},
+    // 0.3598, 4.2681, 62,390
     {"rural_p1_bonded_operator_pair_rlf_storm",
-     golden::rural_p1_bonded_operator_pair_rlf_storm, 0.576, 4.40, 64300},
-    // 0.6081, 3.6913, 55,163
+     golden::rural_p1_bonded_operator_pair_rlf_storm, 0.371, 4.40, 64300},
+    // 0.4091, 3.6913, 55,163
     {"observed_rural_p1_bonded_three_way_rlf_storm",
-     golden::observed_rural_p1_bonded_three_way_rlf_storm, 0.627, 3.81, 56800},
+     golden::observed_rural_p1_bonded_three_way_rlf_storm, 0.422, 3.81, 56800},
 };
 
 void PrintTo(const Budget& b, std::ostream* os) { *os << b.name; }

@@ -1,6 +1,6 @@
 // Unit tests for the event queue (sim/event_queue.hpp) and its supporting
-// pieces: sim::Pool, EventFn, Timer. The stress tests replay the same
-// schedule/cancel trace through a reference binary heap and require the
+// pieces: sim::Pool, sim::Fifo, EventFn, Timer. The stress tests replay the
+// same schedule/cancel trace through a reference binary heap and require the
 // 4-ary heap to produce the identical (timestamp, FIFO seq) pop order. The
 // wheel/overflow boundary cases were written for the calendar queue the heap
 // replaced; they stay as regression inputs.
@@ -16,6 +16,7 @@
 #include <random>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/pool.hpp"
 #include "sim/time.hpp"
 
@@ -72,6 +73,61 @@ TEST(Pool, HoldsMoveOnlyTypes) {
   auto out = std::move(pool[idx]);
   pool.release(idx);
   EXPECT_EQ(*out, 7);
+}
+
+// --- Fifo ---
+
+TEST(Fifo, PopsInPushOrderAcrossGrowthAndClear) {
+  Fifo<std::unique_ptr<int>> q;
+  int pushed = 0;
+  int popped = 0;
+  // Interleave pushes and pops so emptied chunks come back as spares, and
+  // grow the backlog across several chunks.
+  for (int round = 0; round < 300; ++round) {
+    q.push_back(std::make_unique<int>(pushed++));
+    q.push_back(std::make_unique<int>(pushed++));
+    EXPECT_EQ(*q.front(), popped++);
+    q.pop_front();
+  }
+  EXPECT_EQ(q.size(), 300u);
+  while (!q.empty()) {
+    EXPECT_EQ(*q.front(), popped++);
+    q.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+
+  q.push_back(std::make_unique<int>(1));
+  q.push_back(std::make_unique<int>(2));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(*q.push_back(std::make_unique<int>(3)), 3);
+  q.push_back(std::make_unique<int>(4));
+  EXPECT_EQ(*q.front(), 3);
+  q.pop_front();
+  EXPECT_EQ(*q.front(), 4);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(Fifo, DestroysElementsOnPopClearAndDestruction) {
+  static int live_objects = 0;
+  struct Counted {
+    Counted() { ++live_objects; }
+    Counted(Counted&&) noexcept { ++live_objects; }
+    ~Counted() { --live_objects; }
+  };
+  const int n = 3 * static_cast<int>(Fifo<Counted>::kChunk);
+  {
+    Fifo<Counted> q;
+    for (int i = 0; i < n; ++i) q.push_back(Counted{});
+    EXPECT_EQ(live_objects, n);
+    q.pop_front();
+    EXPECT_EQ(live_objects, n - 1);
+    q.clear();
+    EXPECT_EQ(live_objects, 0);
+    for (int i = 0; i < n; ++i) q.push_back(Counted{});
+    EXPECT_EQ(live_objects, n);
+  }
+  EXPECT_EQ(live_objects, 0);
 }
 
 // --- EventFn ---

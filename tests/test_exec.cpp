@@ -1,6 +1,5 @@
-// rpv::exec — thread pool, parallel campaign determinism, JSON round trips,
+// rpv::exec — parallel loop, parallel campaign determinism, JSON round trips,
 // and the run-artifact store.
-#include <atomic>
 #include <bit>
 #include <filesystem>
 #include <fstream>
@@ -16,8 +15,8 @@ extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
 #include "bench_common.hpp"
 #include "flights.hpp"
 #include "exec/campaign_engine.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/run_artifact.hpp"
-#include "exec/thread_pool.hpp"
 #include "experiment/runner.hpp"
 #include "json/json.hpp"
 #include "pipeline/report_json.hpp"
@@ -25,30 +24,7 @@ extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
 namespace rpv {
 namespace {
 
-// --- ThreadPool / parallel_for_index ---
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  exec::ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  exec::ThreadPool pool{2};
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
-}
+// --- resolve_jobs / parallel_for_index ---
 
 TEST(ThreadPool, ResolveJobs) {
   EXPECT_EQ(exec::resolve_jobs(3), 3);

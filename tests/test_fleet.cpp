@@ -17,7 +17,6 @@
 #include "fleet/fleet_report.hpp"
 #include "fleet/shared_deployment.hpp"
 #include "geo/trajectory.hpp"
-#include "json/binder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "pipeline/report_json.hpp"
 #include "pipeline/session.hpp"
@@ -59,9 +58,9 @@ Event handover_event() {
 // --- merge algebra ----------------------------------------------------------
 
 TEST(FleetMerge, HistogramMergeMatchesSingleFeed) {
-  auto a = fleet::make_stall_histogram("stall_ms");
-  auto b = fleet::make_stall_histogram("stall_ms");
-  auto all = fleet::make_stall_histogram("stall_ms");
+  auto a = obs::make_stall_histogram("stall_ms");
+  auto b = obs::make_stall_histogram("stall_ms");
+  auto all = obs::make_stall_histogram("stall_ms");
   const std::vector<double> xs_a = {10.0, 350.0, 1200.0, 9999.0};
   const std::vector<double> xs_b = {500.0, 500.0, 2000.0};
   for (const double x : xs_a) { a.add(x); all.add(x); }
@@ -72,10 +71,10 @@ TEST(FleetMerge, HistogramMergeMatchesSingleFeed) {
 }
 
 TEST(FleetMerge, HistogramMergeRejectsLayoutMismatch) {
-  auto stall = fleet::make_stall_histogram("stall_ms");
-  auto owd = fleet::make_owd_histogram("owd_ms");
+  auto stall = obs::make_stall_histogram("stall_ms");
+  auto owd = obs::make_owd_histogram("owd_ms");
   EXPECT_THROW(stall.merge(owd), std::invalid_argument);
-  auto renamed = fleet::make_stall_histogram("other");
+  auto renamed = obs::make_stall_histogram("other");
   EXPECT_THROW(stall.merge(renamed), std::invalid_argument);
 }
 
@@ -363,39 +362,41 @@ TEST(FleetEngine, ReportJsonRejectsOutOfRangeIntegers) {
       std::runtime_error);
 }
 
-TEST(FleetEngine, GridExpansionCoversAxesInOrder) {
-  fleet::FleetGridAxes axes;
-  axes.sizes = {1, 8};
-  axes.envs = {experiment::Environment::kUrban,
-               experiment::Environment::kRuralP1};
-  const auto cells = fleet::expand_fleet_grid(axes, small_fleet(1, 10.0));
-  ASSERT_EQ(cells.size(), 4u);
-  EXPECT_EQ(cells[0].label, "urban-static-gcc-n1");
-  EXPECT_EQ(cells[1].label, "urban-static-gcc-n8");
-  EXPECT_EQ(cells[2].label, "rural-p1-static-gcc-n1");
-  EXPECT_EQ(cells[3].label, "rural-p1-static-gcc-n8");
+TEST(FleetEngine, LabelIsTheGridLabelPlusFleetSize) {
+  // The cells of rpv_campaign fleet --sessions 1,8 (urban and rural-p1).
+  const struct {
+    experiment::Environment env;
+    int sessions;
+    const char* label;
+  } cells[] = {
+      {experiment::Environment::kUrban, 1, "urban-static-gcc-n1"},
+      {experiment::Environment::kUrban, 8, "urban-static-gcc-n8"},
+      {experiment::Environment::kRuralP1, 1, "rural-p1-static-gcc-n1"},
+      {experiment::Environment::kRuralP1, 8, "rural-p1-static-gcc-n8"},
+  };
+  for (const auto& c : cells) {
+    auto s = small_fleet(c.sessions, 10.0);
+    s.base.env = c.env;
+    EXPECT_EQ(fleet::fleet_label(s), c.label);
+  }
+  // One label scheme: the base scenario's grid label plus "-n<N>".
+  auto proactive = small_fleet(16, 10.0);
+  proactive.base.policy = experiment::Policy::kProactive;
+  auto sa = small_fleet(16, 10.0);
+  sa.base.tech = experiment::AccessTech::k5gSa;
+  for (const auto& s : {small_fleet(16, 10.0), proactive, sa}) {
+    const auto grid = exec::expand_grid({}, s.base);
+    ASSERT_EQ(grid.size(), 1u);
+    EXPECT_EQ(fleet::fleet_label(s), grid[0].label + "-n16");
+  }
+  EXPECT_EQ(fleet::fleet_label(proactive), "urban-static-gcc-proactive-n16");
+  EXPECT_EQ(fleet::fleet_label(sa), "urban-static-gcc-5gsa-n16");
 }
 
 TEST(FleetEngine, RejectsMultipathFleets) {
   auto s = small_fleet(4, 5.0);
   s.base.multipath = experiment::Multipath::kDuplicate;
   EXPECT_THROW(fleet::plan_fleet(s), std::invalid_argument);
-}
-
-// --- campaign-level streaming merge ----------------------------------------
-
-TEST(CampaignMerge, MergedScenariosAreJobsIndependent) {
-  std::vector<experiment::Scenario> scenarios(2);
-  scenarios[0].seed = 900;
-  scenarios[1].seed = 901;
-  scenarios[1].cc = pipeline::CcKind::kStatic;
-  const exec::CampaignEngine e1{{.jobs = 1}};
-  const exec::CampaignEngine e4{{.jobs = 4}};
-  const auto m1 = e1.run_scenarios_merged(scenarios);
-  const auto m4 = e4.run_scenarios_merged(scenarios);
-  EXPECT_EQ(m1.runs, 2u);
-  EXPECT_EQ(json::Writer::encode(m1.metrics).dump(),
-            json::Writer::encode(m4.metrics).dump());
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // rpv::radiomap + rpv::uav: grid math, accumulation, merge algebra edges,
 // canonical JSON round-trips and the strict loader, the warm-up golden pin,
-// fleet-sharded map determinism across --jobs, and the connectivity-aware
-// planner (including the kPlanned scenario policy staying byte-deterministic
-// and non-perturbing without evidence).
+// and the connectivity-aware planner (including the kPlanned scenario policy
+// staying byte-deterministic and non-perturbing without evidence).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include "exec/run_artifact.hpp"
 #include "experiment/mapping.hpp"
 #include "experiment/scenario.hpp"
-#include "fleet/fleet_engine.hpp"
 #include "geo/flight_profiles.hpp"
 #include "pipeline/report_json.hpp"
 #include "radiomap/radio_map.hpp"
@@ -339,29 +337,6 @@ TEST(RadioMapGolden, UrbanWarmupSeed7301PinnedBytes) {
   EXPECT_TRUE(map == loaded);
   EXPECT_EQ(bytes, loaded.canonical_bytes());
   std::filesystem::remove_all(dir);
-}
-
-// --- fleet-sharded accumulation determinism ---------------------------------
-
-TEST(RadioMapFleet, MapBytesIdenticalAcrossWorkerCounts) {
-  fleet::FleetScenario s;
-  s.base.env = experiment::Environment::kUrban;
-  s.base.mobility = experiment::Mobility::kAir;
-  s.base.seed = 4242;
-  s.sessions = 24;  // two shards
-  s.horizon_sec = 20.0;
-  s.build_map = true;
-  s.map_spec = experiment::default_map_spec();
-
-  const fleet::FleetEngine j1{{.jobs = 1}};
-  const fleet::FleetEngine j8{{.jobs = 8}};
-  const auto r1 = j1.run(s);
-  const auto r8 = j8.run(s);
-  EXPECT_GT(r1.radio_map.total_samples(), 0u);
-  EXPECT_EQ(r1.radio_map.canonical_bytes(), r8.radio_map.canonical_bytes());
-  // The map rides along without perturbing the fleet metrics.
-  EXPECT_EQ(fleet::fleet_report_to_json(r1.report).dump(),
-            fleet::fleet_report_to_json(r8.report).dump());
 }
 
 // --- planner ----------------------------------------------------------------

@@ -4,7 +4,7 @@
 // re-simulating anything.
 //
 //   rpv_campaign <grid> [--runs N] [--seed S] [--jobs J] [--out DIR] [--name NAME]
-//   rpv_campaign fleet [--sessions N] [--env E] [--horizon SEC] ...
+//   rpv_campaign fleet [--sessions N,...] [--env E] [--horizon SEC] ...
 //   rpv_campaign --load DIR/NAME
 //   rpv_campaign --list
 //
@@ -17,12 +17,15 @@
 //   bond       rural pair x {failover, duplicate, bond-*} x {rlf-storm, chaos}
 //   sat        3-way multi-connectivity: operator pair vs +LEO satellite
 //              x {failover, bond-bal, bond-hr} under rlf-storm
-//   fleet      shared-cell multi-UAV sweep: size x {urban, rural-p1}; one
+//   fleet      shared-cell multi-UAV sweep: {urban, rural-p1} x size; one
 //              FleetEngine run per cell, streaming-merged fleet reports
+//              (the 1 -> 1000 UAV sweep: fleet --seed 42000
+//              --sessions 1,4,16,64,256,1000 --env urban)
 //   plan       radio-map planning study: a warm-up survey map per
 //              environment, then {reactive, proactive, planned} x
 //              {urban, rural-p1} with the map attached; with --out the maps
 //              are stored as campaign artifacts (maps/<env>.map.json)
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -32,8 +35,8 @@
 #include <vector>
 
 #include "exec/campaign_engine.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/run_artifact.hpp"
-#include "exec/thread_pool.hpp"
 #include "experiment/mapping.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "metrics/cdf.hpp"
@@ -150,8 +153,9 @@ void print_usage() {
   std::cout
       << "usage: rpv_campaign <grid> [--runs N] [--seed S] [--jobs J]\n"
          "                    [--out DIR] [--name NAME]\n"
-         "       rpv_campaign fleet [--sessions N] [--env E] [--horizon SEC]\n"
-         "                    [--seed S] [--jobs J] [--out DIR] [--name NAME]\n"
+         "       rpv_campaign fleet [--sessions N,...] [--env E]\n"
+         "                    [--horizon SEC] [--seed S] [--jobs J]\n"
+         "                    [--out DIR] [--name NAME]\n"
          "       rpv_campaign --load DIR   (re-aggregate stored artifacts)\n"
          "       rpv_campaign --list       (show named grids)\n"
          "  --runs N   seeded repetitions per grid cell (default 5)\n"
@@ -162,8 +166,9 @@ void print_usage() {
          "  --name N   campaign name under --out (default: the grid name)\n"
          "  --observe  attach the rpv::obs recorder to every run; with --out\n"
          "             each run also gets a runs/*.events.jsonl timeline\n"
-         "fleet grid only (default sweep: {16, 64} x {urban, rural-p1}):\n"
-         "  --sessions N    collapse the size axis to one fleet of N UAVs\n"
+         "fleet grid only (default sweep: {urban, rural-p1} x {16, 64}):\n"
+         "  --sessions N,.. fleet sizes to sweep, in order, each at least 1\n"
+         "                  and named once (default 16,64)\n"
          "  --env E         collapse the environment axis (urban, rural-p1,\n"
          "                  rural-p2)\n"
          "  --horizon SEC   mission length per UAV (default 60)\n"
@@ -181,9 +186,32 @@ experiment::Environment parse_env_name(const std::string& name) {
                               "' (urban, rural-p1, rural-p2)"};
 }
 
+// The fleet grid's default axes; a cell per (environment, size) pair,
+// environment-major.
+const std::vector<int> kFleetSizes = {16, 64};
+const std::vector<experiment::Environment> kFleetEnvs = {
+    experiment::Environment::kUrban, experiment::Environment::kRuralP1};
+
+// "--sessions 1,4,16": fleet sizes in sweep order. An empty, malformed or
+// repeated size throws (two cells of one size would write the same
+// fleet_<label>.json).
+std::vector<int> parse_sessions(const std::string& csv) {
+  std::vector<int> sizes;
+  for (std::size_t from = 0;;) {
+    const auto comma = csv.find(',', from);
+    const int size =
+        parse_number("--sessions", csv.substr(from, comma - from), 1);
+    rpv::validate(std::find(sizes.begin(), sizes.end(), size) == sizes.end(),
+                  "--sessions names " + std::to_string(size) + " twice");
+    sizes.push_back(size);
+    if (comma == std::string::npos) return sizes;
+    from = comma + 1;
+  }
+}
+
 struct FleetOptions {
-  std::optional<int> sessions;
-  std::optional<std::string> env;
+  std::vector<int> sizes = kFleetSizes;
+  std::vector<experiment::Environment> envs = kFleetEnvs;
   double horizon_sec = 60.0;
   std::uint64_t seed = 1000;
   int jobs = 0;
@@ -197,16 +225,14 @@ int run_fleet_grid(const FleetOptions& opt) {
   base.base.cc = pipeline::CcKind::kGcc;
   base.base.seed = opt.seed;
   base.horizon_sec = opt.horizon_sec;
-
-  fleet::FleetGridAxes axes;
-  axes.sizes = opt.sessions ? std::vector<int>{*opt.sessions}
-                            : std::vector<int>{16, 64};
-  axes.envs = opt.env ? std::vector<experiment::Environment>{parse_env_name(
-                            *opt.env)}
-                      : std::vector<experiment::Environment>{
-                            experiment::Environment::kUrban,
-                            experiment::Environment::kRuralP1};
-  const auto cells = fleet::expand_fleet_grid(axes, base);
+  std::vector<fleet::FleetScenario> cells;
+  for (const auto env : opt.envs) {
+    for (const int size : opt.sizes) {
+      auto& cell = cells.emplace_back(base);
+      cell.base.env = env;
+      cell.sessions = size;
+    }
+  }
 
   const fleet::FleetEngine engine{{.jobs = opt.jobs}};
   std::cout << "fleet grid: " << cells.size() << " cells, horizon "
@@ -223,10 +249,10 @@ int run_fleet_grid(const FleetOptions& opt) {
                             "wall (s)"}};
   double total_wall = 0.0;
   for (const auto& cell : cells) {
-    const auto result = engine.run(cell.scenario);
+    const auto result = engine.run(cell);
     const auto& rep = result.report;
     total_wall += result.wall_seconds;
-    table.add_row({cell.label,
+    table.add_row({rep.label,
                    metrics::TextTable::num(rep.mean_goodput_mbps, 2),
                    metrics::TextTable::num(rep.min_goodput_mbps, 2),
                    metrics::TextTable::num(rep.mean_stall_ms_per_session, 0),
@@ -234,7 +260,7 @@ int run_fleet_grid(const FleetOptions& opt) {
                    std::to_string(rep.total_events),
                    metrics::TextTable::num(result.wall_seconds, 1)});
     if (dir) {
-      std::ofstream out{*dir / ("fleet_" + cell.label + ".json")};
+      std::ofstream out{*dir / ("fleet_" + rep.label + ".json")};
       out << fleet::fleet_report_to_json(rep).dump(2) << "\n";
     }
   }
@@ -355,9 +381,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1000;
   int jobs = 0;
   bool observe = false;
-  std::optional<int> fleet_sessions;
-  std::optional<std::string> fleet_env;
-  double fleet_horizon = 60.0;
+  FleetOptions fleet_opt;
   // Flags only the fleet grid reads, and flags it does not read, as given.
   std::vector<std::string> fleet_flags, grid_flags;
 
@@ -383,39 +407,20 @@ int main(int argc, char** argv) {
       else if (arg == "--load") load_dir = value_of(i, arg);
       else if (arg == "--observe") observe = true;
       else if (arg == "--sessions")
-        fleet_sessions = parse_number(arg, value_of(i, arg), 1);
-      else if (arg == "--env") {
-        // Validate eagerly so a typo fails with the full usage text instead
-        // of surfacing later (or silently defaulting).
-        fleet_env = value_of(i, arg);
-        try {
-          (void)parse_env_name(*fleet_env);
-        } catch (const std::exception& e) {
-          std::cerr << "error: " << e.what() << "\n\n";
-          print_usage();
-          return 2;
-        }
-      }
+        fleet_opt.sizes = parse_sessions(value_of(i, arg));
+      else if (arg == "--env")
+        fleet_opt.envs = {parse_env_name(value_of(i, arg))};
       else if (arg == "--horizon")
-        fleet_horizon = parse_number(arg, value_of(i, arg), 0.0);
+        fleet_opt.horizon_sec = parse_number(arg, value_of(i, arg), 0.0);
       else if (arg == "--list") {
         for (const auto& g : named_grids()) {
           const auto cells = exec::expand_grid(g.axes, g.base);
           std::cout << "  " << g.name << "\t(" << cells.size()
                     << " scenarios)\t" << g.description << "\n";
         }
-        // The fleet grid expands through its own axes type; count it the
-        // same way the run path does instead of hard-coding the number.
-        {
-          fleet::FleetGridAxes axes;
-          axes.sizes = {16, 64};
-          axes.envs = {experiment::Environment::kUrban,
-                       experiment::Environment::kRuralP1};
-          const auto fleet_cells = fleet::expand_fleet_grid(axes, {});
-          std::cout << "  fleet\t(" << fleet_cells.size()
-                    << " fleet cells)\tshared-cell multi-UAV sweep: "
-                       "{16, 64} UAVs x {urban, rural-p1}\n";
-        }
+        std::cout << "  fleet\t(" << kFleetEnvs.size() * kFleetSizes.size()
+                  << " fleet cells)\tshared-cell multi-UAV sweep: "
+                     "{16, 64} UAVs x {urban, rural-p1}\n";
         std::cout << "  plan\t(6 scenarios)\tradio-map planning study: "
                      "{reactive, proactive, planned} x {urban, rural-p1} "
                      "with warm-up survey maps\n";
@@ -485,16 +490,12 @@ int main(int argc, char** argv) {
     }
   }
   if (fleet) {
-    FleetOptions opt;
-    opt.sessions = fleet_sessions;
-    opt.env = fleet_env;
-    opt.horizon_sec = fleet_horizon;
-    opt.seed = seed;
-    opt.jobs = jobs;
-    opt.out_dir = out_dir;
-    opt.name = campaign_name;
+    fleet_opt.seed = seed;
+    fleet_opt.jobs = jobs;
+    fleet_opt.out_dir = out_dir;
+    fleet_opt.name = campaign_name;
     try {
-      return run_fleet_grid(opt);
+      return run_fleet_grid(fleet_opt);
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 1;
