@@ -1,17 +1,23 @@
 // rpv_figures: every table and figure of the paper's evaluation, the
 // ablations of its discussion and the extension studies of its outlook, from
-// one set of flights.
+// one set of flights; on request also the named scenario grids and the
+// fleet sweep.
 //
 //   rpv_figures [--only id,...] [--runs N] [--seed S] [--jobs J]
+//               [--out DIR] [--load DIR] [--observe]
+//               [--sessions N,...] [--env E] [--horizon SEC]
 //
-// Each figure is a function that asks a Flights object for the reports of
-// its campaigns, prints the rows or series the paper plots, and returns
-// whether its verdict holds (a paper figure has none). main() renders the
-// selected figures twice: the first pass only records which (scenario, seed)
-// pairs they ask for, one CampaignEngine batch then flies each distinct pair
-// once, and the second pass prints from those reports (see EXPERIMENTS.md
-// for the paper-vs-measured record). Output is byte-identical for any
-// --jobs; the exit status is 1 when a printed verdict fails.
+// Each id is a function that asks a Flights object for the reports of its
+// campaigns, prints the rows or series the paper plots, and returns whether
+// its verdict holds (a paper figure has none). main() renders the selected
+// ids twice: the first pass only records which (scenario, seed) pairs they
+// ask for, one CampaignEngine batch then flies each distinct pair once (or
+// --load reads them from a stored campaign, and --out stores them), and the
+// second pass prints from those reports (see EXPERIMENTS.md for the
+// paper-vs-measured record). Stdout is byte-identical for any --jobs, with
+// or without --out or --load; worker counts and wall times go to stderr.
+// The exit status is 1 when a printed verdict fails or a flight, a map or a
+// fleet cannot be read or stored, 2 on a bad flag.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -23,7 +29,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exec/parallel_for.hpp"
 #include "experiment/mapping.hpp"
+#include "fleet/fleet_engine.hpp"
 #include "flights.hpp"
 #include "metrics/bootstrap.hpp"
 #include "metrics/summary.hpp"
@@ -1446,12 +1454,199 @@ bool ext_radiomap(Flights& flights, std::ostream& out) {
   return pass;
 }
 
-// --- the registry: ids in print order ---
+// --- the named grids and the fleet sweep, printed only when named ---
 
-struct Figure {
-  const char* id;
-  bool (*render)(Flights&, std::ostream&);
-};
+// One summary row per cell over --runs flights (default 5) from --seed
+// (default 1000).
+bool print_grid(Flights& flights, std::ostream& out, const std::string& name,
+                const std::vector<exec::GridCell>& cells) {
+  out << "grid '" << name << "': " << cells.size() << " cells x "
+      << runs_or(5) << " runs\n\n";
+  metrics::TextTable table{{"cell", "runs", "goodput med (Mbps)",
+                            "OWD med (ms)", "OWD p99 (ms)", "play p95 (ms)",
+                            "stalls/min", "HO/s", "SSIM med"}};
+  const auto num = [](double v, int digits) {
+    return metrics::TextTable::num(v, digits);
+  };
+  const auto med = [&](const metrics::Cdf& c) {
+    return c.empty() ? std::string{"-"} : num(c.median(), 2);
+  };
+  for (const auto& cell : cells) {
+    auto scenario = cell.scenario;
+    scenario.seed = seed_or(1000);
+    const auto rs = flights.run(experiment::Campaign{scenario, runs_or(5)});
+    const auto owd = experiment::pool_owd(rs);
+    const auto play = experiment::pool_playback_latency(rs);
+    double ho = 0.0;
+    for (const auto& r : rs) ho += r.handovers.frequency(r.duration);
+    table.add_row({cell.label, std::to_string(rs.size()),
+                   med(experiment::pool_goodput(rs)), med(owd),
+                   owd.empty() ? "-" : num(owd.quantile(0.99), 0),
+                   play.empty() ? "-" : num(play.quantile(0.95), 0),
+                   num(experiment::mean_stalls_per_minute(rs), 2),
+                   num(ho / static_cast<double>(rs.size()), 3),
+                   med(experiment::pool_ssim(rs))});
+  }
+  out << table.render();
+  return true;
+}
+
+// A named grid: the axes over `base`, recorded under --observe.
+bool print_grid(Flights& flights, std::ostream& out, const std::string& name,
+                const exec::GridAxes& axes, experiment::Scenario base = {}) {
+  base.observe = options().observe;
+  return print_grid(flights, out, name, exec::expand_grid(axes, base));
+}
+
+// All environments x video congestion controllers, in the air.
+bool grid_video(Flights& flights, std::ostream& out) {
+  return print_grid(flights, out, "video",
+                    {.envs = {Environment::kUrban, Environment::kRuralP1,
+                              Environment::kRuralP2},
+                     .ccs = {CcKind::kGcc, CcKind::kScream, CcKind::kStatic}});
+}
+
+// Probe-only handover study: {urban, rural-p1} x {air, ground}.
+bool grid_handover(Flights& flights, std::ostream& out) {
+  return print_grid(flights, out, "handover",
+                    {.envs = {Environment::kUrban, Environment::kRuralP1},
+                     .mobilities = {Mobility::kAir, Mobility::kGround}},
+                    {.cc = CcKind::kNone,
+                     .probe_interval = sim::Duration::millis(100)});
+}
+
+// Rural operator comparison, P1 vs P2, with the adaptive CCs.
+bool grid_operators(Flights& flights, std::ostream& out) {
+  return print_grid(flights, out, "operators",
+                    {.envs = {Environment::kRuralP1, Environment::kRuralP2},
+                     .ccs = {CcKind::kGcc, CcKind::kScream}});
+}
+
+// LTE vs 5G stand-alone, urban air.
+bool grid_tech(Flights& flights, std::ostream& out) {
+  return print_grid(flights, out, "tech",
+                    {.envs = {Environment::kUrban},
+                     .ccs = {CcKind::kGcc, CcKind::kStatic},
+                     .techs = {experiment::AccessTech::kLte,
+                               experiment::AccessTech::k5gSa}});
+}
+
+// Reactive vs proactive (rpv::predict) x {urban, rural-p1} x every CC.
+bool grid_predict(Flights& flights, std::ostream& out) {
+  return print_grid(flights, out, "predict",
+                    {.envs = {Environment::kUrban, Environment::kRuralP1},
+                     .ccs = {CcKind::kGcc, CcKind::kScream, CcKind::kStatic},
+                     .policies = {Policy::kReactive, Policy::kProactive}});
+}
+
+// The bonded operator pair: reference arms vs rpv::bond policies x faults.
+bool grid_bond(Flights& flights, std::ostream& out) {
+  return print_grid(
+      flights, out, "bond",
+      {.envs = {Environment::kRuralP1},
+       .multipaths = {Multipath::kFailover, Multipath::kDuplicate,
+                      Multipath::kBondLowLatency, Multipath::kBondBalanced,
+                      Multipath::kBondHighReliability},
+       .fault_presets = {FaultPreset::kRlfStorm, FaultPreset::kChaos}},
+      {.cc = CcKind::kStatic, .c2 = true});
+}
+
+// The 2-path operator pair vs 3-way (+LEO satellite) bonding under an
+// rlf-storm on both operators.
+bool grid_sat(Flights& flights, std::ostream& out) {
+  return print_grid(
+      flights, out, "sat",
+      {.envs = {Environment::kRuralP1},
+       .multipaths = {Multipath::kFailover, Multipath::kBondBalanced,
+                      Multipath::kBondHighReliability},
+       .path_sets = {experiment::PathSet::kOperatorPair,
+                     experiment::PathSet::kThreeWay},
+       .fault_presets = {FaultPreset::kRlfStorm}},
+      {.mobility = Mobility::kStatic, .cc = CcKind::kStatic, .c2 = true,
+       .faults_on_both_operators = true});
+}
+
+// Radio-map planning: a warm-up survey map per environment, then {reactive,
+// proactive, planned} with the map attached (the predictor prior reads it
+// under every policy but reactive, the planner only under planned).
+bool grid_plan(Flights& flights, std::ostream& out) {
+  std::vector<exec::GridCell> cells;
+  for (const auto env : {Environment::kUrban, Environment::kRuralP1}) {
+    experiment::Scenario base{
+        .env = env, .seed = seed_or(1000), .observe = options().observe};
+    base.radio_map = flights.radio_map(base, experiment::default_map_spec());
+    out << "warm-up map (" << experiment::environment_name(env)
+        << "): " << base.radio_map->observed_voxels() << " voxels, "
+        << base.radio_map->total_samples() << " samples\n";
+    const auto env_cells = exec::expand_grid(
+        {.policies = {Policy::kReactive, Policy::kProactive, Policy::kPlanned}},
+        base);
+    cells.insert(cells.end(), env_cells.begin(), env_cells.end());
+  }
+  return print_grid(flights, out, "plan", cells);
+}
+
+// The shared-cell fleet sweep: one FleetEngine run of static-hover GCC UAVs
+// per (--env, --sessions) cell. --out stores each cell's fleet_<label>.json
+// beside the manifest; --load reads it back instead of flying.
+bool fleet_sweep(Flights& flights, std::ostream& out) {
+  if (flights.recording()) return true;  // fleets fly outside the batch
+  const auto& o = options();
+  std::vector<fleet::FleetScenario> cells;
+  for (const auto env : o.envs) {
+    for (const int size : o.sessions) {
+      cells.push_back({.base = {.env = env,
+                                .mobility = Mobility::kStatic,
+                                .cc = CcKind::kGcc,
+                                .seed = seed_or(1000)},
+                       .sessions = size,
+                       .horizon_sec = o.horizon_sec});
+    }
+  }
+  out << "fleet grid: " << cells.size() << " cells, horizon "
+      << metrics::TextTable::num(o.horizon_sec, 0) << " s/UAV\n\n";
+
+  metrics::TextTable table{{"cell", "goodput/UAV (Mbps)", "min",
+                            "stall ms/UAV", "peak cell load", "events"}};
+  const fleet::FleetEngine engine{{.jobs = o.jobs}};
+  if (o.out) std::filesystem::create_directories(*o.out);
+  double wall = 0.0;
+  for (const auto& cell : cells) {
+    const std::string file = "fleet_" + fleet::fleet_label(cell) + ".json";
+    fleet::FleetReport rep;
+    if (o.load) {
+      const auto path = (*o.load / file).string();
+      const auto text = json::read_file(path);
+      if (!text) throw std::runtime_error("cannot read " + path);
+      rep = fleet::fleet_report_from_json(json::parse(*text));
+      if (rep.horizon_sec != cell.horizon_sec) {
+        throw std::runtime_error(path + " holds another --horizon");
+      }
+    } else {
+      auto result = engine.run(cell);
+      wall += result.wall_seconds;
+      rep = std::move(result.report);
+    }
+    if (o.out && !json::write_file((*o.out / file).string(),
+                                   fleet::fleet_report_to_json(rep), 2)) {
+      throw std::runtime_error("cannot write " + (*o.out / file).string());
+    }
+    table.add_row({rep.label, metrics::TextTable::num(rep.mean_goodput_mbps, 2),
+                   metrics::TextTable::num(rep.min_goodput_mbps, 2),
+                   metrics::TextTable::num(rep.mean_stall_ms_per_session, 0),
+                   std::to_string(rep.peak_cell_load),
+                   std::to_string(rep.total_events)});
+  }
+  if (!o.load) {
+    std::cerr << "fleet: " << cells.size() << " cells simulated in "
+              << metrics::TextTable::num(wall, 1) << " s on "
+              << exec::resolve_jobs(o.jobs) << " worker(s)\n";
+  }
+  out << table.render();
+  return true;
+}
+
+// --- the registry: ids in print order ---
 
 constexpr Figure kFigures[] = {
     {"fig4", fig4},
@@ -1477,80 +1672,54 @@ constexpr Figure kFigures[] = {
     {"ext_bond", ext_bond},
     {"ext_sat", ext_sat},
     {"ext_radiomap", ext_radiomap},
+    {"video", grid_video, kRuns | kObserve, false},
+    {"handover", grid_handover, kRuns | kObserve, false},
+    {"operators", grid_operators, kRuns | kObserve, false},
+    {"tech", grid_tech, kRuns | kObserve, false},
+    {"predict", grid_predict, kRuns | kObserve, false},
+    {"bond", grid_bond, kRuns | kObserve, false},
+    {"sat", grid_sat, kRuns | kObserve, false},
+    {"plan", grid_plan, kRuns | kObserve, false},
+    {"fleet", fleet_sweep, kFleetFlags, false},
 };
-
-std::string figure_ids() {
-  std::string ids;
-  for (const auto& f : kFigures) ids += std::string{ids.empty() ? "" : ","} + f.id;
-  return ids;
-}
-
-// The figures a --only list names, in registry order; empty, after saying
-// why, when the list names an unknown id. An empty token, as in "fig4," or
-// "", is an unknown id.
-std::vector<const Figure*> select(const std::string& only) {
-  std::vector<bool> chosen(std::size(kFigures), false);
-  for (std::size_t from = 0;;) {
-    const auto comma = only.find(',', from);
-    const auto id = only.substr(from, comma - from);  // npos: to the end
-    const auto* f = std::find_if(std::begin(kFigures), std::end(kFigures),
-                                 [&](const Figure& g) { return id == g.id; });
-    if (f == std::end(kFigures)) {
-      std::cerr << "unknown figure id: '" << id << "' (ids: " << figure_ids()
-                << ")\n";
-      return {};
-    }
-    chosen[static_cast<std::size_t>(f - std::begin(kFigures))] = true;
-    if (comma == std::string::npos) break;
-    from = comma + 1;
-  }
-  std::vector<const Figure*> out;
-  for (std::size_t i = 0; i < chosen.size(); ++i) {
-    if (chosen[i]) out.push_back(&kFigures[i]);
-  }
-  return out;
-}
 
 }  // namespace
 }  // namespace rpv::bench
 
 int main(int argc, char** argv) {
   using namespace rpv;
-  // --only is rpv_figures' own flag; bench_common parses the rest.
-  std::string only = bench::figure_ids();
-  std::vector<char*> rest{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::string{argv[i]} != "--only") {
-      rest.push_back(argv[i]);
-    } else if (i + 1 < argc) {
-      only = argv[++i];
+  bench::parse_args(argc, argv, bench::kFigures);
+  const auto& opts = bench::options();
+  try {
+    bench::Flights flights =
+        opts.load ? bench::Flights{*opts.load} : bench::Flights{};
+    std::ostream discard{nullptr};
+    for (const auto* f : opts.selected) f->render(flights, discard);
+    const auto start = std::chrono::steady_clock::now();
+    const exec::CampaignEngine engine{{.jobs = opts.jobs}};
+    flights.fly(engine);
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    std::cerr << "flights: " << flights.simulated() << " simulated of "
+              << flights.requested() << " requested, ";
+    if (opts.load) {
+      std::cerr << "read from " << opts.load->string() << "\n";
     } else {
-      std::cerr << "--only needs a value\n";
-      return 2;
+      std::cerr << metrics::TextTable::num(wall.count(), 1) << " s on "
+                << engine.jobs() << " worker(s)\n";
     }
+    // Every selected id prints, whatever an earlier verdict said.
+    bool verdicts_hold = true;
+    for (const auto* f : opts.selected) {
+      if (!f->render(flights, std::cout)) verdicts_hold = false;
+    }
+    if (opts.out) {
+      std::move(flights).write(*opts.out, engine.jobs(), wall.count());
+      std::cerr << "stored in " << opts.out->string() << "\n";
+    }
+    return verdicts_hold ? 0 : 1;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
-  bench::parse_args(static_cast<int>(rest.size()), rest.data(),
-                    "  --only ids  comma-separated figures to print (default: "
-                    "all), from\n            " +
-                        bench::figure_ids() + "\n");
-  const auto figures = bench::select(only);
-  if (figures.empty()) return 2;
-
-  bench::Flights flights;
-  std::ostream discard{nullptr};
-  for (const auto* f : figures) f->render(flights, discard);
-  const auto start = std::chrono::steady_clock::now();
-  const exec::CampaignEngine engine{{.jobs = bench::options().jobs}};
-  flights.fly(engine);
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-  std::cerr << "flights: " << flights.distinct() << " simulated of "
-            << flights.requested() << " requested, "
-            << metrics::TextTable::num(wall.count(), 1) << " s on "
-            << engine.jobs() << " worker(s)\n";
-  // Every selected figure prints, whatever an earlier verdict said.
-  bool verdicts_hold = true;
-  for (const auto* f : figures) {
-    if (!f->render(flights, std::cout)) verdicts_hold = false;
-  }
-  return verdicts_hold ? 0 : 1;
 }

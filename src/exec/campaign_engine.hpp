@@ -39,27 +39,28 @@ struct GridCell {
 };
 
 // Cross-product axes. Empty axes collapse to the base scenario's value, so a
-// grid over {envs} x {ccs} leaves mobility/tech untouched.
+// grid over {envs} x {ccs} leaves mobility/tech untouched. Every axis has a
+// default initializer, so a designated initializer may name only some.
 struct GridAxes {
-  std::vector<experiment::Environment> envs;
-  std::vector<experiment::Mobility> mobilities;
-  std::vector<pipeline::CcKind> ccs;
-  std::vector<experiment::AccessTech> techs;
+  std::vector<experiment::Environment> envs{};
+  std::vector<experiment::Mobility> mobilities{};
+  std::vector<pipeline::CcKind> ccs{};
+  std::vector<experiment::AccessTech> techs{};
   // Reactive vs. proactive (rpv::predict) vs. planned (rpv::uav) adaptation.
   // Labels stay unchanged for kReactive cells; kProactive cells gain a
   // "-proactive" suffix, kPlanned cells "-planned".
-  std::vector<experiment::Policy> policies;
+  std::vector<experiment::Policy> policies{};
   // Multi-operator bonding (rpv::bond). kNone keeps the single-path Session
   // and an unchanged label; every other value gains a policy suffix
   // ("-mpdup", "-bond-hr", ...).
-  std::vector<experiment::Multipath> multipaths;
+  std::vector<experiment::Multipath> multipaths{};
   // Bonded path sets (rpv::sat). kOperatorPair keeps the label; kThreeWay
   // gains "-sat", kThreeWayMesh gains "-sat-mesh". Only meaningful on
   // multipath cells; kNone cells ignore the value.
-  std::vector<experiment::PathSet> path_sets;
+  std::vector<experiment::PathSet> path_sets{};
   // Named fault patterns. kNone cells keep the label; others gain the preset
   // suffix ("-rlf-storm", "-chaos", ...).
-  std::vector<experiment::FaultPreset> fault_presets;
+  std::vector<experiment::FaultPreset> fault_presets{};
 };
 
 // Expand axes against a base scenario into labeled cells, in axis-major

@@ -6,18 +6,20 @@
 //
 //   <root>/<campaign-name>/
 //     manifest.json        campaign metadata: schema, name, git describe,
-//                          jobs, runs per cell, wall seconds, and one entry
-//                          per cell with its scenario parameters and the
-//                          (seed, file) list of its runs
-//     runs/NNN_<label>_s<seed>.json
-//                          one full SessionReport per measurement run
+//                          jobs, runs per cell, wall seconds; each warm-up
+//                          map with its base scenario and file; and per
+//                          cell its full scenario (a map named by its file)
+//                          and the (seed, file) list of its runs
+//     runs/NNN_<label>_s<seed>.json      one SessionReport per run
+//     maps/NNN_<label>_s<seed>.map.json  one warm-up radio map
 //
-// The loader reads a campaign directory back into GridCellResults, so benches
-// and tools re-aggregate figures (pool_* helpers work unchanged) without
-// re-simulating anything.
+// The loader reads a campaign directory back, scenarios and maps included,
+// so benches and tools re-aggregate figures (pool_* helpers work unchanged)
+// without re-simulating anything.
 #pragma once
 
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,14 +38,18 @@ struct CampaignManifest {
   double wall_seconds = 0.0;
 };
 
-struct LoadedCampaign {
-  json::Value manifest;  // the raw manifest document
-  std::vector<GridCellResult> cells;
+// A warm-up radio map and the base scenario experiment::build_radio_map
+// built it from; map->spec() is the GridSpec it was built on.
+struct WarmUpMap {
+  experiment::Scenario base;
+  std::shared_ptr<const radiomap::RadioMap> map;
 };
 
-// Scenario parameters as stored in the manifest (human-readable names for
-// the enum axes; fault events expanded).
-[[nodiscard]] json::Value scenario_to_json(const experiment::Scenario& s);
+struct LoadedCampaign {
+  // Every scenario filled in; one that carries a map shares maps[i].map.
+  std::vector<GridCellResult> cells;
+  std::vector<WarmUpMap> maps;
+};
 
 // `git describe --always --dirty` of the working tree; "unknown" when git is
 // unavailable (artifacts must still be writable from deployed binaries).
@@ -53,14 +59,17 @@ class RunArtifactStore {
  public:
   explicit RunArtifactStore(std::filesystem::path root) : root_{std::move(root)} {}
 
-  [[nodiscard]] const std::filesystem::path& root() const { return root_; }
-
-  // Write manifest + per-run reports; creates directories as needed and
+  // Write manifest + per-run reports + the warm-up maps, which must hold
+  // every map a cell's scenario carries (std::invalid_argument otherwise);
   // returns the campaign directory. Throws std::runtime_error on I/O errors.
-  std::filesystem::path write_campaign(const CampaignManifest& manifest,
-                                       const GridResult& result) const;
+  std::filesystem::path write_campaign(
+      const CampaignManifest& manifest, const GridResult& result,
+      const std::vector<WarmUpMap>& maps = {}) const;
 
-  // Read a campaign directory written by write_campaign.
+  // Read a campaign directory written by write_campaign. A malformed
+  // manifest (another schema, an unknown name, a missing key, an integer out
+  // of range, a fault FaultSchedule::add rejects) throws std::runtime_error
+  // naming the manifest and the key.
   [[nodiscard]] static LoadedCampaign load_campaign(
       const std::filesystem::path& campaign_dir);
 

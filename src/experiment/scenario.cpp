@@ -2,63 +2,14 @@
 
 namespace rpv::experiment {
 
-std::string environment_name(Environment env) {
-  switch (env) {
-    case Environment::kUrban: return "urban";
-    case Environment::kRuralP1: return "rural-p1";
-    case Environment::kRuralP2: return "rural-p2";
-  }
-  return "?";
+std::string environment_name(Environment e) {
+  return std::string{kEnvironmentNames[static_cast<std::size_t>(e)]};
 }
-
 std::string mobility_name(Mobility m) {
-  switch (m) {
-    case Mobility::kAir: return "air";
-    case Mobility::kGround: return "ground";
-    case Mobility::kStatic: return "static";
-  }
-  return "?";
+  return std::string{kMobilityNames[static_cast<std::size_t>(m)]};
 }
-
-std::string policy_name(Policy p) {
-  switch (p) {
-    case Policy::kReactive: return "reactive";
-    case Policy::kProactive: return "proactive";
-    case Policy::kPlanned: return "planned";
-  }
-  return "?";
-}
-
-std::string multipath_name(Multipath m) {
-  switch (m) {
-    case Multipath::kNone: return "none";
-    case Multipath::kDuplicate: return "duplicate";
-    case Multipath::kFailover: return "failover";
-    case Multipath::kBondLowLatency: return "bond-low-latency";
-    case Multipath::kBondBalanced: return "bond-balanced";
-    case Multipath::kBondHighReliability: return "bond-high-reliability";
-  }
-  return "?";
-}
-
 std::string fault_preset_name(FaultPreset p) {
-  switch (p) {
-    case FaultPreset::kNone: return "none";
-    case FaultPreset::kRlfStorm: return "rlf-storm";
-    case FaultPreset::kCapacityDips: return "cap-dips";
-    case FaultPreset::kWanOutage: return "wan-outage";
-    case FaultPreset::kChaos: return "chaos";
-  }
-  return "?";
-}
-
-std::string path_set_name(PathSet p) {
-  switch (p) {
-    case PathSet::kOperatorPair: return "operator-pair";
-    case PathSet::kThreeWay: return "three-way";
-    case PathSet::kThreeWayMesh: return "three-way-mesh";
-  }
-  return "?";
+  return std::string{kFaultPresetNames[static_cast<std::size_t>(p)]};
 }
 
 bond::Policy bond_policy_of(Multipath m) {
@@ -109,7 +60,7 @@ std::string scenario_label(const Scenario& s) {
   if (s.tech == AccessTech::k5gSa) label += "-5gsa";
   if (s.policy != Policy::kReactive) {
     label += '-';
-    label += policy_name(s.policy);
+    label += kPolicyNames[static_cast<std::size_t>(s.policy)];
   }
   if (s.multipath != Multipath::kNone) {
     label += '-';
@@ -121,6 +72,8 @@ std::string scenario_label(const Scenario& s) {
     label += '-';
     label += fault_preset_name(s.fault_preset);
   }
+  if (s.aqm) label += "-aqm";
+  if (s.daps) label += "-daps";
   return label;
 }
 

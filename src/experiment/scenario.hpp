@@ -10,9 +10,11 @@
 //    more handovers (Fig. 10).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bond/policy.hpp"
 #include "cellular/base_station.hpp"
@@ -24,13 +26,21 @@
 
 namespace rpv::experiment {
 
+// Each enum's names are one table, indexed by value: what environment_name
+// & co. return and what the artifact manifest stores.
+template <std::size_t N>
+using Names = std::array<std::string_view, N>;
+
 enum class Environment { kUrban, kRuralP1, kRuralP2 };
+inline constexpr Names<3> kEnvironmentNames = {"urban", "rural-p1", "rural-p2"};
 enum class Mobility { kAir, kGround, kStatic };
+inline constexpr Names<3> kMobilityNames = {"air", "ground", "static"};
 // Access technology: the campaign ran on LTE; the 5G-SA preset models the
 // stand-alone deployments the paper's Section 5 expects to remove the
 // HO latency spikes (shorter access latency, make-before-break mobility,
 // larger uplink).
 enum class AccessTech { kLte, k5gSa };
+inline constexpr Names<2> kAccessTechNames = {"lte", "5g-sa"};
 // Adaptation policy: reactive is the paper's measured pipeline (CC reacts
 // after the fact); proactive turns on the rpv::predict HO-aware adapter
 // (pre-HO bitrate dip, keyframe deferral, post-HO flush); planned
@@ -38,6 +48,7 @@ enum class AccessTech { kLte, k5gSa };
 // map (rpv::uav) before takeoff — the closed perception→planning loop.
 // kPlanned without a radio_map behaves like kProactive.
 enum class Policy { kReactive, kProactive, kPlanned };
+inline constexpr Names<3> kPolicyNames = {"reactive", "proactive", "planned"};
 
 // Multi-operator bonding (rpv::bond). kNone runs one operator; everything
 // else runs the Session over the environment's operator pair under the named
@@ -50,23 +61,27 @@ enum class Multipath {
   kBondBalanced,
   kBondHighReliability,
 };
+inline constexpr Names<6> kMultipathNames = {
+    "none",          "duplicate",     "failover", "bond-low-latency",
+    "bond-balanced", "bond-high-reliability"};
 
 // Canned fault schedules for the robustness campaigns, so grid cells can
 // name a fault pattern instead of hand-building a schedule per run.
 enum class FaultPreset { kNone, kRlfStorm, kCapacityDips, kWanOutage, kChaos };
+inline constexpr Names<5> kFaultPresetNames = {"none", "rlf-storm", "cap-dips",
+                                               "wan-outage", "chaos"};
 
 // Which bonded paths a multipath scenario attaches (rpv::sat). kOperatorPair
 // is the historical two cellular operators; kThreeWay adds the LEO satellite
 // path; kThreeWayMesh additionally chains in the aerial mesh relay. Ignored
 // when multipath == kNone.
 enum class PathSet { kOperatorPair, kThreeWay, kThreeWayMesh };
+inline constexpr Names<3> kPathSetNames = {"operator-pair", "three-way",
+                                           "three-way-mesh"};
 
 [[nodiscard]] std::string environment_name(Environment env);
 [[nodiscard]] std::string mobility_name(Mobility m);
-[[nodiscard]] std::string policy_name(Policy p);
-[[nodiscard]] std::string multipath_name(Multipath m);
 [[nodiscard]] std::string fault_preset_name(FaultPreset p);
-[[nodiscard]] std::string path_set_name(PathSet p);
 // The bond policy a non-kNone Multipath maps onto.
 [[nodiscard]] bond::Policy bond_policy_of(Multipath m);
 // The schedule a preset expands to (kNone -> empty).
@@ -99,7 +114,7 @@ struct Scenario {
   bool c2 = false;
   // Scripted fault injection (RLF, blackouts, capacity collapse, WAN
   // outages); empty injects nothing. Composable with every scenario above.
-  fault::FaultSchedule faults;
+  fault::FaultSchedule faults{};
   // Named fault pattern appended to `faults` (grid-friendly alternative to
   // hand-building a schedule).
   FaultPreset fault_preset = FaultPreset::kNone;
@@ -122,7 +137,7 @@ struct Scenario {
   // HandoverPredictor's spatial prior (instrumented under every policy);
   // under kPlanned it additionally drives the rpv::uav trajectory planner.
   // Scenarios without a map are byte-identical to their pre-radiomap runs.
-  std::shared_ptr<const radiomap::RadioMap> radio_map;
+  std::shared_ptr<const radiomap::RadioMap> radio_map{};
   // Decoder reference-loss modeling; enable in BOTH arms of a resilience
   // comparison so keyframe recovery is measured fairly.
   bool model_reference_loss = false;
@@ -139,8 +154,8 @@ struct Scenario {
 // "<env>-<mobility>-<cc>", then "-5gsa", the adaptation policy
 // ("-proactive", "-planned"), the bond policy ("-mpdup", "-bond-hr", ...:
 // bond::policy_suffix with a dash), the path set ("-sat", "-sat-mesh") and
-// the fault preset ("-rlf-storm", ...), each only when it differs from the
-// default. The seed is not part of it.
+// the fault preset ("-rlf-storm", ...), then "-aqm" and "-daps", each only
+// when it differs from the default. The seed is not part of it.
 [[nodiscard]] std::string scenario_label(const Scenario& s);
 
 // The stream a flight draws its layouts and trajectory from: the seed

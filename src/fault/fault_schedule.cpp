@@ -6,23 +6,13 @@
 
 namespace rpv::fault {
 
-std::string fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kRlf: return "rlf";
-    case FaultKind::kFeedbackBlackout: return "feedback-blackout";
-    case FaultKind::kCapacityCollapse: return "capacity-collapse";
-    case FaultKind::kWanOutage: return "wan-outage";
-  }
-  return "?";
-}
-
 FaultSchedule& FaultSchedule::add(const FaultEvent& ev) {
   validate(ev.at >= sim::TimePoint::origin(),
            "FaultEvent.at must not precede the simulation origin");
   if (ev.kind != FaultKind::kRlf) {
     validate(ev.duration > sim::Duration::zero(),
              "FaultEvent.duration must be positive for " +
-                 fault_kind_name(ev.kind));
+                 std::string{kFaultKindNames[static_cast<std::size_t>(ev.kind)]});
   }
   if (ev.kind == FaultKind::kCapacityCollapse) {
     validate(ev.magnitude >= 0.0 && ev.magnitude < 1.0,

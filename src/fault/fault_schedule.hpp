@@ -12,8 +12,10 @@
 // seed reproduces a byte-identical run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -28,7 +30,9 @@ enum class FaultKind : std::uint8_t {
   kWanOutage,         // WAN leg drops every packet, both directions
 };
 
-[[nodiscard]] std::string fault_kind_name(FaultKind kind);
+// FaultKind names, indexed by value; the artifact manifest stores them.
+inline constexpr std::array<std::string_view, 4> kFaultKindNames = {
+    "rlf", "feedback-blackout", "capacity-collapse", "wan-outage"};
 
 struct FaultEvent {
   sim::TimePoint at;

@@ -3,8 +3,8 @@
 // Every field of a SessionReport — distributions, per-second and
 // per-handover windows, the bitrate highs, per-stall and per-window vectors,
 // the handover log, fault outcomes — is persisted so a stored run is a full
-// substitute for re-simulating it: the figure benches and `rpv_campaign
-// --load` re-aggregate from these files alone. The format is one field list
+// substitute for re-simulating it: `rpv_figures --load` re-renders every
+// figure and grid from these files alone. The format is one field list
 // per record in report_json.cpp (SessionReport, PathBreakdown, FaultOutcome,
 // HandoverEvent, PredictionStats, metrics::Cdf, PerSecond, Highs,
 // HandoverWindows; obs::Histogram and MetricsSummary in

@@ -50,13 +50,7 @@ bond::BondablePath::DeliverFn first_copy_only(
 }  // namespace
 
 std::string cc_name(CcKind kind) {
-  switch (kind) {
-    case CcKind::kStatic: return "static";
-    case CcKind::kGcc: return "gcc";
-    case CcKind::kScream: return "scream";
-    case CcKind::kNone: return "probe";
-  }
-  return "?";
+  return std::string{kCcNames[static_cast<std::size_t>(kind)]};
 }
 
 void apply_cc_settings(SessionConfig& cfg) {

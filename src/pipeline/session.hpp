@@ -19,9 +19,12 @@
 // bond::AdaptiveFecController.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bond/fec_controller.hpp"
@@ -48,6 +51,9 @@
 namespace rpv::pipeline {
 
 enum class CcKind { kStatic, kGcc, kScream, kNone /* probe-only */ };
+// cc_name's names, indexed by CcKind; the artifact manifest stores them.
+inline constexpr std::array<std::string_view, 4> kCcNames = {"static", "gcc",
+                                                             "scream", "probe"};
 
 [[nodiscard]] std::string cc_name(CcKind kind);
 

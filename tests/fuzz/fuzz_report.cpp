@@ -1,4 +1,4 @@
-// libFuzzer driver for the session-report loader behind `rpv_campaign --load`
+// libFuzzer driver for the session-report loader behind `rpv_figures --load`
 // (rpv::pipeline::report_from_json). Build with -DRPV_FUZZ=ON (clang).
 #include <cstddef>
 #include <cstdint>

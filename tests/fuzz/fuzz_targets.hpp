@@ -63,7 +63,7 @@ inline void one_radiomap(std::string_view text) {
   }
 }
 
-// Session-report loader (pipeline::report_from_json), which `rpv_campaign
+// Session-report loader (pipeline::report_from_json), which `rpv_figures
 // --load` runs on every stored run.
 inline void one_report(std::string_view text) {
   pipeline::SessionReport report;

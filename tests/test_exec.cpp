@@ -439,6 +439,68 @@ TEST(Flights, BuildsEachWarmUpMapOnceAndReplaysItsFlights) {
             report_bytes({experiment::run_scenario(probe)}));
 }
 
+// Flights stores its batch, maps included, and a Flights made from the store
+// replays it without flying a flight or a survey.
+TEST(Flights, ReplaysItsStoredBatchWithoutFlying) {
+  const auto dir = std::filesystem::path{::testing::TempDir()} /
+                   "rpv_flights_store" /
+                   std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  radiomap::GridSpec spec;  // two 50 m columns: a short survey flight
+  spec.nx = 2;
+  experiment::Scenario base;
+  base.env = experiment::Environment::kRuralP1;
+  base.cc = pipeline::CcKind::kNone;
+  base.seed = 7301;
+  experiment::Scenario probe;
+  probe.env = experiment::Environment::kRuralP1;
+  probe.mobility = experiment::Mobility::kGround;
+  probe.cc = pipeline::CcKind::kNone;
+  probe.probe_interval = sim::Duration::millis(200);
+  const experiment::Campaign c{probe, 2};
+
+  bench::Flights flown;
+  auto mapped = probe;
+  mapped.radio_map = flown.radio_map(base, spec);
+  (void)flown.run(c);
+  (void)flown.run(std::vector<experiment::Scenario>{mapped});
+  flown.fly(exec::CampaignEngine{{.jobs = 2}});
+  const auto campaign = report_bytes(flown.run(c));
+  const auto map_run =
+      report_bytes(flown.run(std::vector<experiment::Scenario>{mapped}));
+  std::move(flown).write(dir, 2, 0.0);
+
+  bench::Flights stored{dir};
+  auto replay = mapped;
+  replay.radio_map = stored.radio_map(base, spec);
+  EXPECT_EQ(stored.radio_map(base, spec), replay.radio_map);  // shared
+  EXPECT_NE(replay.radio_map, mapped.radio_map);              // read, not built
+  EXPECT_EQ(replay.radio_map->canonical_bytes(),
+            mapped.radio_map->canonical_bytes());
+  (void)stored.run(c);
+  (void)stored.run(std::vector<experiment::Scenario>{replay});
+  stored.fly(exec::CampaignEngine{{.jobs = 2}});
+  EXPECT_EQ(stored.simulated(), 0u);
+  EXPECT_EQ(stored.requested(), 3u);
+  EXPECT_EQ(report_bytes(stored.run(c)), campaign);
+  EXPECT_EQ(report_bytes(stored.run(std::vector<experiment::Scenario>{replay})),
+            map_run);
+
+  // A pair the store lacks is an error naming it, not a flight.
+  auto missing = probe;
+  missing.seed = 6;
+  bench::Flights again{dir};
+  try {
+    (void)again.run(std::vector<experiment::Scenario>{missing});
+    ADD_FAILURE() << "a pair the store lacks was answered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("rural-p1-ground-probe seed 6"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir.parent_path());
+}
+
 TEST(CampaignEngine, ExpandGridCrossProduct) {
   exec::GridAxes axes;
   axes.envs = {experiment::Environment::kUrban,
@@ -697,7 +759,7 @@ TEST_F(RunArtifactTest, WriteThenLoadRoundTripsCampaign) {
   EXPECT_TRUE(std::filesystem::exists(campaign_dir / "manifest.json"));
   const auto doc =
       json::parse(*json::read_file((campaign_dir / "manifest.json").string()));
-  EXPECT_EQ(doc.at("schema").as_i64(), 1);
+  EXPECT_EQ(doc.at("schema").as_i64(), 2);
   EXPECT_EQ(doc.at("name").as_string(), "probe-mini");
   EXPECT_FALSE(doc.at("git").as_string().empty());
   EXPECT_EQ(doc.at("runs_per_cell").as_i64(), 2);
@@ -720,6 +782,7 @@ TEST_F(RunArtifactTest, WriteThenLoadRoundTripsCampaign) {
   ASSERT_EQ(loaded.cells.size(), result.cells.size());
   for (std::size_t c = 0; c < loaded.cells.size(); ++c) {
     EXPECT_EQ(loaded.cells[c].cell.label, result.cells[c].cell.label);
+    EXPECT_TRUE(loaded.cells[c].cell.scenario == result.cells[c].cell.scenario);
     EXPECT_EQ(loaded.cells[c].seeds, result.cells[c].seeds);
     ASSERT_EQ(loaded.cells[c].reports.size(), result.cells[c].reports.size());
     for (std::size_t i = 0; i < loaded.cells[c].reports.size(); ++i) {
@@ -755,43 +818,216 @@ TEST_F(RunArtifactTest, LoadFromMissingDirectoryThrows) {
                std::runtime_error);
 }
 
+// A small map to carry: two 50 m columns, one measurement.
+std::shared_ptr<const radiomap::RadioMap> small_map() {
+  radiomap::GridSpec spec;
+  spec.nx = 2;
+  auto map = std::make_shared<radiomap::RadioMap>(spec);
+  map->observe_measurement({60.0, 10.0, 5.0}, 3, -90.0, 12.5, false);
+  return map;
+}
+
+// Every Scenario field, changed in turn, survives write_campaign ->
+// load_campaign: the manifest's field list binds all 22 (radio_map as the
+// file of the campaign's map entry).
+TEST_F(RunArtifactTest, EveryScenarioFieldRoundTripsThroughTheManifest) {
+  const experiment::Scenario base;
+  const exec::WarmUpMap warm_up{base, small_map()};
+  std::vector<experiment::Scenario> variants(23, base);
+  auto v = variants.begin() + 1;
+  (v++)->env = experiment::Environment::kRuralP2;
+  (v++)->mobility = experiment::Mobility::kGround;
+  (v++)->cc = pipeline::CcKind::kScream;
+  (v++)->seed = 77;
+  (v++)->probe_interval = sim::Duration::millis(250);
+  (v++)->rfc8888_ack_window = 64;
+  (v++)->drop_on_latency = true;
+  (v++)->aqm = true;
+  (v++)->daps = true;
+  (v++)->tech = experiment::AccessTech::k5gSa;
+  (v++)->fec_group_size = 5;
+  (v++)->c2 = true;
+  (v++)->faults.rlf(60.0).capacity_collapse(90.0, 3.0, 0.25).wan_outage(95, 2);
+  (v++)->fault_preset = experiment::FaultPreset::kChaos;
+  (v++)->faults_on_both_operators = true;
+  (v++)->multipath = experiment::Multipath::kBondHighReliability;
+  (v++)->path_set = experiment::PathSet::kThreeWayMesh;
+  (v++)->resilience = true;
+  (v++)->policy = experiment::Policy::kPlanned;
+  (v++)->radio_map = warm_up.map;
+  (v++)->model_reference_loss = true;
+  (v++)->observe = true;
+  ASSERT_EQ(v, variants.end());
+
+  exec::GridResult grid;
+  for (const auto& s : variants) {
+    EXPECT_TRUE(&s == &variants.front() || !(s == base));
+    grid.cells.push_back({{experiment::scenario_label(s), s}, {}, {}});
+  }
+  exec::CampaignManifest manifest;
+  manifest.name = "fields";
+  const auto dir =
+      exec::RunArtifactStore{dir_}.write_campaign(manifest, grid, {warm_up});
+  const auto loaded = exec::RunArtifactStore::load_campaign(dir);
+
+  ASSERT_EQ(loaded.maps.size(), 1u);
+  EXPECT_TRUE(loaded.maps[0].base == base);
+  EXPECT_EQ(loaded.maps[0].map->canonical_bytes(),
+            warm_up.map->canonical_bytes());
+  ASSERT_EQ(loaded.cells.size(), variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    auto expected = variants[i];
+    if (expected.radio_map) expected.radio_map = loaded.maps[0].map;
+    EXPECT_TRUE(loaded.cells[i].cell.scenario == expected) << "field " << i;
+  }
+
+  // A map-carrying cell whose map the campaign does not list is refused.
+  EXPECT_THROW((void)exec::RunArtifactStore{dir_}.write_campaign(manifest, grid),
+               std::invalid_argument);
+}
+
+// Each malformed manifest throws an error naming what is wrong.
+TEST_F(RunArtifactTest, MalformedManifestsThrowNamingTheKey) {
+  exec::GridResult grid;
+  experiment::Scenario s;
+  s.faults.rlf(60.0);
+  grid.cells.push_back({{experiment::scenario_label(s), s}, {}, {}});
+  exec::CampaignManifest manifest;
+  manifest.name = "bad";
+  const auto dir = exec::RunArtifactStore{dir_}.write_campaign(manifest, grid);
+  const auto path = (dir / "manifest.json").string();
+  const auto good = json::parse(*json::read_file(path));
+
+  // `edit` rewrites cells[0].scenario; `expected` must appear in the error.
+  const auto rejects = [&](const std::string& expected, auto edit) {
+    auto doc = good;
+    auto cell = doc.at("cells").items()[0];
+    auto scenario = cell.at("scenario");
+    edit(doc, scenario);
+    cell.set("scenario", scenario);
+    auto cells = json::Value::array();
+    cells.push_back(cell);
+    doc.set("cells", cells);
+    ASSERT_TRUE(json::write_file(path, doc, 2));
+    try {
+      (void)exec::RunArtifactStore::load_campaign(dir);
+      ADD_FAILURE() << "loaded a manifest with a bad " << expected;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(expected), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("schema version 1",
+          [](json::Value& doc, json::Value&) { doc.set("schema", 1); });
+  rejects("environment", [](json::Value&, json::Value& sc) {
+    sc.set("environment", "mars");
+  });
+  rejects("'cc'", [](json::Value&, json::Value& sc) {
+    auto pruned = json::Value::object();
+    for (const auto& m : sc.members()) {
+      if (m.key != "cc") pruned.set(m.key, m.value);
+    }
+    sc = pruned;
+  });
+  rejects("rfc8888_ack_window", [](json::Value&, json::Value& sc) {
+    sc.set("rfc8888_ack_window", std::int64_t{1} << 40);
+  });
+  rejects("faults", [](json::Value&, json::Value& sc) {
+    // A capacity collapse needs a duration: FaultSchedule::add says no.
+    sc.set("faults", json::parse(R"([{"kind": "capacity-collapse",
+        "at_us": 1000000, "duration_us": 0, "magnitude": 0.5}])"));
+  });
+  rejects("radio_map", [](json::Value&, json::Value& sc) {
+    sc.set("radio_map", "maps/none.map.json");
+  });
+}
+
 // --- Bench CLI option parsing (bench_common.hpp) ---
 
+// A registry shaped like rpv_figures': a figure, a grid and the fleet.
+constexpr bench::Figure kIds[] = {
+    {"fig", nullptr},
+    {"grid", nullptr, bench::kRuns | bench::kObserve, false},
+    {"fleet", nullptr, bench::kFleetFlags, false},
+};
+
+bench::Options parse(const std::vector<std::string>& args) {
+  return bench::parse_options(args, kIds);
+}
+
 TEST(BenchOptions, ParsesValidFlags) {
-  const auto opts =
-      bench::parse_options({"--runs", "4", "--seed", "99", "--jobs", "2"});
+  const auto opts = parse({"--runs", "4", "--seed", "99", "--jobs", "2"});
   ASSERT_TRUE(opts.runs.has_value());
   EXPECT_EQ(*opts.runs, 4);
   ASSERT_TRUE(opts.seed.has_value());
   EXPECT_EQ(*opts.seed, 99u);
   EXPECT_EQ(opts.jobs, 2);
   // Defaults survive when nothing is passed.
-  const auto empty = bench::parse_options({});
+  const auto empty = parse({});
   EXPECT_FALSE(empty.runs.has_value());
   EXPECT_FALSE(empty.seed.has_value());
   EXPECT_EQ(empty.jobs, 0);
+  ASSERT_EQ(empty.selected.size(), 1u);  // the by-default ids
+  EXPECT_EQ(empty.selected[0], &kIds[0]);
+
+  const auto all = parse({"--only", "fleet,fig,grid", "--out", "a/b",
+                          "--observe", "--sessions", "1,8", "--env",
+                          "rural-p2", "--horizon", "30"});
+  ASSERT_EQ(all.selected.size(), 3u);  // registry order
+  EXPECT_EQ(all.selected[2], &kIds[2]);
+  EXPECT_EQ(all.out, std::filesystem::path{"a/b"});
+  EXPECT_TRUE(all.observe);
+  EXPECT_EQ(all.sessions, (std::vector<int>{1, 8}));
+  EXPECT_EQ(all.envs, std::vector{experiment::Environment::kRuralP2});
+  EXPECT_DOUBLE_EQ(all.horizon_sec, 30.0);
+  EXPECT_EQ(parse({"--only", "fleet", "--load", "s"}).load,
+            std::filesystem::path{"s"});
 }
 
 TEST(BenchOptions, RejectsNegativeCountsAndSeeds) {
-  EXPECT_THROW((void)bench::parse_options({"--runs", "-3"}),
+  EXPECT_THROW((void)parse({"--runs", "-3"}),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_options({"--runs", "0"}),
+  EXPECT_THROW((void)parse({"--runs", "0"}),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_options({"--seed", "-5"}),
+  EXPECT_THROW((void)parse({"--seed", "-5"}),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_options({"--jobs", "-1"}),
+  EXPECT_THROW((void)parse({"--jobs", "-1"}),
                std::invalid_argument);
   // --jobs 0 means "one worker per hardware thread" and stays legal.
-  EXPECT_EQ(bench::parse_options({"--jobs", "0"}).jobs, 0);
+  EXPECT_EQ(parse({"--jobs", "0"}).jobs, 0);
 }
 
 TEST(BenchOptions, RejectsMalformedAndUnknownArguments) {
-  EXPECT_THROW((void)bench::parse_options({"--runs"}), std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_options({"--runs", "five"}),
+  EXPECT_THROW((void)parse({"--runs"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--runs", "five"}),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_options({"--runs", "3x"}),
+  EXPECT_THROW((void)parse({"--runs", "3x"}),
                std::invalid_argument);
-  EXPECT_THROW((void)bench::parse_options({"--bogus"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--bogus"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--only", "bogus"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--only", "fig,"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--only", ""}), std::invalid_argument);
+}
+
+// A flag that none of the selected ids reads is an error, not a no-op.
+TEST(BenchOptions, RejectsFleetFlagsItsSelectionDoesNotRead) {
+  const auto rejects = [](const std::vector<std::string>& args,
+                          const std::string& expected) {
+    try {
+      (void)parse(args);
+      ADD_FAILURE() << "accepted " << args.front();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(expected), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects({"--only", "fleet", "--sessions", "4,4"}, "4 twice");
+  rejects({"--only", "fleet", "--env", "mars"}, "mars");
+  rejects({"--env", "urban"}, "--env is read by none");
+  rejects({"--only", "fig,grid", "--horizon", "5"}, "--horizon is read by none");
+  rejects({"--only", "fleet", "--runs", "2"}, "--runs is read by none");
+  rejects({"--observe"}, "--observe is read by none");
+  EXPECT_NO_THROW((void)parse({"--only", "fleet,grid", "--runs", "2"}));
 }
 
 TEST(BenchOptions, ParseNumberTakesOnlyWholeValuesAtOrAboveTheMinimum) {

@@ -15,6 +15,19 @@ TEST(Scenario, Names) {
   EXPECT_EQ(mobility_name(Mobility::kGround), "ground");
 }
 
+// The AQM and DAPS ablation arms are not filed under their baseline's label.
+TEST(Scenario, LabelNamesAqmAndDaps) {
+  Scenario s;
+  s.fault_preset = FaultPreset::kRlfStorm;
+  EXPECT_EQ(scenario_label(s), "urban-air-gcc-rlf-storm");
+  s.aqm = true;
+  EXPECT_EQ(scenario_label(s), "urban-air-gcc-rlf-storm-aqm");
+  s.daps = true;
+  EXPECT_EQ(scenario_label(s), "urban-air-gcc-rlf-storm-aqm-daps");
+  s.aqm = false;
+  EXPECT_EQ(scenario_label(s), "urban-air-gcc-rlf-storm-daps");
+}
+
 TEST(Scenario, StaticBitratesMatchPaper) {
   EXPECT_DOUBLE_EQ(static_bitrate_bps(Environment::kUrban), 25e6);
   EXPECT_DOUBLE_EQ(static_bitrate_bps(Environment::kRuralP1), 8e6);

@@ -363,7 +363,7 @@ TEST(FleetEngine, ReportJsonRejectsOutOfRangeIntegers) {
 }
 
 TEST(FleetEngine, LabelIsTheGridLabelPlusFleetSize) {
-  // The cells of rpv_campaign fleet --sessions 1,8 (urban and rural-p1).
+  // The cells of rpv_figures --only fleet --sessions 1,8 (urban and rural-p1).
   const struct {
     experiment::Environment env;
     int sessions;

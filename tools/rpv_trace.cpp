@@ -4,7 +4,7 @@
 //               [--from SEC] [--to SEC]
 //
 // It reads an events.jsonl written by an observed run (Scenario::observe /
-// rpv_campaign --observe) and renders one line per event, so a Fig.-8-style
+// rpv_figures --observe) and renders one line per event, so a Fig.-8-style
 // handover/stall timeline can be reconstructed from the recording alone — no
 // re-simulation. Components cover every layer that publishes, including the
 // 3-way bonding paths (`--component sat` isolates satellite pass handovers
